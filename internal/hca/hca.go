@@ -363,13 +363,13 @@ func (h *HCA) dmaChunk(sge SGE, pipelined bool, f func(pa phys.Addr, off uint64,
 // simultaneously without involving the CPU" step; simultaneity is modelled
 // by charging the serial DMA cost only once per chunk with no CPU charge.
 func (h *HCA) Gather(sges []SGE) ([]byte, simtime.Ticks, error) {
-	data := make([]byte, 0, TotalLen(sges))
+	data := make([]byte, TotalLen(sges))
+	pos := 0
 	var total simtime.Ticks
 	for i, sge := range sges {
 		cost, err := h.dmaChunk(sge, i > 0, func(pa phys.Addr, _ uint64, n int) {
-			buf := make([]byte, n)
-			h.mem.ReadPhys(pa, buf)
-			data = append(data, buf...)
+			h.mem.ReadPhys(pa, data[pos:pos+n])
+			pos += n
 		})
 		if err != nil {
 			return nil, 0, err

@@ -1,6 +1,7 @@
 package hca_test
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -119,6 +120,47 @@ func TestMultiSGEGatherOrder(t *testing.T) {
 	}
 	if string(data) != "BBBBAAAA" {
 		t.Fatalf("gather order wrong: %q", data)
+	}
+}
+
+// TestGatherMultiPageSGEsAllocatesOnce gathers three SGEs, out of address
+// order and each crossing page boundaries: the payload must match the
+// source bytes, and the gather must allocate only the payload itself.
+func TestGatherMultiPageSGEsAllocatesOnce(t *testing.T) {
+	m := machine.Opteron()
+	as, h := rig(t, m)
+	va, mr := reg(t, as, h, 64<<10, false, false)
+	in := make([]byte, 64<<10)
+	for i := range in {
+		in[i] = byte(i*31 + 7)
+	}
+	if err := as.Write(va, in); err != nil {
+		t.Fatal(err)
+	}
+	sges := []hca.SGE{
+		{Addr: va + 20000, Length: 9000, LKey: mr.LKey},
+		{Addr: va + 100, Length: 12000, LKey: mr.LKey},
+		{Addr: va + 40001, Length: 5000, LKey: mr.LKey},
+	}
+	var want []byte
+	for _, s := range sges {
+		off := int(s.Addr - va)
+		want = append(want, in[off:off+int(s.Length)]...)
+	}
+	data, _, err := h.Gather(sges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, want) {
+		t.Fatal("gather payload differs from the source bytes")
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := h.Gather(sges); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("gather made %v allocations, want 1 (the payload)", allocs)
 	}
 }
 

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -347,6 +348,52 @@ func TestAllreduceSumAndMax(t *testing.T) {
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
+	}
+}
+
+// TestF64RoundTripAcrossChunksAndPages writes and reads back more than one
+// 4 KiB encoding chunk of float64s from an unaligned address on base
+// pages, and checks that a range with an unmapped tail still fails with
+// the address space's error.
+func TestF64RoundTripAcrossChunksAndPages(t *testing.T) {
+	cfg := defaultCfg(1)
+	cfg.Allocator = AllocLibc
+	w := mustWorld(t, cfg)
+	err := w.Run(func(r *Rank) error {
+		const n = 1500 // 12000 bytes: three chunks, four pages
+		base, err := r.as.MapSmall(4 * machine.SmallPageSize)
+		if err != nil {
+			return err
+		}
+		va := base + 4093 // unaligned, and the first value straddles a page
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(i)*1.5 - 7
+		}
+		if err := r.WriteF64(va, xs); err != nil {
+			return err
+		}
+		got, err := r.ReadF64(va, n)
+		if err != nil {
+			return err
+		}
+		for i := range xs {
+			if got[i] != xs[i] {
+				return fmt.Errorf("value %d: got %g want %g", i, got[i], xs[i])
+			}
+		}
+		// The mapping is the newest, so the page after it is unmapped.
+		tail := base + 3*machine.SmallPageSize + 8
+		if err := r.WriteF64(tail, xs); !errors.Is(err, vm.ErrUnmapped) {
+			return fmt.Errorf("write over an unmapped tail: got %v, want %v", err, vm.ErrUnmapped)
+		}
+		if _, err := r.ReadF64(tail, n); !errors.Is(err, vm.ErrUnmapped) {
+			return fmt.Errorf("read over an unmapped tail: got %v, want %v", err, vm.ErrUnmapped)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -404,24 +404,41 @@ func (r *Rank) TierDemote(va vm.VA, n uint64) (int, error) {
 	return r.TierMigrate(va, n, tiers.TierCount()-1)
 }
 
+// f64Chunk is how many float64s WriteF64 and ReadF64 encode per address
+// space call: one 4 KiB stack buffer, so neither allocates a bounce copy.
+const f64Chunk = 512
+
 // WriteF64 stores a float64 slice at va (little-endian).
 func (r *Rank) WriteF64(va vm.VA, xs []float64) error {
-	buf := make([]byte, 8*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(x))
+	var buf [8 * f64Chunk]byte
+	for len(xs) > 0 {
+		n := min(len(xs), f64Chunk)
+		for i, x := range xs[:n] {
+			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(x))
+		}
+		if err := r.as.Write(va, buf[:8*n]); err != nil {
+			return err
+		}
+		va += vm.VA(8 * n)
+		xs = xs[n:]
 	}
-	return r.as.Write(va, buf)
+	return nil
 }
 
 // ReadF64 loads n float64s from va.
 func (r *Rank) ReadF64(va vm.VA, n int) ([]float64, error) {
-	buf := make([]byte, 8*n)
-	if err := r.as.Read(va, buf); err != nil {
-		return nil, err
-	}
+	var buf [8 * f64Chunk]byte
 	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+	for done := 0; done < n; {
+		m := min(n-done, f64Chunk)
+		if err := r.as.Read(va, buf[:8*m]); err != nil {
+			return nil, err
+		}
+		for i := 0; i < m; i++ {
+			xs[done+i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+		}
+		va += vm.VA(8 * m)
+		done += m
 	}
 	return xs, nil
 }

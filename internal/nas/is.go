@@ -3,7 +3,7 @@ package nas
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"repro/internal/memmodel"
 	"repro/internal/mpi"
@@ -45,6 +45,37 @@ func (g *isRand) next() uint64 {
 	return g.s
 }
 
+// radixSort sorts keys, every one below maxKey (at most 2^32), into
+// ascending order by least-significant-digit radix sort, with scratch (at
+// least len(keys) long) as the second buffer. It makes one counting pass
+// per 11-bit digit of maxKey-1: two at the default MaxKey of 2^20.
+func radixSort(keys, scratch []uint32, maxKey int) {
+	const digitBits = 11
+	const mask = 1<<digitBits - 1
+	width := bits.Len32(uint32(maxKey - 1))
+	src, dst := keys, scratch[:len(keys)]
+	for shift := 0; shift < width; shift += digitBits {
+		var count [mask + 1]int
+		for _, key := range src {
+			count[key>>shift&mask]++
+		}
+		pos := 0
+		for d, c := range count {
+			count[d] = pos
+			pos += c
+		}
+		for _, key := range src {
+			d := key >> shift & mask
+			dst[count[d]] = key
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	if len(keys) > 0 && &src[0] != &keys[0] {
+		copy(keys, src)
+	}
+}
+
 // Run implements Kernel.
 func (k *IS) Run(r *mpi.Rank) error {
 	p := r.Size()
@@ -78,9 +109,16 @@ func (k *IS) Run(r *mpi.Rank) error {
 	g := &isRand{s: uint64(0x9E3779B9<<8) ^ uint64(r.ID()+1)}
 	keysPerBucket := (k.MaxKey + p - 1) / p
 
+	// Host buffers reused by every iteration. A rank receives about
+	// KeysPerRank keys; mine and the radix scratch grow only past that,
+	// and no slot holds more than slotBytes.
+	keys := make([]uint32, k.KeysPerRank)
+	scratch := make([]uint32, k.KeysPerRank)
+	mine := make([]uint32, 0, k.KeysPerRank)
+	buf := make([]byte, slotBytes)
+
 	for it := 0; it < k.Iters; it++ {
 		// Key generation: one streaming pass over the key array.
-		keys := make([]uint32, k.KeysPerRank)
 		for i := range keys {
 			keys[i] = uint32(g.next() % uint64(k.MaxKey))
 		}
@@ -94,30 +132,32 @@ func (k *IS) Run(r *mpi.Rank) error {
 			Count:      k.BucketTouches,
 		}, region(r, arenaVA, arenaBytes))
 
-		// Partition keys by destination rank (bucket = key / keysPerBucket),
-		// then sort each partition locally before exchange (bucketed sort).
-		parts := make([][]uint32, p)
-		for _, key := range keys {
-			d := int(key) / keysPerBucket
-			if d >= p {
-				d = p - 1
-			}
-			parts[d] = append(parts[d], key)
-		}
+		// Bucketed sort: sort the keys once, so each destination rank's
+		// partition (bucket = key / keysPerBucket, the last rank taking
+		// the remainder) is a contiguous, already sorted run.
+		radixSort(keys, scratch, k.MaxKey)
 		sc := make([]int, p)
 		sd := make([]int, p)
+		start := 0
 		for d := 0; d < p; d++ {
-			sort.Slice(parts[d], func(i, j int) bool { return parts[d][i] < parts[d][j] })
+			end := len(keys)
+			if d < p-1 {
+				end = start
+				for end < len(keys) && int(keys[end]) < (d+1)*keysPerBucket {
+					end++
+				}
+			}
+			part := keys[start:end]
+			start = end
 			sd[d] = d * slotBytes
-			sc[d] = 4 * len(parts[d])
+			sc[d] = 4 * len(part)
 			if sc[d] > slotBytes {
 				return fmt.Errorf("is: partition %d overflows its slot (%d > %d)", d, sc[d], slotBytes)
 			}
-			buf := make([]byte, sc[d])
-			for i, key := range parts[d] {
+			for i, key := range part {
 				binary.LittleEndian.PutUint32(buf[4*i:], key)
 			}
-			if err := r.WriteBytes(sendVA+vm.VA(sd[d]), buf); err != nil {
+			if err := r.WriteBytes(sendVA+vm.VA(sd[d]), buf[:sc[d]]); err != nil {
 				return err
 			}
 		}
@@ -156,9 +196,9 @@ func (k *IS) Run(r *mpi.Rank) error {
 		}
 
 		// Local merge of p sorted runs + verification pass.
-		mine := make([]uint32, 0, total/4)
+		mine = mine[:0]
 		for s := 0; s < p; s++ {
-			got := make([]byte, rc[s])
+			got := buf[:rc[s]]
 			if err := r.ReadBytes(recvVA+vm.VA(rd[s]), got); err != nil {
 				return err
 			}
@@ -166,7 +206,10 @@ func (k *IS) Run(r *mpi.Rank) error {
 				mine = append(mine, binary.LittleEndian.Uint32(got[4*i:]))
 			}
 		}
-		sort.Slice(mine, func(i, j int) bool { return mine[i] < mine[j] })
+		if len(mine) > len(scratch) {
+			scratch = make([]uint32, len(mine))
+		}
+		radixSort(mine, scratch, k.MaxKey)
 		charge(r, memmodel.SeqScan{Passes: 2}, region(r, recvVA, uint64(total+1)))
 		// The rank/merge phase hops randomly across the full key space
 		// image (comfortably beyond the 4 KiB TLB reach but inside the
@@ -174,15 +217,20 @@ func (k *IS) Run(r *mpi.Rank) error {
 		// the bucket structures above dominate the other way).
 		charge(r, memmodel.Random{Count: 2500, Seed: uint64(it + 11)}, region(r, arenaVA, arenaBytes))
 
-		// Verification 1: every key landed in this rank's range.
+		// Verification 1: every key landed in this rank's range, and the
+		// rank's own keys are in order.
 		lo := uint32(r.ID() * keysPerBucket)
 		hi := uint32((r.ID() + 1) * keysPerBucket)
 		if r.ID() == p-1 {
 			hi = uint32(k.MaxKey)
 		}
-		for _, key := range mine {
+		for i, key := range mine {
 			if key < lo || key >= hi {
 				return fmt.Errorf("is: VERIFICATION FAILED: key %d outside [%d,%d)", key, lo, hi)
+			}
+			if i > 0 && key < mine[i-1] {
+				return fmt.Errorf("is: VERIFICATION FAILED: rank %d key %d at %d follows larger key %d",
+					r.ID(), key, i, mine[i-1])
 			}
 		}
 		// Verification 2: global boundary order — my smallest key is >=
