@@ -38,10 +38,13 @@ func newATTCache(entries, ways int) *attCache {
 	if entries < ways {
 		entries = ways
 	}
+	// Every set is a run of one backing array, so building a cache costs
+	// the same three allocations whatever its size.
 	nsets := entries / ways
+	ents := make([]attEntry, nsets*ways)
 	c := &attCache{sets: make([][]attEntry, nsets)}
 	for i := range c.sets {
-		c.sets[i] = make([]attEntry, ways)
+		c.sets[i] = ents[i*ways : (i+1)*ways : (i+1)*ways]
 	}
 	return c
 }

@@ -65,6 +65,10 @@ type message struct {
 	kind int
 	src  int
 	tag  int
+	// pooled marks an eager message from the world's free list (see
+	// World.eagerMessage); the receiver hands it back once the payload
+	// is copied out.
+	pooled bool
 
 	// flow is the trace arrow id linking the send post to the receive
 	// (0 when tracing is disabled).
@@ -164,10 +168,9 @@ func (r *Rank) sendEager(t *sched.Task, clk *simtime.Clock, dst, tag int, va vm.
 	if tc := r.tctx(clk); tc.Enabled() && clk.Now() > waitStart {
 		tc.SpanAt(trace.LMPI, "credit.wait", waitStart, clk.Now()-waitStart)
 	}
-	var data []byte
+	m := r.world.eagerMessage(n)
 	if n > 0 {
-		data = make([]byte, n)
-		if err := r.as.Read(va, data); err != nil {
+		if err := r.as.Read(va, m.data); err != nil {
 			return err
 		}
 	}
@@ -180,18 +183,16 @@ func (r *Rank) sendEager(t *sched.Task, clk *simtime.Clock, dst, tag int, va vm.
 	clk.Advance(r.ctx.PostSendT(r.tctx(clk), make([]hca.SGE, 1)))
 	// The adapter gathers from the hot bounce buffer and serialises.
 	arrive := clk.Now() + r.ctx.HW.WireCost(n)
-	var flowID uint64
+	m.src, m.tag, m.arrive = r.id, tag, arrive
 	if r.tr.Enabled() {
-		flowID = r.nextFlow(dst)
-		r.tctx(clk).FlowBegin(flowID)
+		m.flow = r.nextFlow(dst)
+		r.tctx(clk).FlowBegin(m.flow)
 	}
 	// Local completion (inline/bounce: immediate).
 	if err := r.pollCQ(clk, faults.StreamWRSend); err != nil {
 		return err
 	}
-	if !r.world.ranks[dst].inboxQ(r.id).Push(t, &message{
-		kind: kindEager, src: r.id, tag: tag, data: data, arrive: arrive, flow: flowID,
-	}) {
+	if !r.world.ranks[dst].inboxQ(r.id).Push(t, m) {
 		return fmt.Errorf("mpi: rank %d sending eager to %d: %w", r.id, dst, ErrAborted)
 	}
 	return nil
@@ -383,6 +384,7 @@ func (r *Rank) recvOn(t *sched.Task, clk *simtime.Clock, src, tag int, va vm.VA,
 		// time the bounce buffer became free again. A full pool (e.g.
 		// duplicated teardown) drops the token.
 		r.world.ranks[src].creditQ(r.id).TryPush(clk.Now())
+		r.world.recycleEager(m)
 		return n, nil
 
 	case kindRTS:
@@ -525,37 +527,51 @@ func (r *Rank) Sendrecv(dst, sendTag int, sendVA vm.VA, sendN int,
 	src, recvTag int, recvVA vm.VA, recvCap int) (int, error) {
 	start := r.clock.Now()
 	outer := r.enterMPI()
-	sendClk := simtime.Clock{}
-	sendClk.AdvanceTo(start)
-
 	var n int
 	var sendErr, recvErr error
 	if r.canInlineSend(dst, sendN) {
 		// Fast path: an eager send with a credit in hand and inbox room
 		// cannot block, so running it inline to completion is exactly the
 		// schedule the forked task would produce — minus the task.
+		var sendClk simtime.Clock
+		sendClk.AdvanceTo(start)
 		sendErr = r.sendOn(r.task, &sendClk, dst, sendTag, sendVA, sendN, nil, nil, nil)
 		n, recvErr = r.recvOn(r.task, &r.clock, src, recvTag, recvVA, recvCap, nil, nil)
+		r.clock.AdvanceTo(sendClk.Now())
 	} else {
-		started := sched.NewGate(r.world.sched)
-		dma := sched.NewGate(r.world.sched)
-		rel := sched.NewGate(r.world.sched)
-		sub := r.world.sched.Spawn(r.id, &sendClk, func(t *sched.Task) error {
-			sendErr = r.sendOn(t, &sendClk, dst, sendTag, sendVA, sendN, started, dma, rel)
-			// A send-half failure is Sendrecv's to report, not a reason
-			// to abort the world before the recv half has resolved.
-			return nil
-		})
-		started.Wait(r.task)
-		n, recvErr = r.recvOn(r.task, &r.clock, src, recvTag, recvVA, recvCap, dma, rel)
+		h := &sendHalf{r: r, dst: dst, tag: sendTag, va: sendVA, n: sendN}
+		h.clk.AdvanceTo(start)
+		sub := r.world.sched.Spawn(r.id, &h.clk, h.run)
+		h.started.Wait(r.task)
+		n, recvErr = r.recvOn(r.task, &r.clock, src, recvTag, recvVA, recvCap, &h.dma, &h.rel)
 		r.task.Join(sub)
+		r.clock.AdvanceTo(h.clk.Now())
+		sendErr = h.err
 	}
-	r.clock.AdvanceTo(sendClk.Now())
 	r.exitMPI("Sendrecv", start, outer)
 	if sendErr != nil {
 		return n, sendErr
 	}
 	return n, recvErr
+}
+
+// sendHalf is a Sendrecv send half forked onto its own task: its
+// arguments, its clock, its result and the three gates that order it
+// against the recv half. One allocation carries all of it.
+type sendHalf struct {
+	r                 *Rank
+	dst, tag, n       int
+	va                vm.VA
+	clk               simtime.Clock
+	err               error
+	started, dma, rel sched.Gate
+}
+
+func (h *sendHalf) run(t *sched.Task) error {
+	h.err = h.r.sendOn(t, &h.clk, h.dst, h.tag, h.va, h.n, &h.started, &h.dma, &h.rel)
+	// A send-half failure is Sendrecv's to report, not a reason to
+	// abort the world before the recv half has resolved.
+	return nil
 }
 
 // canInlineSend reports whether a Sendrecv's send half can run inline on

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/alloc"
 	"repro/internal/faults"
@@ -467,7 +468,9 @@ func (r *Rank) matchRecv(t *sched.Task, src, tag int) *message {
 	q := r.pending[src]
 	for i, m := range q {
 		if m.tag == tag {
-			r.pending[src] = append(q[:i], q[i+1:]...)
+			// slices.Delete clears the vacated tail slot, so the queue
+			// keeps no stale alias of a message that will be recycled.
+			r.pending[src] = slices.Delete(q, i, i+1)
 			return m
 		}
 	}

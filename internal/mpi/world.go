@@ -136,6 +136,12 @@ type World struct {
 	// abort flag that makes ranks blocked in message matching fail fast
 	// when a peer errors (the simulator's equivalent of MPI_Abort).
 	sched *sched.Scheduler
+
+	// eagerFree holds eager messages whose receivers have copied the
+	// payload out, ready for the next eager send — the host-side image
+	// of the library's preregistered bounce buffers. Only the task
+	// holding the scheduler's baton touches it, so it needs no lock.
+	eagerFree []*message
 }
 
 // NewWorld builds a job: one node (physical memory + HCA + address space
@@ -194,6 +200,36 @@ func NewWorld(cfg Config) (*World, error) {
 		r.flowSeq = make(map[int]uint64)
 	}
 	return w, nil
+}
+
+// eagerMessage returns an eager message with an n-byte payload, reusing
+// a recycled message and its payload capacity when one is free.
+func (w *World) eagerMessage(n int) *message {
+	var m *message
+	if k := len(w.eagerFree); k > 0 {
+		m = w.eagerFree[k-1]
+		w.eagerFree[k-1] = nil
+		w.eagerFree = w.eagerFree[:k-1]
+	} else {
+		m = &message{kind: kindEager, pooled: true}
+	}
+	if cap(m.data) < n {
+		m.data = make([]byte, n)
+	}
+	m.data = m.data[:n]
+	return m
+}
+
+// recycleEager returns a received eager message to the free list. The
+// receiver must hold no reference to it or its payload afterwards.
+// Messages not drawn from the list (SendGathered's, whose payload can
+// be rendezvous-sized) are left to the garbage collector.
+func (w *World) recycleEager(m *message) {
+	if !m.pooled {
+		return
+	}
+	*m = message{kind: kindEager, pooled: true, data: m.data[:0]}
+	w.eagerFree = append(w.eagerFree, m)
 }
 
 // Scheduler exposes the job's event scheduler (for dispatch-count

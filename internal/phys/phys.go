@@ -336,21 +336,44 @@ func (m *Memory) Stats() Stats {
 }
 
 // Scramble warms up the small-frame pool so that subsequent allocations
-// are physically discontiguous, as on a long-running host. It allocates
-// n frames and frees every other one.
+// are physically discontiguous, as on a long-running host. It takes the
+// next n frames AllocFrame would hand out (fewer if the small-frame zone
+// runs out) and pushes them back onto the LIFO free list, the
+// even-indexed ones first and the odd-indexed ones on top. Allocation
+// then pops the odd-indexed frames last-taken first, then the
+// even-indexed ones the same way. On a fresh pool the frames taken are
+// 0..n-1, so allocations come out n-1, n-3, …, 1, n-2, n-4, …, 0: two
+// frames apart, which is what leaves a multi-page small buffer
+// physically discontiguous. The result, next and Stats included, is
+// that of n AllocFrame calls followed by the matching FreeFrame calls,
+// built in one pass under one lock.
 func (m *Memory) Scramble(n int) {
-	frames := make([]Frame, 0, n)
-	for i := 0; i < n; i++ {
-		f, err := m.AllocFrame()
-		if err != nil {
-			break
+	if n <= 0 {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	// The frames AllocFrame would hand out: the top of the free list
+	// first, then never-used frames from the bump pointer.
+	popped := min(n, len(m.free))
+	fresh := int(min(Frame(n-popped), m.hugeBase-m.next))
+	taken := popped + fresh
+	keep := len(m.free) - popped
+	nth := func(i int) Frame {
+		if i < popped {
+			return m.free[len(m.free)-1-i]
 		}
-		frames = append(frames, f)
+		return m.next + Frame(i-popped)
 	}
-	for i := 0; i < len(frames); i += 2 {
-		_ = m.FreeFrame(frames[i])
+	free := make([]Frame, keep, keep+taken)
+	copy(free, m.free[:keep])
+	for i := 0; i < taken; i += 2 {
+		free = append(free, nth(i))
 	}
-	for i := 1; i < len(frames); i += 2 {
-		_ = m.FreeFrame(frames[i])
+	for i := 1; i < taken; i += 2 {
+		free = append(free, nth(i))
 	}
+	m.free = free
+	m.next += Frame(fresh)
+	m.stats.SmallPeak = max(m.stats.SmallPeak, m.stats.SmallAllocated+int64(taken))
 }

@@ -205,3 +205,110 @@ func TestScramble(t *testing.T) {
 		t.Fatalf("post-scramble frames are contiguous (%d, %d)", a, b)
 	}
 }
+
+// scrambleFrameByFrame is the reference warm-up Scramble must reproduce:
+// n locked AllocFrame calls (stopping at the first failure), then a
+// FreeFrame for every even-indexed frame, then every odd-indexed one.
+func scrambleFrameByFrame(m *Memory, n int) {
+	frames := make([]Frame, 0, n)
+	for i := 0; i < n; i++ {
+		f, err := m.AllocFrame()
+		if err != nil {
+			break
+		}
+		frames = append(frames, f)
+	}
+	for i := 0; i < len(frames); i += 2 {
+		_ = m.FreeFrame(frames[i])
+	}
+	for i := 1; i < len(frames); i += 2 {
+		_ = m.FreeFrame(frames[i])
+	}
+}
+
+func TestScrambleMatchesFrameByFrame(t *testing.T) {
+	// tiny has a 64-frame small zone (1 MiB of memory, no hugepages), so
+	// a warm-up deeper than that truncates.
+	tiny := machine.Opteron()
+	tiny.Mem.TotalBytes = 64 * machine.SmallPageSize
+	tiny.Mem.HugePool = 0
+
+	cases := []struct {
+		name string
+		mach *machine.Machine
+		// prep runs on both pools before the warm-up.
+		prep func(m *Memory)
+		n    int
+	}{
+		{name: "fresh", mach: machine.Opteron(), n: 4096},
+		{name: "odd-depth", mach: machine.Opteron(), n: 1023},
+		{
+			// Ten frames live, five freed out of order: the warm-up pops
+			// the free list before it touches the bump pointer.
+			name: "nonempty-free-list", mach: machine.Opteron(), n: 4096,
+			prep: func(m *Memory) {
+				var fs []Frame
+				for i := 0; i < 10; i++ {
+					f, err := m.AllocFrame()
+					if err != nil {
+						t.Fatal(err)
+					}
+					fs = append(fs, f)
+				}
+				for _, i := range []int{7, 2, 9, 0, 4} {
+					if err := m.FreeFrame(fs[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			},
+		},
+		{
+			// The free list is deeper than the warm-up.
+			name: "shallow-warm-up", mach: machine.Opteron(), n: 3,
+			prep: func(m *Memory) {
+				var fs []Frame
+				for i := 0; i < 8; i++ {
+					f, _ := m.AllocFrame()
+					fs = append(fs, f)
+				}
+				for _, f := range fs {
+					_ = m.FreeFrame(f)
+				}
+			},
+		},
+		{name: "truncated", mach: tiny, n: 200},
+		{
+			name: "truncated-after-use", mach: tiny, n: 200,
+			prep: func(m *Memory) {
+				for i := 0; i < 5; i++ {
+					_, _ = m.AllocFrame()
+				}
+				_ = m.FreeFrame(3)
+			},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got, want := NewMemory(c.mach), NewMemory(c.mach)
+			if c.prep != nil {
+				c.prep(got)
+				c.prep(want)
+			}
+			got.Scramble(c.n)
+			scrambleFrameByFrame(want, c.n)
+			if g, w := got.Stats(), want.Stats(); g != w {
+				t.Fatalf("Stats after warm-up = %+v, want %+v", g, w)
+			}
+			for i := 0; i < 4096; i++ {
+				gf, gerr := got.AllocFrame()
+				wf, werr := want.AllocFrame()
+				if gf != wf || !errors.Is(gerr, werr) {
+					t.Fatalf("allocation %d = (%d, %v), want (%d, %v)", i, gf, gerr, wf, werr)
+				}
+			}
+			if g, w := got.Stats(), want.Stats(); g != w {
+				t.Fatalf("Stats after 4096 allocations = %+v, want %+v", g, w)
+			}
+		})
+	}
+}

@@ -55,9 +55,12 @@ type Task struct {
 
 	// parked-list links (intrusive, so parking never allocates).
 	parkPrev, parkNext *Task
-	waitReason         string
+	// waitVerb and waitOn say what a parked task waits for ("pop" and a
+	// queue name, say); parkedSummary joins them only when a deadlock
+	// is reported, so parking never builds a string.
+	waitVerb, waitOn string
 
-	done *Gate // opened when fn returns, aborted or not
+	done Gate // opened when fn returns, aborted or not
 	fn   func(*Task) error
 }
 
@@ -107,7 +110,6 @@ func (s *Scheduler) Spawn(rank int, clk *simtime.Clock, fn func(*Task) error) *T
 		sub:    s.subSeq,
 		clk:    clk,
 		resume: make(chan struct{}, 1),
-		done:   NewGate(s),
 		fn:     fn,
 	}
 	s.live++
@@ -179,7 +181,11 @@ func (s *Scheduler) parkedSummary() string {
 		if n > 0 {
 			out += ", "
 		}
-		out += fmt.Sprintf("rank %d (%s) at %d", t.rank, t.waitReason, t.readyAt)
+		reason := t.waitVerb
+		if t.waitOn != "" {
+			reason += " " + t.waitOn
+		}
+		out += fmt.Sprintf("rank %d (%s) at %d", t.rank, reason, t.readyAt)
 		n++
 	}
 	if out == "" {
@@ -189,10 +195,10 @@ func (s *Scheduler) parkedSummary() string {
 }
 
 // park blocks the running task until ready() re-queues it and the
-// scheduler dispatches it again.
-func (t *Task) park(reason string) {
+// scheduler dispatches it again. verb and on name what it waits for.
+func (t *Task) park(verb, on string) {
 	t.state = stateParked
-	t.waitReason = reason
+	t.waitVerb, t.waitOn = verb, on
 	t.readyAt = t.clk.Now()
 	t.parkNext = t.s.parked
 	if t.s.parked != nil {
@@ -201,7 +207,7 @@ func (t *Task) park(reason string) {
 	t.s.parked = t
 	t.s.yield <- struct{}{}
 	<-t.resume
-	t.waitReason = ""
+	t.waitVerb, t.waitOn = "", ""
 }
 
 // ready moves a parked task into the run heap at its own virtual time.

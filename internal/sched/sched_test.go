@@ -122,7 +122,7 @@ func TestQueuePreloadAndTryPush(t *testing.T) {
 // opener opens it, whatever the clocks say.
 func TestGateOrdersWaiter(t *testing.T) {
 	s := New()
-	g := NewGate(s)
+	var g Gate
 	var opener, waiter simtime.Clock
 	waiter.AdvanceTo(1) // opener is dispatched first
 	var order []string
@@ -145,6 +145,33 @@ func TestGateOrdersWaiter(t *testing.T) {
 	var nilGate *Gate
 	nilGate.Open()    // must not panic
 	nilGate.Wait(nil) // must not block
+}
+
+// TestGateWakesWaitersInArrivalOrder: the lone-waiter slot and the
+// overflow list together wake every waiter, first come first served.
+func TestGateWakesWaitersInArrivalOrder(t *testing.T) {
+	s := New()
+	var g Gate
+	var clks [4]simtime.Clock
+	var order []int
+	for i := 0; i < 3; i++ {
+		s.Spawn(0, &clks[i], func(tk *Task) error {
+			g.Wait(tk)
+			order = append(order, i)
+			return nil
+		})
+	}
+	clks[3].AdvanceTo(1) // the opener runs after all three parked
+	s.Spawn(1, &clks[3], func(*Task) error {
+		g.Open()
+		return nil
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(order) != "[0 1 2]" {
+		t.Fatalf("waiters woke in order %v, want [0 1 2]", order)
+	}
 }
 
 // TestAbortFailsBlockedPops: a failing task wakes a parked peer, whose
@@ -203,6 +230,11 @@ func TestDeadlockDetected(t *testing.T) {
 	err := s.Run()
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("err = %v, want deadlock report", err)
+	}
+	for _, want := range []string{"rank 0 (pop a) at 0", "rank 1 (pop b) at 0"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("err = %v, want it to name %q", err, want)
+		}
 	}
 	if unwound != 2 {
 		t.Fatalf("%d tasks unwound, want 2", unwound)

@@ -8,28 +8,33 @@ package sched
 // aborted run the opener unwinds, its defer opens the gate, and the
 // waiter proceeds into its own failing operation.
 //
-// A nil *Gate is inert: Open is a no-op and Wait returns immediately.
-// Ungated code paths (plain Send/Recv) pass nil.
+// The zero Gate is closed and ready to use, so gates can live inside
+// the structs that own them. A nil *Gate is inert: Open is a no-op and
+// Wait returns immediately. Ungated code paths (plain Send/Recv) pass
+// nil.
 type Gate struct {
-	s       *Scheduler
-	opened  bool
-	waiters []*Task
+	opened bool
+	// first is the usual lone waiter; more holds any others, in
+	// arrival order, so the common case parks without allocating.
+	first *Task
+	more  []*Task
 }
 
-// NewGate returns a closed gate on s.
-func NewGate(s *Scheduler) *Gate { return &Gate{s: s} }
-
-// Open opens the gate and wakes every waiter. Calling Open more than
-// once is allowed (defers double up with explicit opens).
+// Open opens the gate and wakes every waiter in arrival order. Calling
+// Open more than once is allowed (defers double up with explicit opens).
 func (g *Gate) Open() {
 	if g == nil || g.opened {
 		return
 	}
 	g.opened = true
-	for _, w := range g.waiters {
-		g.s.ready(w)
+	if g.first != nil {
+		g.first.s.ready(g.first)
+		g.first = nil
 	}
-	g.waiters = nil
+	for _, w := range g.more {
+		w.s.ready(w)
+	}
+	g.more = nil
 }
 
 // Opened reports whether the gate has been opened.
@@ -45,8 +50,12 @@ func (g *Gate) Wait(t *Task) {
 		if t == nil {
 			panic("sched: Gate.Wait would block outside a task")
 		}
-		g.waiters = append(g.waiters, t)
-		t.park("gate")
+		if g.first == nil {
+			g.first = t
+		} else {
+			g.more = append(g.more, t)
+		}
+		t.park("gate", "")
 	}
 }
 
@@ -101,13 +110,11 @@ func (q *Queue[T]) Pop(t *Task) (T, bool) {
 			panic("sched: Pop on " + q.name + " would block outside a task")
 		}
 		q.poppers = append(q.poppers, t)
-		t.park("pop " + q.name)
+		t.park("pop", q.name)
 	}
 	v := q.popFront()
 	if len(q.pushers) > 0 {
-		w := q.pushers[0]
-		q.pushers = q.pushers[1:]
-		q.s.ready(w)
+		q.s.ready(dequeue(&q.pushers))
 	}
 	return v, true
 }
@@ -123,7 +130,7 @@ func (q *Queue[T]) Push(t *Task, v T) bool {
 			panic("sched: Push on " + q.name + " would block outside a task")
 		}
 		q.pushers = append(q.pushers, t)
-		t.park("push " + q.name)
+		t.park("push", q.name)
 	}
 	q.append(v)
 	return true
@@ -142,10 +149,19 @@ func (q *Queue[T]) TryPush(v T) bool {
 func (q *Queue[T]) append(v T) {
 	q.buf = append(q.buf, v)
 	if len(q.poppers) > 0 {
-		w := q.poppers[0]
-		q.poppers = q.poppers[1:]
-		q.s.ready(w)
+		q.s.ready(dequeue(&q.poppers))
 	}
+}
+
+// dequeue removes and returns the oldest waiter, shifting the rest down
+// so the slice keeps its capacity: a queue that parks one task at a
+// time reuses one slot instead of allocating on every park.
+func dequeue(ws *[]*Task) *Task {
+	w := (*ws)[0]
+	n := copy(*ws, (*ws)[1:])
+	(*ws)[n] = nil
+	*ws = (*ws)[:n]
+	return w
 }
 
 // popFront takes the head slot, compacting the backing slice once the

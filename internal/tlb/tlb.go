@@ -50,10 +50,13 @@ func NewFile(geo machine.TLBGeometry) *File {
 	if geo.Ways <= 0 || geo.Entries <= 0 || geo.Entries%geo.Ways != 0 {
 		panic(fmt.Sprintf("tlb: bad geometry %+v", geo))
 	}
-	nsets := geo.Entries / geo.Ways
+	// Every set is a run of one backing array, so building a file costs
+	// the same three allocations whatever its size.
+	nsets, w := geo.Entries/geo.Ways, geo.Ways
+	ents := make([]entry, geo.Entries)
 	f := &File{geo: geo, sets: make([][]entry, nsets)}
 	for i := range f.sets {
-		f.sets[i] = make([]entry, geo.Ways)
+		f.sets[i] = ents[i*w : (i+1)*w : (i+1)*w]
 	}
 	return f
 }

@@ -178,3 +178,22 @@ func TestInvalidateRange(t *testing.T) {
 		t.Fatal("empty-range shootdown caused misses")
 	}
 }
+
+var fileSink *File
+
+// TestNewFileAllocsIndependentOfSets pins the carved set layout: a file
+// is one struct, one set table and one entry array, however many sets
+// it has.
+func TestNewFileAllocsIndependentOfSets(t *testing.T) {
+	for _, geo := range []machine.TLBGeometry{
+		{Entries: 8, Ways: 8},
+		{Entries: 32, Ways: 4},
+		{Entries: 512, Ways: 4},
+		{Entries: 4096, Ways: 2},
+	} {
+		allocs := testing.AllocsPerRun(20, func() { fileSink = NewFile(geo) })
+		if allocs != 3 {
+			t.Errorf("NewFile(%+v) made %v allocations, want 3", geo, allocs)
+		}
+	}
+}
