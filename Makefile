@@ -20,7 +20,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/mpi/... ./internal/nas/... ./internal/sched/... ./internal/phys/...
+	$(GO) test -race ./internal/mpi/... ./internal/nas/... ./internal/sched/... ./internal/phys/... ./internal/hca/...
 
 # lint: gofmt, go vet, and the repo's own eight-analyzer reprolint v2
 # suite (determinism, maporder, nilspec, parkflow, schedonly,

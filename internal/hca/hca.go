@@ -292,6 +292,20 @@ func (h *HCA) attAccess(lkey uint32, pageIdx int) simtime.Ticks {
 	return h.mach.HCA.ATTMissTicks
 }
 
+// checkRange validates that [va, va+n) lies inside the region named by
+// key, without touching the translation cache.
+func (h *HCA) checkRange(key uint32, va vm.VA, n uint32) (*MR, error) {
+	mr, err := h.lookup(key)
+	if err != nil {
+		return nil, err
+	}
+	if va < mr.Base || uint64(va)+uint64(n) > uint64(mr.Base)+mr.Length {
+		return nil, fmt.Errorf("%w: [%#x,+%d) outside region [%#x,+%d)", ErrOutOfBounds,
+			uint64(va), n, uint64(mr.Base), mr.Length)
+	}
+	return mr, nil
+}
+
 // dmaChunk walks one SGE page by page, invoking f with each physically
 // contiguous chunk, and accumulates translation plus DMA cost. pipelined
 // marks SGEs after the first in a work request: the DMA engine overlaps
@@ -301,12 +315,9 @@ func (h *HCA) attAccess(lkey uint32, pageIdx int) simtime.Ticks {
 // re-charged — this is what keeps Figure 3's 4-SGE send only ~14 % more
 // expensive than a 1-SGE send of a quarter the data.
 func (h *HCA) dmaChunk(sge SGE, pipelined bool, f func(pa phys.Addr, off uint64, n int)) (simtime.Ticks, error) {
-	mr, err := h.lookup(sge.LKey)
+	mr, err := h.checkRange(sge.LKey, sge.Addr, sge.Length)
 	if err != nil {
 		return 0, err
-	}
-	if uint64(sge.Addr)+uint64(sge.Length) > uint64(mr.Base)+mr.Length {
-		return 0, fmt.Errorf("%w: [%#x,+%d) exceeds region", ErrOutOfBounds, uint64(sge.Addr), sge.Length)
 	}
 	// Small chunks pay the full per-transaction alignment model inside
 	// DMACost; bulk streaming pays one engine setup per SGE and then pure
@@ -416,15 +427,84 @@ func (h *HCA) Scatter(sges []SGE, data []byte) (simtime.Ticks, error) {
 	return total, nil
 }
 
-// ScatterRDMA DMA-writes data at a raw (rkey, remote VA) target — the
-// RDMA-write path used by the rendezvous protocol. It runs entirely on
-// this (the target's) adapter.
-func (h *HCA) ScatterRDMA(rkey uint32, va vm.VA, data []byte) (simtime.Ticks, error) {
-	return h.Scatter([]SGE{{Addr: va, Length: uint32(len(data)), LKey: rkey}}, data)
+// RDMAWrite is the data movement of an RDMA write: this adapter gathers
+// the local list exactly as Gather does (same translations, costs and
+// BytesGather) and places each chunk straight into dst's memory at the
+// remote (rkey, va), copying frame to frame through the remote region's
+// MTT. No payload buffer exists and dst's translation cache is not
+// touched: the receiving adapter charges its side with PlaceRDMA at the
+// point its scatter completes. Every key and bound is validated before
+// any byte moves. It returns the gather cost; when tc is enabled the
+// gather is also emitted as one "dma.gather" span (see traceDMA).
+func (h *HCA) RDMAWrite(tc trace.Ctx, sges []SGE, dst *HCA, rkey uint32, va vm.VA) (simtime.Ticks, error) {
+	var h0, m0, e0 int64
+	if tc.Enabled() {
+		h0, m0, e0 = h.attCounters()
+	}
+	for _, sge := range sges {
+		if _, err := h.checkRange(sge.LKey, sge.Addr, sge.Length); err != nil {
+			return 0, err
+		}
+	}
+	n := TotalLen(sges)
+	dmr, err := dst.checkRange(rkey, va, uint32(n))
+	if err != nil {
+		return 0, err
+	}
+	dps := dmr.pageSize()
+	var total simtime.Ticks
+	for i, sge := range sges {
+		cost, err := h.dmaChunk(sge, i > 0, func(pa phys.Addr, _ uint64, left int) {
+			// Split the local chunk where the remote region's pages end.
+			for left > 0 {
+				dpa, _, _ := dmr.translate(va) // in range: checked above
+				c := min(left, int(dps-uint64(va)&(dps-1)))
+				phys.Copy(dst.mem, dpa, h.mem, pa, c)
+				pa += phys.Addr(c)
+				va += vm.VA(c)
+				left -= c
+			}
+		})
+		if err != nil {
+			return 0, err
+		}
+		total += cost
+	}
+	h.mu.Lock()
+	h.stats.BytesGather += int64(n)
+	h.mu.Unlock()
+	if tc.Enabled() {
+		h.traceDMA(tc, "dma.gather", total, n, len(sges), h0, m0, e0)
+	}
+	return total, nil
+}
+
+// PlaceRDMA is the receiving adapter's side of an RDMAWrite of n bytes
+// at (rkey, va): the translations and DMA-write cost of placing them,
+// counted in BytesScatter, with no bytes moved (RDMAWrite already placed
+// them). Its ATT accesses and cost are exactly those of a Scatter of n
+// bytes to the same target. When tc is enabled the placement is also
+// emitted as one "dma.scatter" span.
+func (h *HCA) PlaceRDMA(tc trace.Ctx, rkey uint32, va vm.VA, n int) (simtime.Ticks, error) {
+	var h0, m0, e0 int64
+	if tc.Enabled() {
+		h0, m0, e0 = h.attCounters()
+	}
+	cost, err := h.dmaChunk(SGE{Addr: va, Length: uint32(n), LKey: rkey}, false, nil)
+	if err != nil {
+		return 0, err
+	}
+	h.mu.Lock()
+	h.stats.BytesScatter += int64(n)
+	h.mu.Unlock()
+	if tc.Enabled() {
+		h.traceDMA(tc, "dma.scatter", cost, n, 1, h0, m0, e0)
+	}
+	return cost, nil
 }
 
 // attCounters snapshots the translation-cache counters; the traced DMA
-// wrappers diff two snapshots to attribute per-operation ATT behaviour.
+// operations diff two snapshots to attribute per-operation ATT behaviour.
 // The caller must hold the adapter serialised across the operation (the
 // MPI layer's dma gate does) for the delta to be exact.
 func (h *HCA) attCounters() (hits, misses, evicts int64) {
@@ -433,52 +513,18 @@ func (h *HCA) attCounters() (hits, misses, evicts int64) {
 	return h.stats.ATTHits, h.stats.ATTMisses, h.stats.ATTEvictions
 }
 
-// GatherT is Gather with tracing: the DMA-read is emitted as one
-// hca-layer span at tc's position (callers put tc on an adapter track),
-// annotated with the bytes moved and the translation-cache behaviour of
-// exactly this operation.
-func (h *HCA) GatherT(tc trace.Ctx, sges []SGE) ([]byte, simtime.Ticks, error) {
-	if !tc.Enabled() {
-		return h.Gather(sges)
-	}
-	h0, m0, e0 := h.attCounters()
-	data, cost, err := h.Gather(sges)
-	if err != nil {
-		return data, cost, err
-	}
+// traceDMA emits one finished DMA operation as an hca-layer span at tc's
+// position (callers put tc on an adapter track), annotated with the
+// bytes moved and the translation-cache behaviour since the counters
+// (h0, m0, e0) were taken.
+func (h *HCA) traceDMA(tc trace.Ctx, name string, cost simtime.Ticks, bytes, sges int, h0, m0, e0 int64) {
 	h1, m1, e1 := h.attCounters()
-	tc.SpanAt(trace.LHCA, "dma.gather", tc.Now(), cost,
-		trace.I64("bytes", int64(len(data))),
-		trace.I64("sges", int64(len(sges))),
+	tc.SpanAt(trace.LHCA, name, tc.Now(), cost,
+		trace.I64("bytes", int64(bytes)),
+		trace.I64("sges", int64(sges)),
 		trace.I64("att_hit", h1-h0),
 		trace.I64("att_miss", m1-m0),
 		trace.I64("att_evict", e1-e0))
-	return data, cost, nil
-}
-
-// ScatterT is Scatter with tracing (see GatherT).
-func (h *HCA) ScatterT(tc trace.Ctx, sges []SGE, data []byte) (simtime.Ticks, error) {
-	if !tc.Enabled() {
-		return h.Scatter(sges, data)
-	}
-	h0, m0, e0 := h.attCounters()
-	cost, err := h.Scatter(sges, data)
-	if err != nil {
-		return cost, err
-	}
-	h1, m1, e1 := h.attCounters()
-	tc.SpanAt(trace.LHCA, "dma.scatter", tc.Now(), cost,
-		trace.I64("bytes", int64(len(data))),
-		trace.I64("sges", int64(len(sges))),
-		trace.I64("att_hit", h1-h0),
-		trace.I64("att_miss", m1-m0),
-		trace.I64("att_evict", e1-e0))
-	return cost, nil
-}
-
-// ScatterRDMAT is ScatterRDMA with tracing (see GatherT).
-func (h *HCA) ScatterRDMAT(tc trace.Ctx, rkey uint32, va vm.VA, data []byte) (simtime.Ticks, error) {
-	return h.ScatterT(tc, []SGE{{Addr: va, Length: uint32(len(data)), LKey: rkey}}, data)
 }
 
 // WireCost is the time on the link for an n-byte message: one-way latency

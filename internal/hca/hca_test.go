@@ -206,26 +206,6 @@ func TestBoundsChecks(t *testing.T) {
 	}
 }
 
-func TestRKeyScatterRDMA(t *testing.T) {
-	m := machine.Opteron()
-	as, h := rig(t, m)
-	va, mr := reg(t, as, h, 1<<20, false, false)
-	payload := make([]byte, 300000)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	if _, err := h.ScatterRDMA(mr.RKey, va+7, payload); err != nil {
-		t.Fatal(err)
-	}
-	out := make([]byte, len(payload))
-	_ = as.Read(va+7, out)
-	for i := range payload {
-		if out[i] != payload[i] {
-			t.Fatalf("RDMA write corrupted byte %d", i)
-		}
-	}
-}
-
 func TestPostCostSublinearInSGEs(t *testing.T) {
 	// Figure 3 text: 128 SGEs cost only ~3x one SGE.
 	m := machine.SystemP()

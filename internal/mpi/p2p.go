@@ -91,18 +91,20 @@ type message struct {
 	srcHW   *hca.HCA
 }
 
-// ctsMsg is the receiver's clear-to-send: target rkey/address plus the
-// receiver clock at which it was issued.
+// ctsMsg is the receiver's clear-to-send: its adapter and the target
+// rkey/address the RDMA write places the payload at, plus the receiver
+// clock at which it was issued.
 type ctsMsg struct {
+	hw   *hca.HCA
 	rkey uint32
 	va   vm.VA
 	t    simtime.Ticks
 }
 
-// finMsg announces the RDMA write: the payload plus the timing components
-// the receiver needs to finish the pipeline model.
+// finMsg announces the RDMA write: the payload is already in place (the
+// sender's adapter wrote it at gather time), so it carries only the
+// timing components the receiver needs to finish the pipeline model.
 type finMsg struct {
-	data      []byte
 	start     simtime.Ticks // sender clock when the RDMA WR was posted
 	gather    simtime.Ticks // sender-side DMA gather cost
 	serialize simtime.Ticks // wire serialisation cost
@@ -288,14 +290,17 @@ func (r *Rank) sendRendezvous(t *sched.Task, clk *simtime.Clock, dst, tag int, v
 		return err
 	}
 
-	// Post the RDMA write; the adapter gathers the user buffer (real
-	// bytes) while the wire serialises — the two stages pipeline. The
-	// gather is drawn on the adapter's TX track, where it runs.
+	// Post the RDMA write; the adapter gathers the user buffer while the
+	// wire serialises — the two stages pipeline. The bytes land in the
+	// receiver's buffer now, not at its scatter point: Send returns
+	// before the peer scatters, and the caller may then reuse the
+	// buffer. The gather is drawn on the adapter's TX track, where it
+	// runs.
 	var tcg trace.Ctx
 	if r.tr.Enabled() {
 		tcg = r.tr.At(trace.TrackHCATx, clk.Now())
 	}
-	data, gather, err := r.ctx.HW.GatherT(tcg, []hca.SGE{{Addr: va, Length: uint32(n), LKey: mr.LKey}})
+	gather, err := r.ctx.HW.RDMAWrite(tcg, []hca.SGE{{Addr: va, Length: uint32(n), LKey: mr.LKey}}, cts.hw, cts.rkey, cts.va)
 	dma.Open() // gather done; the recv half may now drive the adapter
 	if err != nil {
 		return fmt.Errorf("mpi: rendezvous gather: %w", err)
@@ -303,7 +308,7 @@ func (r *Rank) sendRendezvous(t *sched.Task, clk *simtime.Clock, dst, tag int, v
 	clk.Advance(r.ctx.PostSendT(r.tctx(clk), make([]hca.SGE, 1)))
 	start := clk.Now()
 	serialize := simtime.BandwidthTicks(int64(n), r.world.cfg.Machine.HCA.WireBandwidthMBs)
-	m.fin.Push(t, finMsg{data: data, start: start, gather: gather, serialize: serialize})
+	m.fin.Push(t, finMsg{start: start, gather: gather, serialize: serialize})
 
 	// Local completion: RC ack after remote placement of the last packet.
 	wire := r.world.cfg.Machine.HCA.WireLatency
@@ -321,9 +326,6 @@ func (r *Rank) sendRendezvous(t *sched.Task, clk *simtime.Clock, dst, tag int, v
 		return err
 	}
 	clk.Advance(relCost)
-	// The CTS target is unused on the send side beyond addressing; the
-	// receiver already validated it. Keep the variable meaningful:
-	_ = cts.rkey
 	return nil
 }
 
@@ -414,7 +416,7 @@ func (r *Rank) recvOn(t *sched.Task, clk *simtime.Clock, src, tag int, va vm.VA,
 		}
 		clk.Advance(cost)
 		clk.Advance(r.ctx.PostSendT(r.tctx(clk), make([]hca.SGE, 1))) // CTS post
-		m.cts.Push(t, ctsMsg{rkey: mr.RKey, va: va, t: clk.Now()})
+		m.cts.Push(t, ctsMsg{hw: r.ctx.HW, rkey: mr.RKey, va: va, t: clk.Now()})
 
 		rdmaStart := clk.Now()
 		fin, ok := m.fin.Pop(t)
@@ -426,7 +428,7 @@ func (r *Rank) recvOn(t *sched.Task, clk *simtime.Clock, src, tag int, va vm.VA,
 		if r.tr.Enabled() {
 			tcs = r.tr.At(trace.TrackHCARx, clk.Now())
 		}
-		scatter, err := r.ctx.HW.ScatterRDMAT(tcs, mr.RKey, va, fin.data)
+		scatter, err := r.ctx.HW.PlaceRDMA(tcs, mr.RKey, va, n)
 		if err != nil {
 			return 0, fmt.Errorf("mpi: rendezvous scatter: %w", err)
 		}
@@ -465,6 +467,8 @@ func (r *Rank) recvRendezvousRead(t *sched.Task, clk *simtime.Clock, m *message,
 	// The read request crosses the wire, the sender's adapter gathers,
 	// the response streams back, our adapter scatters. Data and request
 	// both traverse the link: one extra one-way latency vs RDMA write.
+	// The bytes land in our buffer at the gather; our adapter charges
+	// its translations at the scatter point below.
 	// The receiver drives the read, so the remote gather is drawn on the
 	// receiver's TX track — a documented simplification (the arrow in
 	// the trace still points at the data's true origin via the flow).
@@ -472,7 +476,7 @@ func (r *Rank) recvRendezvousRead(t *sched.Task, clk *simtime.Clock, m *message,
 	if r.tr.Enabled() {
 		tcg = r.tr.At(trace.TrackHCATx, clk.Now())
 	}
-	data, gather, err := m.srcHW.GatherT(tcg, []hca.SGE{{Addr: m.srcVA, Length: uint32(n), LKey: m.srcRKey}})
+	gather, err := m.srcHW.RDMAWrite(tcg, []hca.SGE{{Addr: m.srcVA, Length: uint32(n), LKey: m.srcRKey}}, r.ctx.HW, mr.RKey, va)
 	if err != nil {
 		return 0, fmt.Errorf("mpi: RDMA read gather: %w", err)
 	}
@@ -481,7 +485,7 @@ func (r *Rank) recvRendezvousRead(t *sched.Task, clk *simtime.Clock, m *message,
 	if r.tr.Enabled() {
 		tcs = r.tr.At(trace.TrackHCARx, clk.Now())
 	}
-	scatter, err := r.ctx.HW.ScatterRDMAT(tcs, mr.RKey, va, data)
+	scatter, err := r.ctx.HW.PlaceRDMA(tcs, mr.RKey, va, n)
 	if err != nil {
 		return 0, fmt.Errorf("mpi: RDMA read scatter: %w", err)
 	}
@@ -523,8 +527,17 @@ func (r *Rank) recvRendezvousRead(t *sched.Task, clk *simtime.Clock, m *message,
 //     half is completely done with the cache (reference counts, zombie
 //     teardown and its ATT shoot-down are order-sensitive), mirroring
 //     virtual time, where the sender still waits out the RC ack.
+//
+// As in MPI, the send and receive buffers must be disjoint: incoming
+// rendezvous bytes are placed when the peer's adapter gathers them,
+// which may be before this rank's own send half has read its buffer.
 func (r *Rank) Sendrecv(dst, sendTag int, sendVA vm.VA, sendN int,
 	src, recvTag int, recvVA vm.VA, recvCap int) (int, error) {
+	if sendN > 0 && recvCap > 0 &&
+		sendVA < recvVA+vm.VA(recvCap) && recvVA < sendVA+vm.VA(sendN) {
+		return 0, fmt.Errorf("mpi: rank %d: Sendrecv send buffer [%#x,+%d) overlaps receive buffer [%#x,+%d)",
+			r.id, uint64(sendVA), sendN, uint64(recvVA), recvCap)
+	}
 	start := r.clock.Now()
 	outer := r.enterMPI()
 	var n int

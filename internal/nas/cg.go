@@ -40,19 +40,30 @@ const (
 	cgOff  = -1.0
 )
 
-// matvec computes q = A*pfull for the local row block [lo, lo+local).
-func cgMatvec(pfull []float64, lo, local int) []float64 {
-	n := len(pfull)
+// cgHalo is the widest band: a row block [lo, lo+local) reads pfull
+// only inside [lo-cgHalo, lo+local+cgHalo).
+const cgHalo = 2048
+
+// cgWindow is the part of an n-element pfull the row block [lo,
+// lo+local) reads: [wlo, whi).
+func cgWindow(n, lo, local int) (wlo, whi int) {
+	return max(lo-cgHalo, 0), min(lo+local+cgHalo, n)
+}
+
+// cgMatvec computes q = A*pfull for the local row block [lo, lo+local)
+// of an n-element pfull, given only its window w = pfull[wlo:whi] (see
+// cgWindow).
+func cgMatvec(w []float64, wlo, n, lo, local int) []float64 {
 	q := make([]float64, local)
 	for i := 0; i < local; i++ {
 		row := lo + i
-		s := cgDiag * pfull[row]
+		s := cgDiag * w[row-wlo]
 		for _, b := range bands {
 			if j := row - b; j >= 0 {
-				s += cgOff * pfull[j]
+				s += cgOff * w[j-wlo]
 			}
 			if j := row + b; j < n {
-				s += cgOff * pfull[j]
+				s += cgOff * w[j-wlo]
 			}
 		}
 		q[i] = s
@@ -146,7 +157,10 @@ func (k *CG) Run(r *mpi.Rank) error {
 		if err := ringAllgatherCG(r, pfullVA, segBytes, it); err != nil {
 			return err
 		}
-		pfull, err := r.ReadF64(pfullVA, k.N)
+		// Only the band window of pfull feeds the matvec; reading it
+		// costs no virtual time, so the window changes host work only.
+		wlo, whi := cgWindow(k.N, lo, local)
+		w, err := r.ReadF64(pfullVA+vm.VA(8*wlo), whi-wlo)
 		if err != nil {
 			return err
 		}
@@ -154,7 +168,7 @@ func (k *CG) Run(r *mpi.Rank) error {
 		charge(r, memmodel.SeqScan{Passes: 1}, region(r, matVA, matBytes))
 		charge(r, memmodel.Random{Count: int64(local * len(bands) / 16), Seed: uint64(it + 1)},
 			region(r, pfullVA, uint64(8*k.N)))
-		q := cgMatvec(pfull, lo, local)
+		q := cgMatvec(w, wlo, k.N, lo, local)
 
 		pq, err := allreduceScalar(dot(pv, q))
 		if err != nil {

@@ -1,0 +1,56 @@
+package nas
+
+import (
+	"math"
+	"slices"
+	"testing"
+)
+
+// TestCGWindowedMatvecMatchesFull: the matvec over a rank's band window
+// of pfull equals, bit for bit, the matvec over the whole vector, for
+// the first, a middle and the last rank (the windows clipped at 0, not
+// clipped, and clipped at N).
+func TestCGWindowedMatvecMatchesFull(t *testing.T) {
+	if want := slices.Max(bands); cgHalo != want {
+		t.Fatalf("cgHalo = %d, widest band %d", cgHalo, want)
+	}
+	k := DefaultCG()
+	const p = 8
+	local := k.N / p
+	pfull := make([]float64, k.N)
+	for i := range pfull {
+		pfull[i] = math.Sin(float64(i)*0.37) + float64(i%97)*1e-3
+	}
+	for _, rank := range []int{0, p / 2, p - 1} {
+		lo := rank * local
+		want := fullMatvec(pfull, lo, local)
+		wlo, whi := cgWindow(k.N, lo, local)
+		got := cgMatvec(pfull[wlo:whi], wlo, k.N, lo, local)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("rank %d row %d: windowed %v, full %v", rank, lo+i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// fullMatvec is q = A*pfull for the row block [lo, lo+local), reading
+// the whole vector.
+func fullMatvec(pfull []float64, lo, local int) []float64 {
+	n := len(pfull)
+	q := make([]float64, local)
+	for i := range q {
+		row := lo + i
+		s := cgDiag * pfull[row]
+		for _, b := range bands {
+			if j := row - b; j >= 0 {
+				s += cgOff * pfull[j]
+			}
+			if j := row + b; j < n {
+				s += cgOff * pfull[j]
+			}
+		}
+		q[i] = s
+	}
+	return q
+}

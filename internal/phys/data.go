@@ -79,12 +79,32 @@ func (m *Memory) ReadPhys(pa Addr, p []byte) {
 }
 
 // CopyPhys copies n bytes from physical address src to physical address
-// dst, possibly between different alignments. Used by the DMA engine.
-func (m *Memory) CopyPhys(dst, src Addr, n int) {
+// dst within this memory, possibly between different alignments. The two
+// ranges must not overlap. It panics on a negative length.
+func (m *Memory) CopyPhys(dst, src Addr, n int) { Copy(m, dst, m, src, n) }
+
+// Copy moves n bytes from srcPA in src to dstPA in dst frame to frame,
+// with no intermediate buffer: the DMA engine's copy between two nodes'
+// memories (src and dst may be the same Memory if the ranges do not
+// overlap). A never-written source frame arrives as zeros; a destination
+// frame that was never written and receives only zeros stays unbacked,
+// which reads back the same. It panics on a negative length.
+func Copy(dst *Memory, dstPA Addr, src *Memory, srcPA Addr, n int) {
 	if n < 0 {
 		panic(fmt.Sprintf("phys: negative copy length %d", n))
 	}
-	buf := make([]byte, n)
-	m.ReadPhys(src, buf)
-	m.WritePhys(dst, buf)
+	for n > 0 {
+		soff := int(srcPA % machine.SmallPageSize)
+		doff := int(dstPA % machine.SmallPageSize)
+		c := min(n, machine.SmallPageSize-soff, machine.SmallPageSize-doff)
+		if sf := src.data.frame(Frame(srcPA/machine.SmallPageSize), false); sf != nil {
+			df := dst.data.frame(Frame(dstPA/machine.SmallPageSize), true)
+			copy(df[doff:doff+c], sf[soff:soff+c])
+		} else if df := dst.data.frame(Frame(dstPA/machine.SmallPageSize), false); df != nil {
+			clear(df[doff : doff+c])
+		}
+		srcPA += Addr(c)
+		dstPA += Addr(c)
+		n -= c
+	}
 }

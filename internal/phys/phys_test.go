@@ -1,6 +1,7 @@
 package phys
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -158,6 +159,59 @@ func TestCopyPhys(t *testing.T) {
 		if out[i] != in[i] {
 			t.Fatalf("CopyPhys corrupted byte %d", i)
 		}
+	}
+
+	// A hugepage-sized copy between unaligned addresses, crossing frame
+	// boundaries at different offsets on the two sides.
+	big := make([]byte, machine.HugePageSize)
+	for i := range big {
+		big[i] = byte(i*131 + i>>12 + 1)
+	}
+	src, dst = Addr(7*machine.SmallPageSize+123), Addr(1<<28+4000)
+	m.WritePhys(src, big)
+	m.CopyPhys(dst, src, len(big))
+	out = make([]byte, len(big))
+	m.ReadPhys(dst, out)
+	if !bytes.Equal(out, big) {
+		t.Fatal("hugepage-sized CopyPhys corrupted the payload")
+	}
+
+	// A never-written source arrives as zeros over stale destination
+	// bytes, with the stale bytes around the target left alone.
+	m.CopyPhys(dst+10, Addr(1<<29), 3*machine.SmallPageSize)
+	m.ReadPhys(dst, out)
+	want := append([]byte(nil), big...)
+	clear(want[10 : 10+3*machine.SmallPageSize])
+	if !bytes.Equal(out, want) {
+		t.Fatal("copy of never-written memory must arrive as zeros")
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a negative copy length must panic")
+		}
+	}()
+	m.CopyPhys(dst, src, -1)
+}
+
+// TestCopyBetweenMemories moves bytes from one node's memory to
+// another's: the destination sees them, the source is untouched.
+func TestCopyBetweenMemories(t *testing.T) {
+	a, b := testMem(t), testMem(t)
+	in := make([]byte, 3*machine.SmallPageSize+5)
+	for i := range in {
+		in[i] = byte(i*7 + 3)
+	}
+	a.WritePhys(1000, in)
+	Copy(b, 5*machine.SmallPageSize-1, a, 1000, len(in))
+	out := make([]byte, len(in))
+	b.ReadPhys(5*machine.SmallPageSize-1, out)
+	if !bytes.Equal(out, in) {
+		t.Fatal("cross-memory copy corrupted the payload")
+	}
+	a.ReadPhys(5*machine.SmallPageSize-1, out)
+	if !bytes.Equal(out, make([]byte, len(in))) {
+		t.Fatal("cross-memory copy wrote into the source memory")
 	}
 }
 
