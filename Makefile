@@ -9,7 +9,7 @@ GO ?= go
 # untouched tree executes zero cells.
 SWEEP_CACHE ?= /tmp/sweepcache
 
-.PHONY: all build test race lint lint-fix lint-analyzers baselines service bench scale policy modern
+.PHONY: all build test race lint lint-fix lint-analyzers baselines bench scale policy modern
 
 all: build test
 
@@ -20,7 +20,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/mpi/... ./internal/nas/... ./internal/sched/... ./internal/phys/... ./internal/hca/...
+	$(GO) test -race ./internal/mpi/... ./internal/nas/... ./internal/sched/... ./internal/phys/... ./internal/hca/... ./internal/cas/...
 
 # lint: gofmt, go vet, and the repo's own eight-analyzer reprolint v2
 # suite (determinism, maporder, nilspec, parkflow, schedonly,
@@ -59,16 +59,6 @@ baselines:
 		$(GO) run ./internal/tools/benchcheck < $$f || exit 1; \
 	done
 
-# service: the sweep-service gate. Race-test the daemon and the
-# content-addressed store (including eviction under a size cap), then
-# drive the full cold/warm loop end to end: a warm sweeprun -cache run
-# of an unchanged grid must execute zero cells and reproduce the
-# committed BENCH_seed.json byte for byte, and a live sweepd must answer
-# a re-submitted grid entirely from cache (see scripts/service_smoke.sh).
-service:
-	$(GO) test -race ./internal/sweepd/... ./internal/cas/...
-	./scripts/service_smoke.sh
-
 # lint-analyzers: run reprolint's analyzers over their own testdata in
 # analysistest mode (every // want expectation must fire, nothing else),
 # then over the sweep engine explicitly — the one package whose output
@@ -82,14 +72,23 @@ lint-analyzers:
 # byte-identical BENCH documents at pool widths 1 and 4, both documents
 # must pass benchcheck, and a fresh seed-grid run must hold the
 # committed BENCH_seed.json baseline within the default tolerance.
+# The seed-grid run doubles as the cold half of the result cache's
+# cold/warm loop: it fills a fresh store, a warm re-run must execute
+# zero replicates, and both must reproduce the committed BENCH_seed.json
+# byte for byte.
 bench:
 	$(GO) build -o /tmp/reprosweep ./cmd/sweeprun
 	GOMAXPROCS=1 /tmp/reprosweep -grid smoke -workers 1 -o /tmp/BENCH_smoke.w1.json
 	GOMAXPROCS=4 /tmp/reprosweep -grid smoke -workers 4 -o /tmp/BENCH_smoke.w4.json
 	cmp /tmp/BENCH_smoke.w1.json /tmp/BENCH_smoke.w4.json
 	$(GO) run ./internal/tools/benchcheck < /tmp/BENCH_smoke.w1.json
-	/tmp/reprosweep -grid seed -o /tmp/BENCH_seed.json -baseline BENCH_seed.json -gate
+	rm -rf /tmp/benchcache
+	/tmp/reprosweep -grid seed -cache /tmp/benchcache -o /tmp/BENCH_seed.json -baseline BENCH_seed.json -gate
 	$(GO) run ./internal/tools/benchcheck < /tmp/BENCH_seed.json
+	/tmp/reprosweep -grid seed -cache /tmp/benchcache -o /tmp/BENCH_seed.warm.json 2> /tmp/BENCH_seed.warm.log
+	grep -q 'executed=0' /tmp/BENCH_seed.warm.log || { cat /tmp/BENCH_seed.warm.log; exit 1; }
+	cmp /tmp/BENCH_seed.json BENCH_seed.json
+	cmp /tmp/BENCH_seed.warm.json BENCH_seed.json
 
 # policy: the placement-policy gate. One policy-grid run (all four
 # fixed strategies plus the threshold and adaptive engines over the

@@ -61,23 +61,23 @@ func orDefault(ranks, def int) int {
 // runStats runs the recommended-placement SendRecv over a short size
 // ladder and prints every rank's host telemetry as JSON.
 func runStats(m *machine.Machine, ranks int) {
-	_, nodes, err := imb.SendRecvNodeStats(mpi.Config{
-		Machine: m, Ranks: ranks,
-		Allocator: mpi.AllocHuge, LazyDereg: true, HugeATT: m.HCA.SupportsHugeATT,
-		Faults: env.Spec, Trace: env.Col, Policy: env.Policy,
-	}, []int{64 << 10, 1 << 20, 4 << 20})
+	_, nodes, err := imb.SendRecv(hugeLazy(mpi.Config{Machine: m, Ranks: ranks}), []int{64 << 10, 1 << 20, 4 << 20})
 	if err != nil {
 		env.Fail(err)
 	}
 	env.EmitReports([]node.Report{env.NewReport("sendrecv", m.Name, nodes)})
 }
 
+// hugeLazy applies the paper's recommended placement (the table's
+// "huge-lazy") over cfg, with the shared fault, trace and policy flags.
+func hugeLazy(cfg mpi.Config) mpi.Config {
+	cfg.Faults, cfg.Trace, cfg.Policy = env.Spec, env.Col, env.Policy
+	return mpi.MustStrategy("huge-lazy").Apply(cfg)
+}
+
 func runPingPong(m *machine.Machine) {
 	sizes := []int{0, 1, 64, 1024, 8 << 10, 64 << 10, 1 << 20}
-	rs, err := imb.PingPong(mpi.Config{
-		Machine: m, Allocator: mpi.AllocHuge, LazyDereg: true, HugeATT: true,
-		Faults: env.Spec, Trace: env.Col, Policy: env.Policy,
-	}, sizes)
+	rs, err := imb.PingPong(hugeLazy(mpi.Config{Machine: m}), sizes)
 	if err != nil {
 		env.Fail(err)
 	}
@@ -89,10 +89,7 @@ func runPingPong(m *machine.Machine) {
 
 func runExchange(m *machine.Machine, ranks int) {
 	sizes := []int{4 << 10, 64 << 10, 1 << 20}
-	rs, err := imb.Exchange(mpi.Config{
-		Machine: m, Ranks: ranks, Allocator: mpi.AllocHuge, LazyDereg: true, HugeATT: true,
-		Faults: env.Spec, Trace: env.Col, Policy: env.Policy,
-	}, sizes)
+	rs, err := imb.Exchange(hugeLazy(mpi.Config{Machine: m, Ranks: ranks}), sizes)
 	if err != nil {
 		env.Fail(err)
 	}
@@ -104,12 +101,14 @@ func runExchange(m *machine.Machine, ranks int) {
 
 func runFig5(m *machine.Machine, ranks int) {
 	sizes := imb.DefaultSizes()
-	curves, err := imb.RunFig5Policy(m, sizes, ranks, env.Policy, env.Spec, env.Col)
+	curves, err := imb.RunFig5(mpi.Config{
+		Machine: m, Ranks: ranks, Faults: env.Spec, Trace: env.Col, Policy: env.Policy,
+	}, sizes)
 	if err != nil {
 		env.Fail(err)
 	}
 	labels := make([]string, 0, len(curves))
-	for _, c := range imb.Fig5Configs() {
+	for _, c := range imb.Fig5Curves {
 		labels = append(labels, c.Label)
 	}
 	fmt.Printf("bandwidth comparison with different page sizes (%s)\n", m.Name)
@@ -131,23 +130,18 @@ func runATT(m *machine.Machine, ranks int) {
 	sizes := []int{1 << 20, 4 << 20, 16 << 20}
 	fmt.Printf("hugepage ATT-entry effect with lazy deregistration (%s)\n", m.Name)
 	fmt.Printf("%-12s %16s %16s %8s\n", "size [KB]", "4K entries MB/s", "2M entries MB/s", "gain")
-	run := func(patched bool) []imb.SendRecvResult {
-		prefix := "unpatched/"
-		if patched {
-			prefix = "patched/"
-		}
-		rs, err := imb.SendRecv(mpi.Config{
+	run := func(strategy, prefix string) []imb.SendRecvResult {
+		rs, _, err := imb.SendRecv(mpi.MustStrategy(strategy).Apply(mpi.Config{
 			Machine: m, Ranks: ranks,
-			Allocator: mpi.AllocHuge, LazyDereg: true, HugeATT: patched,
 			Faults: env.Spec, Trace: env.Col, TracePrefix: prefix,
 			Policy: env.Policy,
-		}, sizes)
+		}), sizes)
 		if err != nil {
 			env.Fail(err)
 		}
 		return rs
 	}
-	up, p := run(false), run(true)
+	up, p := run("huge-lazy-noatt", "unpatched/"), run("huge-lazy", "patched/")
 	for i, size := range sizes {
 		fmt.Printf("%-12d %16.1f %16.1f %+7.1f%%\n", size/1024,
 			up[i].BandwidthMBs, p[i].BandwidthMBs,
@@ -161,7 +155,7 @@ func runReg(m *machine.Machine) {
 		sizes = append(sizes, s)
 	}
 	sort.Slice(sizes, func(i, j int) bool { return sizes[i] < sizes[j] })
-	rows, err := imb.RegistrationSweepTrace(m, sizes, env.Spec, env.Col)
+	rows, err := imb.RegistrationSweep(node.Config{Machine: m, Faults: env.Spec, Trace: env.Col}, sizes)
 	if err != nil {
 		env.Fail(err)
 	}

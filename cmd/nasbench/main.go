@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"repro/internal/cli"
+	"repro/internal/mpi"
 	"repro/internal/nas"
 	"repro/internal/node"
 )
@@ -36,7 +37,9 @@ func main() {
 	}
 	var reports []node.Report
 	for _, m := range env.Machines {
-		rows, err := nas.RunFig6Policy(m, *ranks, ks, env.Policy, env.Spec, env.Col)
+		rows, err := nas.RunFig6(mpi.Config{
+			Machine: m, Ranks: *ranks, Faults: env.Spec, Trace: env.Col, Policy: env.Policy,
+		}, ks)
 		if err != nil {
 			env.Fail(err)
 		}

@@ -20,7 +20,7 @@ func main() {
 	m := env.Machine
 	sizes := []int{8, 16, 32, 64}
 	offsets := wrbench.DefaultOffsets()
-	results, nodes, err := wrbench.OffsetSweepPolicy(m, offsets, sizes, env.Policy, env.Spec, env.Col)
+	results, nodes, err := wrbench.OffsetSweep(node.Config{Machine: m, Faults: env.Spec, Trace: env.Col, Policy: env.Policy}, offsets, sizes)
 	if err != nil {
 		env.Fail(err)
 	}

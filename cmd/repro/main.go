@@ -30,16 +30,9 @@ var env *cli.Env
 // []node.Report schema.
 func runStats(w io.Writer) error {
 	m := machine.Opteron()
-	_, nodes, err := imb.SendRecvNodeStats(mpi.Config{
-		Machine:   m,
-		Ranks:     2,
-		Allocator: mpi.AllocHuge,
-		LazyDereg: true,
-		HugeATT:   true,
-		Faults:    env.Spec,
-		Trace:     env.Col,
-		Policy:    env.Policy,
-	}, []int{64 << 10, 1 << 20})
+	_, nodes, err := imb.SendRecv(mpi.MustStrategy("huge-lazy").Apply(mpi.Config{
+		Machine: m, Faults: env.Spec, Trace: env.Col, Policy: env.Policy,
+	}), []int{64 << 10, 1 << 20})
 	if err != nil {
 		return err
 	}
@@ -64,7 +57,8 @@ func main() {
 
 	fmt.Println("=== E1 (Figure 3): work-request duration by SGE count (IBM System p, TBR ticks) ===")
 	sysp := machine.SystemP()
-	rs, _, err := wrbench.SGESweepPolicy(sysp, []int{1, 2, 4, 8, 128}, []int{1, 64, 128, 512, 4096}, env.Policy, spec, nil)
+	wr := node.Config{Machine: sysp, Faults: spec, Policy: env.Policy}
+	rs, _, err := wrbench.SGESweep(wr, []int{1, 2, 4, 8, 128}, []int{1, 64, 128, 512, 4096})
 	if err != nil {
 		env.Fail(err)
 	}
@@ -80,7 +74,7 @@ func main() {
 		float64(p128.PostTicks)/float64(p1.PostTicks))
 
 	fmt.Println("=== E2 (Figure 4): work-request duration by buffer offset (IBM System p) ===")
-	or, _, err := wrbench.OffsetSweepPolicy(sysp, []int{0, 16, 32, 48, 64, 80, 96, 128}, []int{8, 64}, env.Policy, spec, nil)
+	or, _, err := wrbench.OffsetSweep(wr, []int{0, 16, 32, 48, 64, 80, 96, 128}, []int{8, 64})
 	if err != nil {
 		env.Fail(err)
 	}
@@ -104,7 +98,7 @@ func main() {
 
 	fmt.Println("=== E3 (Figure 5): IMB SendRecv bandwidth, AMD Opteron (MB/s) ===")
 	sizes := []int{64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20}
-	curves, err := imb.RunFig5Policy(machine.Opteron(), sizes, 2, env.Policy, spec, col)
+	curves, err := imb.RunFig5(mpi.Config{Machine: machine.Opteron(), Faults: spec, Trace: col, Policy: env.Policy}, sizes)
 	if err != nil {
 		env.Fail(err)
 	}
@@ -113,13 +107,13 @@ func main() {
 		fmt.Printf("trace: E3 Figure 5 runs written to %s\n", env.TracePath())
 	}
 	fmt.Printf("%-10s", "size[KB]")
-	for _, c := range imb.Fig5Configs() {
+	for _, c := range imb.Fig5Curves {
 		fmt.Printf(" %28s", c.Label)
 	}
 	fmt.Println()
 	for i, s := range sizes {
 		fmt.Printf("%-10d", s/1024)
-		for _, c := range imb.Fig5Configs() {
+		for _, c := range imb.Fig5Curves {
 			fmt.Printf(" %28.1f", curves[c.Label][i].BandwidthMBs)
 		}
 		fmt.Println()
@@ -128,23 +122,22 @@ func main() {
 	fmt.Println()
 
 	fmt.Println("=== E4 (Section 5.1): Xeon hugepage-ATT effect (MB/s at 4 MiB) ===")
-	for _, patched := range []bool{false, true} {
-		r, err := imb.SendRecv(mpi.Config{
-			Machine: machine.Xeon(), Ranks: 2,
-			Allocator: mpi.AllocHuge, LazyDereg: true, HugeATT: patched,
-			Faults: spec, Policy: env.Policy,
-		}, []int{4 << 20})
+	for _, name := range []string{"huge-lazy-noatt", "huge-lazy"} {
+		st := mpi.MustStrategy(name)
+		r, _, err := imb.SendRecv(st.Apply(mpi.Config{
+			Machine: machine.Xeon(), Faults: spec, Policy: env.Policy,
+		}), []int{4 << 20})
 		if err != nil {
 			env.Fail(err)
 		}
 		fmt.Printf("driver patched=%-5v bandwidth=%.1f MB/s (ATT miss rate %.2f)\n",
-			patched, r[0].BandwidthMBs, r[0].ATTMissRate)
+			st.HugeATT, r[0].BandwidthMBs, r[0].ATTMissRate)
 	}
 	fmt.Println("paper: up to +6% with 2MB translations")
 	fmt.Println()
 
 	fmt.Println("=== E9: registration cost by page size (AMD Opteron) ===")
-	regs, err := imb.RegistrationSweepFaults(machine.Opteron(), []uint64{2 << 20, 8 << 20, 32 << 20}, spec)
+	regs, err := imb.RegistrationSweep(node.Config{Machine: machine.Opteron(), Faults: spec}, []uint64{2 << 20, 8 << 20, 32 << 20})
 	if err != nil {
 		env.Fail(err)
 	}
@@ -171,7 +164,7 @@ func main() {
 	}
 	fmt.Println("=== E5-E6 (Figure 6 + PAPI): NAS benchmarks, 8 ranks ===")
 	for _, m := range []*machine.Machine{machine.Opteron(), machine.SystemP()} {
-		rows, err := nas.RunFig6Policy(m, 8, nil, env.Policy, spec, nil)
+		rows, err := nas.RunFig6(mpi.Config{Machine: m, Ranks: 8, Faults: spec, Policy: env.Policy}, nil)
 		if err != nil {
 			env.Fail(err)
 		}

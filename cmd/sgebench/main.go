@@ -31,7 +31,7 @@ func main() {
 		sgeCounts = append(sgeCounts, n)
 	}
 	sizes := wrbench.DefaultSGESizes()
-	results, nodes, err := wrbench.SGESweepPolicy(m, sgeCounts, sizes, env.Policy, env.Spec, env.Col)
+	results, nodes, err := wrbench.SGESweep(node.Config{Machine: m, Faults: env.Spec, Trace: env.Col, Policy: env.Policy}, sgeCounts, sizes)
 	if err != nil {
 		env.Fail(err)
 	}

@@ -6,7 +6,7 @@
 // and exits non-zero naming every regressed cell; any cell whose run
 // fails also produces a non-zero exit naming the cell, without aborting
 // sibling cells. With -cache the run shares a content-addressed result
-// store (the same store cmd/sweepd serves from): replicates whose key —
+// store: replicates whose key —
 // workload, machine, strategy, faults, seed, ranks, schema version and
 // the module code fingerprint — already has an entry are served from it
 // instead of executing, so a re-run of an unchanged grid executes zero
@@ -30,6 +30,7 @@ import (
 
 	"repro/internal/cas"
 	"repro/internal/cli"
+	"repro/internal/mpi"
 	"repro/internal/node"
 	"repro/internal/sweep"
 )
@@ -90,7 +91,7 @@ func main() {
 			fmt.Printf("  %-14s primary %s (%s)\n", w.Name, w.Primary, dir)
 		}
 		fmt.Println("strategies:")
-		for _, s := range sweep.Strategies() {
+		for _, s := range mpi.Strategies() {
 			pol := s.Policy
 			if pol == "" {
 				pol = "-"

@@ -20,15 +20,11 @@ import (
 )
 
 // AllowedPkgs are the packages permitted to traffic in real time and
-// raw entropy: simtime because it defines virtual time, faults because
-// its seeded schedules are the sanctioned randomness source, and
-// sweepd because the sweep service is host-side infrastructure (HTTP
-// timeouts, drain deadlines) whose clocks never leak into simulation
-// results — cached and fresh cells stay byte-identical regardless.
+// raw entropy: simtime because it defines virtual time, and faults
+// because its seeded schedules are the sanctioned randomness source.
 var AllowedPkgs = map[string]bool{
 	"repro/internal/simtime": true,
 	"repro/internal/faults":  true,
-	"repro/internal/sweepd":  true,
 }
 
 // forbiddenTime lists the wall-clock entry points of package time.

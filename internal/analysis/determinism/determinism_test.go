@@ -26,15 +26,10 @@ func TestAllowlistedPackagesAreExempt(t *testing.T) {
 	analysistest.Run(t, "testdata", determinism.Analyzer, "b")
 }
 
-// TestSweepdAllowanceIsScoped pins the sweep-service escape: the
-// repro/internal/sweepd path may read real clocks (HTTP deadlines,
-// drain timeouts), but a daemon-shaped package at any other path — the
-// simd fixture — is flagged call for call, and no simulation package
+// TestNoSimulationPackageIsAllowed pins that the allowance stays with
+// the two packages that own time and entropy: no simulation package
 // rode along into the set.
-func TestSweepdAllowanceIsScoped(t *testing.T) {
-	if !determinism.AllowedPkgs["repro/internal/sweepd"] {
-		t.Fatal("repro/internal/sweepd missing from AllowedPkgs")
-	}
+func TestNoSimulationPackageIsAllowed(t *testing.T) {
 	for _, p := range []string{
 		"repro/internal/mpi", "repro/internal/ib", "repro/internal/node",
 		"repro/internal/sim", "repro/internal/sweep", "repro/internal/cas",
@@ -43,7 +38,6 @@ func TestSweepdAllowanceIsScoped(t *testing.T) {
 			t.Errorf("simulation package %s must not be allowed", p)
 		}
 	}
-	analysistest.Run(t, "testdata", determinism.Analyzer, "simd")
 }
 
 // TestSuggestedFixes applies every fix the analyzer emits on the fix

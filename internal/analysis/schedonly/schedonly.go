@@ -26,16 +26,12 @@ import (
 // ExemptPkgs are the packages permitted to use raw concurrency:
 // internal/sched because it is where the cooperative tasks are
 // implemented (its goroutines never run concurrently — the baton
-// protocol keeps exactly one runnable), internal/sweep because its
+// protocol keeps exactly one runnable), and internal/sweep because its
 // worker pool parallelises whole independent simulations on the host
-// and never reaches inside one, and internal/sweepd because the sweep
-// service is host-side infrastructure around the engine (HTTP handlers,
-// a bounded job queue, a runner goroutine) that likewise never executes
-// inside a simulated world.
+// and never reaches inside one.
 var ExemptPkgs = map[string]bool{
-	"repro/internal/sched":  true,
-	"repro/internal/sweep":  true,
-	"repro/internal/sweepd": true,
+	"repro/internal/sched": true,
+	"repro/internal/sweep": true,
 }
 
 // exemptPrefixes extends the exemption to host-side tooling trees:

@@ -20,15 +20,10 @@ func TestExemptPackagesMayUseConcurrency(t *testing.T) {
 	analysistest.Run(t, "testdata", schedonly.Analyzer, "host")
 }
 
-// TestSweepdExemptionIsScoped pins the sweep-service escape: the
-// repro/internal/sweepd path is exempt (its queue, runner goroutine and
-// handler concurrency are host infrastructure), but a daemon-shaped
-// package at any other path — the simd fixture — is flagged construct
-// for construct, and no simulation package rode along into the set.
-func TestSweepdExemptionIsScoped(t *testing.T) {
-	if !schedonly.ExemptPkgs["repro/internal/sweepd"] {
-		t.Fatal("repro/internal/sweepd missing from ExemptPkgs")
-	}
+// TestNoSimulationPackageIsExempt pins that the exemption stays with
+// the scheduler and the sweep engine's host-side worker pool: no
+// simulation package rode along into the set.
+func TestNoSimulationPackageIsExempt(t *testing.T) {
 	for _, p := range []string{
 		"repro/internal/mpi", "repro/internal/ib", "repro/internal/node",
 		"repro/internal/sim", "repro/internal/cas",
@@ -37,5 +32,4 @@ func TestSweepdExemptionIsScoped(t *testing.T) {
 			t.Errorf("simulation package %s must not be exempt", p)
 		}
 	}
-	analysistest.Run(t, "testdata", schedonly.Analyzer, "simd")
 }

@@ -3,10 +3,10 @@
 // produced. It exists because PRs 5–8 made every sweep cell a pure
 // function of (workload, machine, strategy, fault spec, seed, code) —
 // which makes caching trivially sound: if the key matches, the bytes
-// are THE answer, not an approximation of it. The sweep engine and the
-// sweepd service key each (cell, seed) run by HashFields over those
-// inputs plus the module fingerprint, so a re-run of an unchanged grid
-// executes zero cells and a code edit invalidates exactly everything.
+// are THE answer, not an approximation of it. The sweep engine keys
+// each (cell, seed) run by HashFields over those inputs plus the module
+// fingerprint, so a re-run of an unchanged grid executes zero cells and
+// a code edit invalidates exactly everything.
 //
 // The store is deliberately boring: entries are files sharded by key
 // prefix, writes go through a temp file and an atomic rename, reads
@@ -82,7 +82,7 @@ func writeNetstring(w io.Writer, s string) {
 }
 
 // Stats are the store's monotonic counters plus its current footprint,
-// exposed verbatim by sweepd's /statsz.
+// reported by sweeprun -cache on stderr.
 type Stats struct {
 	Hits        uint64 `json:"hits"`
 	Misses      uint64 `json:"misses"`

@@ -12,8 +12,6 @@ package imb
 import (
 	"fmt"
 
-	"repro/internal/faults"
-	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/node"
 	"repro/internal/simtime"
@@ -56,17 +54,11 @@ func iterationsFor(bytes int) int {
 	}
 }
 
-// SendRecv runs the benchmark under one MPI configuration and returns a
-// row per message size.
-func SendRecv(cfg mpi.Config, sizes []int) ([]SendRecvResult, error) {
-	results, _, err := SendRecvNodeStats(cfg, sizes)
-	return results, err
-}
-
-// SendRecvNodeStats runs the benchmark and additionally returns every
+// SendRecv runs the benchmark under one MPI configuration (Ranks 0 =
+// the paper's pair) and returns a row per message size, plus every
 // rank's end-of-run host telemetry (one node.Stats per rank) — the
 // machine-readable per-node perf record behind the -stats flags.
-func SendRecvNodeStats(cfg mpi.Config, sizes []int) ([]SendRecvResult, []node.Stats, error) {
+func SendRecv(cfg mpi.Config, sizes []int) ([]SendRecvResult, []node.Stats, error) {
 	if cfg.Ranks == 0 {
 		cfg.Ranks = 2
 	}
@@ -154,70 +146,38 @@ func SendRecvNodeStats(cfg mpi.Config, sizes []int) ([]SendRecvResult, []node.St
 	return results, w.NodeStats(), nil
 }
 
-// Fig5Config names one of the four Figure 5 configurations.
-type Fig5Config struct {
-	Label string
-	// Slug is a short path-safe name, used to prefix trace timelines.
-	Slug      string
-	Allocator mpi.AllocatorKind
-	LazyDereg bool
+// Fig5Curve is one Figure 5 curve: the strategy-table entry it runs
+// and the paper's legend for it.
+type Fig5Curve struct {
+	Strategy string
+	Label    string
 }
 
-// Fig5Configs returns the four curves of Figure 5 in the paper's order:
+// Fig5Curves lists the four curves of Figure 5 in the paper's order:
 // small pages, hugepages, small pages + lazy deregistration, hugepages +
 // lazy deregistration.
-func Fig5Configs() []Fig5Config {
-	return []Fig5Config{
-		{Label: "small pages", Slug: "small", Allocator: mpi.AllocLibc, LazyDereg: false},
-		{Label: "hugepages", Slug: "huge", Allocator: mpi.AllocHuge, LazyDereg: false},
-		{Label: "small pages lazy deregistration", Slug: "small-lazy", Allocator: mpi.AllocLibc, LazyDereg: true},
-		{Label: "hugepages lazy deregistration", Slug: "huge-lazy", Allocator: mpi.AllocHuge, LazyDereg: true},
-	}
+var Fig5Curves = []Fig5Curve{
+	{Strategy: "small", Label: "small pages"},
+	{Strategy: "huge", Label: "hugepages"},
+	{Strategy: "small-lazy", Label: "small pages lazy deregistration"},
+	{Strategy: "huge-lazy", Label: "hugepages lazy deregistration"},
 }
 
-// RunFig5 runs all four curves on a machine.
-func RunFig5(m *machine.Machine, sizes []int) (map[string][]SendRecvResult, error) {
-	return RunFig5Faults(m, sizes, nil)
-}
-
-// RunFig5Faults is RunFig5 under a fault spec (nil = clean run): each
-// curve's job carries the same deterministic schedule, so the four
-// configurations degrade comparably.
-func RunFig5Faults(m *machine.Machine, sizes []int, spec *faults.Spec) (map[string][]SendRecvResult, error) {
-	return RunFig5Traced(m, sizes, spec, nil)
-}
-
-// RunFig5Traced is RunFig5Faults recording into a trace collector (nil =
-// no tracing). The four configurations share the collector, with their
-// timelines prefixed by the configuration slug ("huge-lazy/rank0", …),
-// so one trace file shows all four regimes side by side.
-func RunFig5Traced(m *machine.Machine, sizes []int, spec *faults.Spec, col *trace.Collector) (map[string][]SendRecvResult, error) {
-	return RunFig5Ranks(m, sizes, 2, spec, col)
-}
-
-// RunFig5Ranks is RunFig5Traced at an explicit rank count: the SendRecv
-// chain closes over all ranks instead of the paper's pair, which is how
-// imbbench -ranks exercises the event scheduler at scale.
-func RunFig5Ranks(m *machine.Machine, sizes []int, ranks int, spec *faults.Spec, col *trace.Collector) (map[string][]SendRecvResult, error) {
-	return RunFig5Policy(m, sizes, ranks, "", spec, col)
-}
-
-// RunFig5Policy is RunFig5Ranks with a placement-policy engine on every
-// rank ("" = none — the legacy fixed strategies).
-func RunFig5Policy(m *machine.Machine, sizes []int, ranks int, policy string, spec *faults.Spec, col *trace.Collector) (map[string][]SendRecvResult, error) {
-	out := make(map[string][]SendRecvResult, 4)
-	for _, c := range Fig5Configs() {
-		res, err := SendRecv(mpi.Config{
-			Machine:     m,
-			Ranks:       ranks,
-			Allocator:   c.Allocator,
-			LazyDereg:   c.LazyDereg,
-			HugeATT:     true,
-			Faults:      spec,
-			Trace:       col,
-			TracePrefix: c.Slug + "/",
-			Policy:      policy,
-		}, sizes)
+// RunFig5 runs all four Figure 5 curves under cfg, each curve's
+// strategy applied over it, and returns the rows keyed by legend. cfg
+// carries the machine, the rank count (0 = the paper's pair; more ranks
+// close the SendRecv chain over all of them), the fault spec (every
+// curve faces the same deterministic schedule), the placement-policy
+// engine and the trace collector. The four configurations share the
+// collector, with their timelines prefixed by the strategy name
+// ("huge-lazy/rank0", …), so one trace file shows all four regimes side
+// by side.
+func RunFig5(cfg mpi.Config, sizes []int) (map[string][]SendRecvResult, error) {
+	out := make(map[string][]SendRecvResult, len(Fig5Curves))
+	for _, c := range Fig5Curves {
+		run := mpi.MustStrategy(c.Strategy).Apply(cfg)
+		run.TracePrefix = cfg.TracePrefix + c.Strategy + "/"
+		res, _, err := SendRecv(run, sizes)
 		if err != nil {
 			return nil, fmt.Errorf("imb: %s: %w", c.Label, err)
 		}
@@ -237,32 +197,20 @@ type RegResult struct {
 }
 
 // RegistrationSweep measures RegMR cost versus buffer size for 4 KiB and
-// 2 MiB placements on one machine (driver patch enabled, as in the
-// paper's modified OpenIB stack).
-func RegistrationSweep(m *machine.Machine, sizes []uint64) ([]RegResult, error) {
-	return RegistrationSweepFaults(m, sizes, nil)
-}
-
-// RegistrationSweepFaults is RegistrationSweep with a fault spec armed
-// on each host (nil = clean run).
-func RegistrationSweepFaults(m *machine.Machine, sizes []uint64, spec *faults.Spec) ([]RegResult, error) {
-	return RegistrationSweepTrace(m, sizes, spec, nil)
-}
-
-// RegistrationSweepTrace is RegistrationSweepFaults recording each host's
-// registration work into a trace collector (nil = no tracing). Every
-// sweep size gets its own timeline ("reg/4096", "reg/8192", …) with the
-// small-page registration followed by the hugepage one, so the MTT fan-out
+// 2 MiB placements on fresh hosts built from cfg (its machine, fault
+// spec, policy engine and trace collector), with the driver patch
+// enabled, as in the paper's modified OpenIB stack. Every sweep size
+// gets its own timeline ("reg/4096", "reg/8192", …) with the small-page
+// registration followed by the hugepage one, so the MTT fan-out
 // difference is visible span-by-span.
-func RegistrationSweepTrace(m *machine.Machine, sizes []uint64, spec *faults.Spec, col *trace.Collector) ([]RegResult, error) {
+func RegistrationSweep(cfg node.Config, sizes []uint64) ([]RegResult, error) {
+	cfg.HugeATT = true
 	out := make([]RegResult, 0, len(sizes))
 	for _, size := range sizes {
 		// A fresh warmed host per size, matching the MPI world's setup so
 		// registration sweeps see the same physical scatter.
-		n, err := node.New(node.Config{
-			Machine: m, HugeATT: true, Faults: spec,
-			Trace: col, TraceName: fmt.Sprintf("reg/%d", size),
-		})
+		cfg.TraceName = fmt.Sprintf("reg/%d", size)
+		n, err := node.New(cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -6,11 +6,12 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/mpi"
+	"repro/internal/node"
 )
 
 func TestFig5ShapesOnOpteron(t *testing.T) {
 	sizes := []int{64 << 10, 1 << 20, 4 << 20, 16 << 20}
-	curves, err := RunFig5(machine.Opteron(), sizes)
+	curves, err := RunFig5(mpi.Config{Machine: machine.Opteron()}, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestXeonATTEffect(t *testing.T) {
 	// bandwidth at large sizes versus the unpatched driver.
 	sizes := []int{4 << 20, 8 << 20}
 	run := func(patched bool) []SendRecvResult {
-		res, err := SendRecv(mpi.Config{
+		res, _, err := SendRecv(mpi.Config{
 			Machine:   machine.Xeon(),
 			Ranks:     2,
 			Allocator: mpi.AllocHuge,
@@ -94,7 +95,7 @@ func TestOpteronATTPatchChangesNothing(t *testing.T) {
 	// bottlenecks in the system").
 	sizes := []int{4 << 20}
 	run := func(patched bool) float64 {
-		res, err := SendRecv(mpi.Config{
+		res, _, err := SendRecv(mpi.Config{
 			Machine:   machine.Opteron(),
 			Ranks:     2,
 			Allocator: mpi.AllocHuge,
@@ -114,7 +115,7 @@ func TestOpteronATTPatchChangesNothing(t *testing.T) {
 
 func TestRegistrationSweep(t *testing.T) {
 	sizes := []uint64{2 << 20, 8 << 20, 32 << 20}
-	rows, err := RegistrationSweep(machine.Opteron(), sizes)
+	rows, err := RegistrationSweep(node.Config{Machine: machine.Opteron()}, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,15 +149,41 @@ func TestDefaultSizesLadder(t *testing.T) {
 func TestStaticPolicyMatchesNoEngineFig5(t *testing.T) {
 	m := machine.Opteron()
 	sizes := []int{4096, 262144, 1 << 20}
-	bare, err := RunFig5Policy(m, sizes, 2, "", nil, nil)
+	bare, err := RunFig5(mpi.Config{Machine: m}, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	static, err := RunFig5Policy(m, sizes, 2, "static", nil, nil)
+	static, err := RunFig5(mpi.Config{Machine: m, Policy: "static"}, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(bare, static) {
 		t.Fatalf("static-policy Figure 5 diverged from the no-engine run:\n%v\nvs\n%v", bare, static)
+	}
+}
+
+// TestFig5CurvesAreTheStrategyTable pins that Figure 5's four curves are
+// the strategy table's first four entries and nothing else: each curve
+// equals a plain SendRecv under that strategy applied over the same
+// configuration.
+func TestFig5CurvesAreTheStrategyTable(t *testing.T) {
+	cfg := mpi.Config{Machine: machine.Opteron()}
+	sizes := []int{64 << 10, 1 << 20}
+	curves, err := RunFig5(cfg, sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range Fig5Curves {
+		st, ok := mpi.StrategyByName(c.Strategy)
+		if !ok {
+			t.Fatalf("curve %q names unknown strategy %q", c.Label, c.Strategy)
+		}
+		want, _, err := SendRecv(st.Apply(cfg), sizes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(curves[c.Label], want) {
+			t.Errorf("%s: Figure 5 curve %v != SendRecv under %s %v", c.Label, curves[c.Label], c.Strategy, want)
+		}
 	}
 }

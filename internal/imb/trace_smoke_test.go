@@ -14,7 +14,7 @@ import (
 func traceBytes(t *testing.T, spec *faults.Spec) []byte {
 	t.Helper()
 	col := trace.NewCollector()
-	_, _, err := SendRecvNodeStats(mpi.Config{
+	_, _, err := SendRecv(mpi.Config{
 		Machine:   machine.Opteron(),
 		Ranks:     2,
 		Allocator: mpi.AllocHuge,

@@ -557,12 +557,21 @@ func (r *Rank) Sendrecv(dst, sendTag int, sendVA vm.VA, sendN int,
 		sub := r.world.sched.Spawn(r.id, &h.clk, h.run)
 		h.started.Wait(r.task)
 		n, recvErr = r.recvOn(r.task, &r.clock, src, recvTag, recvVA, recvCap, &h.dma, &h.rel)
+		if recvErr != nil {
+			// The peer's send half may be parked on an answer this half
+			// now never gives (a CTS, an RDMA-read completion) while our
+			// own send half waits on the peer's: abort the job, as
+			// MPI_Abort would, so both unwind.
+			r.world.sched.Abort()
+		}
 		r.task.Join(sub)
 		r.clock.AdvanceTo(h.clk.Now())
 		sendErr = h.err
 	}
 	r.exitMPI("Sendrecv", start, outer)
-	if sendErr != nil {
+	// Report the root cause: a send half cut off by the abort above
+	// yields to the receive error that caused it.
+	if sendErr != nil && (recvErr == nil || !errors.Is(sendErr, ErrAborted)) {
 		return n, sendErr
 	}
 	return n, recvErr

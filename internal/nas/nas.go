@@ -60,23 +60,12 @@ type Result struct {
 // application runs (the "more effective memory registration" of §5.2).
 const maxPinnedPerRank = 2 << 20
 
-// RunKernel executes a kernel on a fresh world under the evaluation
-// default of the paper's Section 5.2 runs: lazy deregistration on and the
-// ATT driver patch applied, with the allocator as the variable.
-func RunKernel(m *machine.Machine, ranks int, ak mpi.AllocatorKind, k Kernel) (Result, error) {
-	return RunKernelConfig(mpi.Config{
-		Machine:   m,
-		Ranks:     ranks,
-		Allocator: ak,
-		LazyDereg: true,
-		HugeATT:   true,
-	}, k)
-}
-
-// RunKernelConfig executes a kernel under a full MPI configuration, so a
-// placement policy's every knob (allocator, lazy deregistration, huge
-// ATT, protocol limits) reaches the run.
-func RunKernelConfig(cfg mpi.Config, k Kernel) (Result, error) {
+// RunKernel executes a kernel on a fresh world under a full MPI
+// configuration, so every placement knob (allocator, lazy
+// deregistration, huge ATT, policy engine, protocol limits) reaches the
+// run. The paper's Section 5.2 runs are the table's "small-lazy" and
+// "huge-lazy" strategies (see RunFig6).
+func RunKernel(cfg mpi.Config, k Kernel) (Result, error) {
 	w, err := mpi.NewWorld(cfg)
 	if err != nil {
 		return Result{}, err

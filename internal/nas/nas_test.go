@@ -19,12 +19,19 @@ func testKernels() []Kernel {
 	}
 }
 
+// lazyRun is the Section 5.2 evaluation default on the Opteron: lazy
+// deregistration and the ATT driver patch on, the allocator as the
+// variable.
+func lazyRun(ranks int, ak mpi.AllocatorKind) mpi.Config {
+	return mpi.Config{Machine: machine.Opteron(), Ranks: ranks, Allocator: ak, LazyDereg: true, HugeATT: true}
+}
+
 func TestKernelsVerifyUnderBothAllocators(t *testing.T) {
 	for _, k := range testKernels() {
 		for _, ak := range []mpi.AllocatorKind{mpi.AllocLibc, mpi.AllocHuge} {
 			k, ak := k, ak
 			t.Run(k.Name()+"/"+string(ak), func(t *testing.T) {
-				res, err := RunKernel(machine.Opteron(), 4, ak, k)
+				res, err := RunKernel(lazyRun(4, ak), k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -47,11 +54,11 @@ func TestKernelsVerifyUnderBothAllocators(t *testing.T) {
 
 func TestKernelsDeterministic(t *testing.T) {
 	k := &CG{N: 32768, Iters: 5}
-	a, err := RunKernel(machine.Opteron(), 2, mpi.AllocHuge, k)
+	a, err := RunKernel(lazyRun(2, mpi.AllocHuge), k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunKernel(machine.Opteron(), 2, mpi.AllocHuge, k)
+	b, err := RunKernel(lazyRun(2, mpi.AllocHuge), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +69,7 @@ func TestKernelsDeterministic(t *testing.T) {
 
 func TestCGRejectsBadDecomposition(t *testing.T) {
 	k := &CG{N: 1000, Iters: 2} // not divisible by 3
-	if _, err := RunKernel(machine.Opteron(), 3, mpi.AllocHuge, k); err == nil {
+	if _, err := RunKernel(lazyRun(3, mpi.AllocHuge), k); err == nil {
 		t.Fatal("bad decomposition accepted")
 	}
 }

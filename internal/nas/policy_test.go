@@ -47,11 +47,11 @@ func stripPolicy(res Result) Result {
 func TestStaticPolicyMatchesNoEngine(t *testing.T) {
 	for _, name := range []string{"cg", "is"} {
 		k := ByName(name)
-		bare, err := RunKernelConfig(gridConfig(""), k)
+		bare, err := RunKernel(gridConfig(""), k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		static, err := RunKernelConfig(gridConfig("static"), k)
+		static, err := RunKernel(gridConfig("static"), k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,11 +73,11 @@ func TestStaticPolicyMatchesNoEngine(t *testing.T) {
 // all — the determinism contract of the feedback engine.
 func TestAdaptiveRunIsDeterministic(t *testing.T) {
 	k := ByName("is")
-	a, err := RunKernelConfig(gridConfig("adaptive"), k)
+	a, err := RunKernel(gridConfig("adaptive"), k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunKernelConfig(gridConfig("adaptive"), k)
+	b, err := RunKernel(gridConfig("adaptive"), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestAdaptiveRunIsDeterministic(t *testing.T) {
 	}
 	// And the demotions must pay off against the same strategy without
 	// an engine.
-	bare, err := RunKernelConfig(gridConfig(""), k)
+	bare, err := RunKernel(gridConfig(""), k)
 	if err != nil {
 		t.Fatal(err)
 	}

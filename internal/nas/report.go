@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/faults"
-	"repro/internal/machine"
 	"repro/internal/mpi"
-	"repro/internal/trace"
 )
 
 // Fig6Row is one benchmark's bar group in Figure 6: the communication /
@@ -25,57 +22,38 @@ type Fig6Row struct {
 	Huge         Result
 }
 
-// RunFig6 reproduces Figure 6 on one machine: every kernel under libc and
-// under the hugepage library, on the given rank count (the paper uses 8).
-func RunFig6(m *machine.Machine, ranks int, kernels []Kernel) ([]Fig6Row, error) {
-	return RunFig6Faults(m, ranks, kernels, nil)
-}
-
-// RunFig6Faults is RunFig6 under a fault spec (nil = clean run). Both
-// allocators face the same deterministic schedule, so the improvement
-// split stays a like-for-like comparison under pressure.
-func RunFig6Faults(m *machine.Machine, ranks int, kernels []Kernel, spec *faults.Spec) ([]Fig6Row, error) {
-	return RunFig6Traced(m, ranks, kernels, spec, nil)
-}
-
-// RunFig6Traced is RunFig6Faults recording every kernel run into a trace
-// collector (nil = no tracing). Timelines are prefixed by machine,
-// kernel and allocator ("opteron/cg-huge/rank0", …), so one trace file
-// holds the whole figure even across machines.
-func RunFig6Traced(m *machine.Machine, ranks int, kernels []Kernel, spec *faults.Spec, col *trace.Collector) ([]Fig6Row, error) {
-	return RunFig6Policy(m, ranks, kernels, "", spec, col)
-}
-
-// RunFig6Policy is RunFig6Traced with a placement-policy engine on every
-// rank ("" = none — the legacy fixed strategies).
-func RunFig6Policy(m *machine.Machine, ranks int, kernels []Kernel, policy string, spec *faults.Spec, col *trace.Collector) ([]Fig6Row, error) {
+// RunFig6 reproduces Figure 6 under cfg: every kernel under libc and
+// under the hugepage library (the table's "small-lazy" and "huge-lazy"
+// strategies applied over cfg), at cfg's machine and rank count (the
+// paper uses 8). Both runs of a kernel face the same deterministic fault
+// schedule, so the improvement split stays a like-for-like comparison
+// under pressure. Timelines are prefixed by machine, kernel and
+// allocator ("opteron/cg-huge/rank0", …), so one trace collector holds
+// the whole figure even across machines. nil kernels runs all five.
+func RunFig6(cfg mpi.Config, kernels []Kernel) ([]Fig6Row, error) {
+	if cfg.Machine == nil {
+		return nil, fmt.Errorf("nas: config needs a machine")
+	}
 	if kernels == nil {
 		kernels = All()
 	}
-	run := func(ak mpi.AllocatorKind, k Kernel) (Result, error) {
-		return RunKernelConfig(mpi.Config{
-			Machine:     m,
-			Ranks:       ranks,
-			Allocator:   ak,
-			LazyDereg:   true,
-			HugeATT:     true,
-			Faults:      spec,
-			Trace:       col,
-			TracePrefix: fmt.Sprintf("%s/%s-%s/", m.Name, k.Name(), ak),
-			Policy:      policy,
-		}, k)
+	small, huge := mpi.MustStrategy("small-lazy"), mpi.MustStrategy("huge-lazy")
+	run := func(s mpi.Strategy, k Kernel) (Result, error) {
+		c := s.Apply(cfg)
+		c.TracePrefix = fmt.Sprintf("%s%s/%s-%s/", cfg.TracePrefix, cfg.Machine.Name, k.Name(), c.Allocator)
+		return RunKernel(c, k)
 	}
 	rows := make([]Fig6Row, 0, len(kernels))
 	for _, k := range kernels {
-		small, err := run(mpi.AllocLibc, k)
+		s, err := run(small, k)
 		if err != nil {
 			return nil, err
 		}
-		huge, err := run(mpi.AllocHuge, k)
+		h, err := run(huge, k)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, NewFig6Row(small, huge))
+		rows = append(rows, NewFig6Row(s, h))
 	}
 	return rows, nil
 }

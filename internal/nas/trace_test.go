@@ -17,7 +17,7 @@ import (
 func TestTraceBreakdownPartitionsKernelRun(t *testing.T) {
 	run := func() []byte {
 		col := trace.NewCollector()
-		_, err := RunKernelConfig(mpi.Config{
+		_, err := RunKernel(mpi.Config{
 			Machine:   machine.Opteron(),
 			Ranks:     4,
 			Allocator: mpi.AllocHuge,

@@ -159,6 +159,12 @@ func (s *Scheduler) Run() error {
 	return deadlock
 }
 
+// Abort fails the run from inside the running task, exactly as a task
+// returning an error does. A task calls it when it abandons a protocol
+// another task is parked on, so the waiter unwinds instead of
+// deadlocking.
+func (s *Scheduler) Abort() { s.abort() }
+
 // abort marks the run dead and makes every parked task runnable so its
 // blocking primitive can observe the abort and fail.
 func (s *Scheduler) abort() {

@@ -28,11 +28,8 @@ import (
 // exactly the deterministic view, and stripped documents from cached
 // and fresh executions compare byte-identical.
 
-// runKeyKind distinguishes the payload families sharing one store.
-const (
-	kindMetrics = "metrics"
-	kindTrace   = "trace"
-)
+// kindMetrics names the payload family of a run's metrics in the key.
+const kindMetrics = "metrics"
 
 // strategyID renders the full strategy tuple, not just its name, so
 // redefining what a named strategy means invalidates its entries.
@@ -41,9 +38,9 @@ func strategyID(s Strategy) string {
 }
 
 // runKey derives the content address of one (cell, seed) replicate.
-func runKey(kind, fingerprint string, j *job) cas.Key {
+func runKey(fingerprint string, j *job) cas.Key {
 	return cas.HashFields(
-		cas.F("kind", kind),
+		cas.F("kind", kindMetrics),
 		cas.F("schema", strconv.Itoa(SchemaVersion)),
 		cas.F("fingerprint", fingerprint),
 		cas.F("workload", j.wl.Name),
@@ -81,56 +78,10 @@ func decodeMetrics(payload []byte) (Metrics, bool) {
 	return m, true
 }
 
-// fingerprintOr resolves the effective fingerprint for one Execute or
-// TraceCellCached call.
+// fingerprintOr resolves the effective fingerprint for one Execute call.
 func fingerprintOr(fp string) string {
 	if fp != "" {
 		return fp
 	}
 	return cas.ModuleFingerprint()
-}
-
-// TraceCellCached returns the Perfetto trace JSON for one cell, serving
-// it from the store when a prior call captured it and re-executing the
-// cell's first replicate (TraceCell) otherwise. Traces are deterministic
-// per seed like every other artifact, so the cached bytes are the bytes
-// a fresh capture would produce. store may be nil (always re-executes);
-// fingerprint "" takes cas.ModuleFingerprint.
-func TraceCellCached(g Grid, cellKey string, store *cas.Store, fingerprint string) ([]byte, error) {
-	ex, err := expand(g)
-	if err != nil {
-		return nil, err
-	}
-	var key cas.Key
-	if store != nil {
-		found := false
-		for i := range ex.jobs {
-			j := &ex.jobs[i]
-			if ex.cells[j.cell].Key() == cellKey && j.rep == 0 {
-				key = runKey(kindTrace, fingerprintOr(fingerprint), j)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("sweep: no cell %s in grid %q", cellKey, g.Name)
-		}
-		if payload, ok := store.Get(key); ok {
-			return payload, nil
-		}
-	}
-	col, err := TraceCell(g, cellKey)
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := col.WritePerfetto(&buf); err != nil {
-		return nil, fmt.Errorf("sweep: rendering trace for %s: %w", cellKey, err)
-	}
-	if store != nil {
-		if err := store.Put(key, buf.Bytes()); err != nil {
-			return nil, err
-		}
-	}
-	return buf.Bytes(), nil
 }

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"bytes"
-	"context"
 	"path/filepath"
 	"testing"
 
@@ -139,98 +138,6 @@ func TestCacheStripsWallMetrics(t *testing.T) {
 	b1.StripWall()
 	if !bytes.Equal(renderBench(t, b1), renderBench(t, b2)) {
 		t.Fatal("cached run differs from the fresh run's stripped view")
-	}
-}
-
-// TestOnCellStreamsEveryCompleteCell: the streaming callback fires once
-// per complete cell with aggregated stats and the per-cell cached count.
-func TestOnCellStreamsEveryCompleteCell(t *testing.T) {
-	store, err := cas.Open(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[string]int)
-	opts := Options{
-		Workers:     2,
-		Cache:       store,
-		Fingerprint: "fp1",
-		OnCell: func(c Cell, cachedRuns int) {
-			if len(c.Stats) == 0 {
-				t.Errorf("cell %s streamed without stats", c.Key())
-			}
-			seen[c.Key()] = cachedRuns
-		},
-	}
-	b, errs, err := Execute(cacheGrid(), opts)
-	if err != nil || len(errs) != 0 {
-		t.Fatalf("run: %v %v", errs, err)
-	}
-	if len(seen) != len(b.Cells) {
-		t.Fatalf("streamed %d cells, document has %d", len(seen), len(b.Cells))
-	}
-	for key, cached := range seen {
-		if cached != 0 {
-			t.Errorf("cold run streamed cell %s with %d cached runs", key, cached)
-		}
-	}
-	// Warm: every cell streams again, fully cached.
-	seen = make(map[string]int)
-	if _, errs, err := Execute(cacheGrid(), opts); err != nil || len(errs) != 0 {
-		t.Fatalf("warm run: %v %v", errs, err)
-	}
-	for key, cached := range seen {
-		if cached != 2 {
-			t.Errorf("warm run streamed cell %s with %d cached runs, want 2", key, cached)
-		}
-	}
-}
-
-// TestExecuteCancellation: a canceled context fails pending replicates
-// with the context error and Execute surfaces it.
-func TestExecuteCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // cancel before the first replicate starts
-	var st ExecStats
-	b, errs, err := Execute(cacheGrid(), Options{Workers: 1, Ctx: ctx, Stats: &st})
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if len(errs) != 4 || st.RunsFailed != 4 {
-		t.Fatalf("errs = %d, stats = %+v", len(errs), st)
-	}
-	if len(b.Cells) != 0 {
-		t.Fatalf("canceled run produced %d cells", len(b.Cells))
-	}
-}
-
-// TestTraceCellCached: the second trace of a cell is served from the
-// store byte-for-byte.
-func TestTraceCellCached(t *testing.T) {
-	store, err := cas.Open(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := cacheGrid()
-	key := "alloc/abinit/opteron/huge-lazy/seed=3,attevict=800"
-	t1, err := TraceCellCached(g, key, store, "fp1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(t1) == 0 || store.Len() != 1 {
-		t.Fatalf("trace empty or not stored (len=%d, entries=%d)", len(t1), store.Len())
-	}
-	t2, err := TraceCellCached(g, key, store, "fp1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(t1, t2) {
-		t.Fatal("cached trace differs from fresh trace")
-	}
-	if st := store.Stats(); st.Hits != 1 {
-		t.Fatalf("second trace did not hit the store: %+v", st)
-	}
-	if _, err := TraceCellCached(g, "no/such/cell", store, "fp1"); err == nil {
-		t.Fatal("unknown cell accepted")
 	}
 }
 

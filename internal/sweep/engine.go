@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -33,17 +32,6 @@ type Options struct {
 	// Stats, when non-nil, receives the execution summary before
 	// Execute returns.
 	Stats *ExecStats
-	// OnCell, when non-nil, is called once per cell whose replicates
-	// all succeeded, with the aggregated cell and the number of its
-	// runs served from the cache. Calls are serialized but arrive in
-	// completion order, which depends on worker scheduling — stream
-	// consumers (sweepd) re-sort nothing; the canonical order lives
-	// only in the returned Bench.
-	OnCell func(c Cell, cachedRuns int)
-	// Ctx, when non-nil, cancels the run: replicates not yet started
-	// when Ctx is done fail with its error, and Execute returns
-	// Ctx.Err() alongside the Bench of the cells that did complete.
-	Ctx context.Context
 }
 
 // ExecStats summarizes how one Execute call obtained its results.
@@ -100,32 +88,11 @@ func Execute(g Grid, opt Options) (*Bench, []RunError, error) {
 	// Each worker writes only its job's dedicated slots; no two jobs
 	// share an index, so the table needs no lock and the outcome no
 	// ordering assumptions.
+	// runFailed marks the replicates that produced no result, as opposed
+	// to a result whose cache store failed.
 	runErrs := make([]error, len(ex.jobs))
+	runFailed := make([]bool, len(ex.jobs))
 	var executed, cached atomic.Int64
-
-	// Per-cell completion tracking for the OnCell stream: the last
-	// replicate in (any worker's) flight aggregates a copy and emits it.
-	remaining := make([]atomic.Int32, len(ex.cells))
-	cellCached := make([]atomic.Int32, len(ex.cells))
-	cellFailed := make([]atomic.Bool, len(ex.cells))
-	for ci := range ex.cells {
-		remaining[ci].Store(int32(len(ex.cells[ci].Seeds)))
-	}
-	var onCellMu sync.Mutex
-	finish := func(ci int, failed bool) {
-		if failed {
-			cellFailed[ci].Store(true)
-		}
-		if remaining[ci].Add(-1) != 0 || opt.OnCell == nil || cellFailed[ci].Load() {
-			return
-		}
-		c := ex.cells[ci]
-		c.Runs = append([]Run(nil), c.Runs...)
-		c.aggregate()
-		onCellMu.Lock()
-		opt.OnCell(c, int(cellCached[ci].Load()))
-		onCellMu.Unlock()
-	}
 
 	jobs := make(chan int)
 	var wg sync.WaitGroup
@@ -135,18 +102,11 @@ func Execute(g Grid, opt Options) (*Bench, []RunError, error) {
 			defer wg.Done()
 			for ji := range jobs {
 				j := &ex.jobs[ji]
-				if opt.Ctx != nil && opt.Ctx.Err() != nil {
-					runErrs[ji] = opt.Ctx.Err()
-					finish(j.cell, true)
-					continue
-				}
 				if opt.Cache != nil {
-					if payload, ok := opt.Cache.Get(runKey(kindMetrics, fingerprint, j)); ok {
+					if payload, ok := opt.Cache.Get(runKey(fingerprint, j)); ok {
 						if m, ok := decodeMetrics(payload); ok {
 							ex.cells[j.cell].Runs[j.rep] = Run{Seed: j.seed, Metrics: m}
 							cached.Add(1)
-							cellCached[j.cell].Add(1)
-							finish(j.cell, false)
 							continue
 						}
 					}
@@ -159,8 +119,7 @@ func Execute(g Grid, opt Options) (*Bench, []RunError, error) {
 					Ranks:    j.ranks,
 				})
 				if err != nil {
-					runErrs[ji] = err
-					finish(j.cell, true)
+					runErrs[ji], runFailed[ji] = err, true
 					continue
 				}
 				executed.Add(1)
@@ -168,7 +127,7 @@ func Execute(g Grid, opt Options) (*Bench, []RunError, error) {
 				if opt.Cache != nil {
 					payload, encErr := encodeMetrics(metrics)
 					if encErr == nil {
-						encErr = opt.Cache.Put(runKey(kindMetrics, fingerprint, j), payload)
+						encErr = opt.Cache.Put(runKey(fingerprint, j), payload)
 					}
 					if encErr != nil {
 						// A store failure must not fail the sweep; the
@@ -177,7 +136,6 @@ func Execute(g Grid, opt Options) (*Bench, []RunError, error) {
 						runErrs[ji] = fmt.Errorf("result ok, cache store failed: %w", encErr)
 					}
 				}
-				finish(j.cell, false)
 			}
 		}()
 	}
@@ -188,10 +146,12 @@ func Execute(g Grid, opt Options) (*Bench, []RunError, error) {
 	wg.Wait()
 
 	var errs []RunError
+	cellFailed := make([]bool, len(ex.cells))
 	for ji, err := range runErrs {
 		if err != nil {
 			j := ex.jobs[ji]
 			errs = append(errs, RunError{Cell: ex.cells[j.cell].Key(), Seed: j.seed, Err: err})
+			cellFailed[j.cell] = cellFailed[j.cell] || runFailed[ji]
 		}
 	}
 	sortRunErrors(errs)
@@ -200,7 +160,7 @@ func Execute(g Grid, opt Options) (*Bench, []RunError, error) {
 	// would silently mix successful seeds), keep every complete cell.
 	cells := make([]Cell, 0, len(ex.cells))
 	for ci := range ex.cells {
-		if cellFailed[ci].Load() {
+		if cellFailed[ci] {
 			continue
 		}
 		c := ex.cells[ci]
@@ -227,9 +187,6 @@ func Execute(g Grid, opt Options) (*Bench, []RunError, error) {
 		Cells:         cells,
 	}
 	b.Comparisons = comparisons(b)
-	if opt.Ctx != nil && opt.Ctx.Err() != nil {
-		return b, errs, opt.Ctx.Err()
-	}
 	return b, errs, nil
 }
 

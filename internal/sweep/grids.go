@@ -96,7 +96,7 @@ func BuiltinGrids() []Grid {
 // reports its size: distinct cells (strategy-agnostic workloads
 // collapse to one cell per machine × faults) and total runs (cells ×
 // seeds) — what sweeprun -list prints so users can estimate cost before
-// submitting, and what sweepd uses to validate submissions.
+// running.
 func (g Grid) Counts() (cells, runs int, err error) {
 	ex, err := expand(g)
 	if err != nil {

@@ -26,47 +26,11 @@ import (
 	"repro/internal/mpi"
 )
 
-// Strategy is one data-placement configuration of the paper: which
-// allocation library the job preloads, whether the registration cache
-// (lazy deregistration) is on, and whether the driver installs 2 MiB
-// ATT entries. It is the "column" dimension of every paper table.
-type Strategy struct {
-	Name      string            `json:"name"`
-	Allocator mpi.AllocatorKind `json:"allocator"`
-	LazyDereg bool              `json:"lazy_dereg"`
-	HugeATT   bool              `json:"huge_att"`
-	// Policy selects the placement-policy engine on every rank ("" =
-	// none — the legacy fixed strategy; see internal/policy).
-	Policy string `json:"policy,omitempty"`
-}
+// Strategy is one named placement strategy of the mpi table.
+type Strategy = mpi.Strategy
 
-// Strategies returns the built-in placement strategies, in comparison
-// order. The first four mirror the four Figure 5 curves (the ATT patch
-// on, as in the paper's modified OpenIB stack); "huge-lazy-noatt" is
-// the unpatched-driver ablation of Section 5.1. "threshold" and
-// "adaptive" run the best fixed configuration (huge-lazy) with a live
-// placement-policy engine on top — the columns BENCH_policy.json gates.
-func Strategies() []Strategy {
-	return []Strategy{
-		{Name: "small", Allocator: mpi.AllocLibc, LazyDereg: false, HugeATT: true},
-		{Name: "huge", Allocator: mpi.AllocHuge, LazyDereg: false, HugeATT: true},
-		{Name: "small-lazy", Allocator: mpi.AllocLibc, LazyDereg: true, HugeATT: true},
-		{Name: "huge-lazy", Allocator: mpi.AllocHuge, LazyDereg: true, HugeATT: true},
-		{Name: "huge-lazy-noatt", Allocator: mpi.AllocHuge, LazyDereg: true, HugeATT: false},
-		{Name: "threshold", Allocator: mpi.AllocHuge, LazyDereg: true, HugeATT: true, Policy: "threshold"},
-		{Name: "adaptive", Allocator: mpi.AllocHuge, LazyDereg: true, HugeATT: true, Policy: "adaptive"},
-	}
-}
-
-// StrategyByName resolves a built-in strategy.
-func StrategyByName(name string) (Strategy, bool) {
-	for _, s := range Strategies() {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return Strategy{}, false
-}
+// StrategyByName resolves a named strategy (mpi.StrategyByName).
+func StrategyByName(name string) (Strategy, bool) { return mpi.StrategyByName(name) }
 
 // agnosticStrategy is the strategy name recorded for cells of workloads
 // that do not consume a placement strategy (the raw work-request
@@ -84,7 +48,7 @@ type Grid struct {
 	Machines []string `json:"machines"`
 	// Workloads lists workload names (see Workloads()).
 	Workloads []string `json:"workloads"`
-	// Strategies lists placement strategy names (see Strategies()).
+	// Strategies lists placement strategy names (see mpi.Strategies()).
 	Strategies []string `json:"strategies"`
 	// Faults lists -faults spec strings; "" is a clean run. An empty
 	// list means one clean configuration.
@@ -219,7 +183,7 @@ func expand(g Grid) (*expansion, error) {
 	}
 	strats := make([]Strategy, len(g.Strategies))
 	for i, name := range g.Strategies {
-		s, ok := StrategyByName(name)
+		s, ok := mpi.StrategyByName(name)
 		if !ok {
 			return nil, fmt.Errorf("sweep: unknown strategy %q", name)
 		}

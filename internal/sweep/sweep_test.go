@@ -3,6 +3,8 @@ package sweep
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/mpi"
 )
 
 func TestExpandProducesCanonicalCellsAndAlignedJobs(t *testing.T) {
@@ -122,7 +124,7 @@ func TestMixSeedDecorrelates(t *testing.T) {
 }
 
 func TestStrategyByName(t *testing.T) {
-	for _, s := range Strategies() {
+	for _, s := range mpi.Strategies() {
 		got, ok := StrategyByName(s.Name)
 		if !ok || got != s {
 			t.Fatalf("StrategyByName(%q) = %+v, %v", s.Name, got, ok)

@@ -47,19 +47,17 @@ type RunContext struct {
 	TracePrefix string
 }
 
-// MPIConfig assembles the mpi job configuration the context implies.
+// MPIConfig assembles the mpi job configuration the context implies:
+// the context's strategy applied over its machine, rank count, fault
+// spec and trace.
 func (c *RunContext) MPIConfig(ranks int) mpi.Config {
-	return mpi.Config{
+	return c.Strategy.Apply(mpi.Config{
 		Machine:     c.Machine,
 		Ranks:       ranks,
-		Allocator:   c.Strategy.Allocator,
-		LazyDereg:   c.Strategy.LazyDereg,
-		HugeATT:     c.Strategy.HugeATT,
 		Faults:      c.Spec,
 		Trace:       c.Trace,
 		TracePrefix: c.TracePrefix,
-		Policy:      c.Strategy.Policy,
-	}
+	})
 }
 
 // Workload is one registered experiment the sweep engine can run
@@ -150,7 +148,7 @@ func builtins() []Workload {
 			HigherIsBetter: true,
 			Strategied:     true,
 			Run: func(c RunContext) (Metrics, error) {
-				rs, err := imb.SendRecv(c.MPIConfig(2), sendrecvSizes)
+				rs, _, err := imb.SendRecv(c.MPIConfig(2), sendrecvSizes)
 				if err != nil {
 					return nil, err
 				}
@@ -229,8 +227,8 @@ func builtins() []Workload {
 			HigherIsBetter: false,
 			Strategied:     false,
 			Run: func(c RunContext) (Metrics, error) {
-				rs, _, err := wrbench.SGESweepTrace(c.Machine,
-					[]int{1, 2, 4, 8}, []int{64, 512, 4096}, c.Spec, c.Trace)
+				rs, _, err := wrbench.SGESweep(node.Config{Machine: c.Machine, Faults: c.Spec, Trace: c.Trace},
+					[]int{1, 2, 4, 8}, []int{64, 512, 4096})
 				if err != nil {
 					return nil, err
 				}
@@ -244,8 +242,8 @@ func builtins() []Workload {
 			HigherIsBetter: false,
 			Strategied:     false,
 			Run: func(c RunContext) (Metrics, error) {
-				rs, _, err := wrbench.OffsetSweepTrace(c.Machine,
-					[]int{0, 16, 32, 64, 96, 128}, []int{8, 64}, c.Spec, c.Trace)
+				rs, _, err := wrbench.OffsetSweep(node.Config{Machine: c.Machine, Faults: c.Spec, Trace: c.Trace},
+					[]int{0, 16, 32, 64, 96, 128}, []int{8, 64})
 				if err != nil {
 					return nil, err
 				}
@@ -270,7 +268,7 @@ func builtins() []Workload {
 				}
 				sizes := []int{4 << 10, 64 << 10}
 				start := time.Now() //reprolint:ignore determinism: wall throughput is this workload's deliverable; the tick metrics stay deterministic
-				rs, err := imb.SendRecv(c.MPIConfig(ranks), sizes)
+				rs, _, err := imb.SendRecv(c.MPIConfig(ranks), sizes)
 				if err != nil {
 					return nil, err
 				}
@@ -304,7 +302,7 @@ func builtins() []Workload {
 				}
 				k := &nas.CG{N: 32 * ranks, Iters: 2}
 				start := time.Now() //reprolint:ignore determinism: wall throughput is this workload's deliverable; the tick metrics stay deterministic
-				res, err := nas.RunKernelConfig(c.MPIConfig(ranks), k)
+				res, err := nas.RunKernel(c.MPIConfig(ranks), k)
 				if err != nil {
 					return nil, err
 				}
@@ -405,7 +403,7 @@ func builtins() []Workload {
 			HigherIsBetter: false,
 			Strategied:     true,
 			Run: func(c RunContext) (Metrics, error) {
-				res, err := nas.RunKernelConfig(c.MPIConfig(c.Ranks), k)
+				res, err := nas.RunKernel(c.MPIConfig(c.Ranks), k)
 				if err != nil {
 					return nil, err
 				}

@@ -16,7 +16,6 @@ package wrbench
 import (
 	"fmt"
 
-	"repro/internal/faults"
 	"repro/internal/hca"
 	"repro/internal/machine"
 	"repro/internal/node"
@@ -43,7 +42,7 @@ func (r Result) Total() simtime.Ticks { return r.PostTicks + r.PollTicks }
 
 // rig is a pair of connected systems with an RC queue pair between them.
 type rig struct {
-	m          *machine.Machine
+	cfg        node.Config
 	nodes      []*node.Node // sender, receiver — retained for telemetry
 	send, recv *verbs.Context
 	sendBuf    vm.VA
@@ -60,24 +59,23 @@ type rig struct {
 	now simtime.Ticks
 }
 
-// newRig builds sender and receiver with registered buffers laid out so
-// that SGE i starts at (i*PageSize + offset): each data piece sits at the
-// chosen offset within its own memory page, as in the paper's test. A
-// non-nil fault spec arms both hosts, salted by side, so a sweep under
-// pressure replays bit-identically.
-func newRig(m *machine.Machine, maxSGEs int, spec *faults.Spec, col *trace.Collector, policy string) (*rig, error) {
+// newRig builds sender and receiver from cfg with registered buffers
+// laid out so that SGE i starts at (i*PageSize + offset): each data
+// piece sits at the chosen offset within its own memory page, as in the
+// paper's test. A fault spec in cfg arms both hosts, salted by side, so
+// a sweep under pressure replays bit-identically.
+func newRig(cfg node.Config, maxSGEs int) (*rig, error) {
 	span := uint64(maxSGEs+1) * machine.SmallPageSize * 2
-	rg := &rig{m: m, span: span}
+	rg := &rig{cfg: cfg, span: span}
 	names := []string{"wr/sender", "wr/receiver"}
 	mk := func(salt uint64) (*verbs.Context, vm.VA, *verbs.MR, error) {
 		// The Section 4 rig's hosts are less aged than a long-running MPI
 		// node; half the default scramble depth matches the seed setup.
-		n, err := node.New(node.Config{
-			Machine: m, ScrambleDepth: node.DefaultScramble / 2,
-			Faults: spec, FaultSalt: salt,
-			Trace: col, TraceName: names[salt],
-			Policy: policy,
-		})
+		host := cfg
+		host.ScrambleDepth = node.DefaultScramble / 2
+		host.FaultSalt = salt
+		host.TraceName = names[salt]
+		n, err := node.New(host)
 		if err != nil {
 			return nil, 0, nil, err
 		}
@@ -224,42 +222,25 @@ func (rg *rig) measure(sges, sgeSize, offset int) (Result, error) {
 	}, nil
 }
 
-// SGESweep reproduces Figure 3: work-request duration for each SGE count
-// over a ladder of SGE sizes, at the default offset 64.
-func SGESweep(m *machine.Machine, sgeCounts, sgeSizes []int) ([]Result, error) {
-	out, _, err := SGESweepNodeStats(m, sgeCounts, sgeSizes, nil)
-	return out, err
-}
-
-// SGESweepNodeStats is SGESweep with fault injection and telemetry: it
-// arms both rig hosts with spec, and afterwards drives a third
-// probe host (hugepage allocator, lazy deregistration) through
-// node.DegradationProbe so the sweep's -stats output carries
+// SGESweep reproduces Figure 3 on two hosts built from cfg (its machine,
+// fault spec, policy engine and trace collector): work-request duration
+// for each SGE count over a ladder of SGE sizes, at the default offset
+// 64. Each measured combination appears as a wr.post + wr.poll span pair
+// on the sender timeline, strung end to end in sweep order.
+//
+// It also returns host telemetry in order sender, receiver, probe: after
+// the sweep a third probe host (hugepage allocator, lazy deregistration)
+// runs node.DegradationProbe, so the -stats output carries
 // allocation-fallback and memlock-recovery counters even though the
-// Section 4 rig itself never calls an allocator. Snapshots are returned
-// in order sender, receiver, probe.
-func SGESweepNodeStats(m *machine.Machine, sgeCounts, sgeSizes []int, spec *faults.Spec) ([]Result, []node.Stats, error) {
-	return SGESweepTrace(m, sgeCounts, sgeSizes, spec, nil)
-}
-
-// SGESweepTrace is SGESweepNodeStats recording the rig's work requests
-// into a trace collector (nil = no tracing): each measured combination
-// appears as a wr.post + wr.poll span pair on the sender timeline, strung
-// end to end in sweep order.
-func SGESweepTrace(m *machine.Machine, sgeCounts, sgeSizes []int, spec *faults.Spec, col *trace.Collector) ([]Result, []node.Stats, error) {
-	return SGESweepPolicy(m, sgeCounts, sgeSizes, "", spec, col)
-}
-
-// SGESweepPolicy is SGESweepTrace with a placement-policy engine on both
-// hosts ("" = none).
-func SGESweepPolicy(m *machine.Machine, sgeCounts, sgeSizes []int, policy string, spec *faults.Spec, col *trace.Collector) ([]Result, []node.Stats, error) {
+// Section 4 rig itself never calls an allocator.
+func SGESweep(cfg node.Config, sgeCounts, sgeSizes []int) ([]Result, []node.Stats, error) {
 	maxSGEs := 1
 	for _, c := range sgeCounts {
 		if c > maxSGEs {
 			maxSGEs = c
 		}
 	}
-	rg, err := newRig(m, maxSGEs, spec, col, policy)
+	rg, err := newRig(cfg, maxSGEs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -273,36 +254,17 @@ func SGESweepPolicy(m *machine.Machine, sgeCounts, sgeSizes []int, policy string
 			out = append(out, res)
 		}
 	}
-	st, err := rg.nodeStats(spec)
+	st, err := rg.nodeStats()
 	if err != nil {
 		return nil, nil, err
 	}
 	return out, st, nil
 }
 
-// OffsetSweep reproduces Figure 4: work-request duration with 1 SGE for
-// each (offset, buffer size) combination.
-func OffsetSweep(m *machine.Machine, offsets, sizes []int) ([]Result, error) {
-	out, _, err := OffsetSweepNodeStats(m, offsets, sizes, nil)
-	return out, err
-}
-
-// OffsetSweepNodeStats is OffsetSweep with fault injection and
-// telemetry, shaped exactly like SGESweepNodeStats.
-func OffsetSweepNodeStats(m *machine.Machine, offsets, sizes []int, spec *faults.Spec) ([]Result, []node.Stats, error) {
-	return OffsetSweepTrace(m, offsets, sizes, spec, nil)
-}
-
-// OffsetSweepTrace is OffsetSweepNodeStats recording into a trace
-// collector, shaped exactly like SGESweepTrace.
-func OffsetSweepTrace(m *machine.Machine, offsets, sizes []int, spec *faults.Spec, col *trace.Collector) ([]Result, []node.Stats, error) {
-	return OffsetSweepPolicy(m, offsets, sizes, "", spec, col)
-}
-
-// OffsetSweepPolicy is OffsetSweepTrace with a placement-policy engine
-// on both hosts ("" = none).
-func OffsetSweepPolicy(m *machine.Machine, offsets, sizes []int, policy string, spec *faults.Spec, col *trace.Collector) ([]Result, []node.Stats, error) {
-	rg, err := newRig(m, 1, spec, col, policy)
+// OffsetSweep reproduces Figure 4 with 1 SGE for each (offset, buffer
+// size) combination, shaped exactly like SGESweep.
+func OffsetSweep(cfg node.Config, offsets, sizes []int) ([]Result, []node.Stats, error) {
+	rg, err := newRig(cfg, 1)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -316,7 +278,7 @@ func OffsetSweepPolicy(m *machine.Machine, offsets, sizes []int, policy string, 
 			out = append(out, res)
 		}
 	}
-	st, err := rg.nodeStats(spec)
+	st, err := rg.nodeStats()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -325,11 +287,11 @@ func OffsetSweepPolicy(m *machine.Machine, offsets, sizes []int, policy string, 
 
 // nodeStats snapshots the rig hosts and appends a degradation-probe
 // host: salt 2, hugepage allocator, lazy deregistration — the
-// configuration on which every fault class in spec can land.
-func (rg *rig) nodeStats(spec *faults.Spec) ([]node.Stats, error) {
+// configuration on which every fault class in the rig's spec can land.
+func (rg *rig) nodeStats() ([]node.Stats, error) {
 	probe, err := node.New(node.Config{
-		Machine: rg.m, Allocator: node.AllocHuge, LazyDereg: true,
-		Faults: spec, FaultSalt: 2,
+		Machine: rg.cfg.Machine, Allocator: node.AllocHuge, LazyDereg: true,
+		Faults: rg.cfg.Faults, FaultSalt: 2,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("wrbench: probe host: %w", err)

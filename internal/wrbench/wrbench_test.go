@@ -4,10 +4,11 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/node"
 	"repro/internal/simtime"
 )
 
-func sysp() *machine.Machine { return machine.SystemP() }
+func sysp() node.Config { return node.Config{Machine: machine.SystemP()} }
 
 func at(rs []Result, sges, size, off int) Result {
 	for _, r := range rs {
@@ -21,7 +22,7 @@ func at(rs []Result, sges, size, off int) Result {
 func TestFig3PostCostBand(t *testing.T) {
 	// Paper: post time "varies between 450-650 TBR ticks" and is
 	// "approximately constant for small and for large messages".
-	rs, err := SGESweep(sysp(), []int{1, 2, 4, 8}, DefaultSGESizes())
+	rs, _, err := SGESweep(sysp(), []int{1, 2, 4, 8}, DefaultSGESizes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestFig3PostCostBand(t *testing.T) {
 func TestFig3OneTwentyEightSGEsIsThreeX(t *testing.T) {
 	// Paper: "the time consumption by using 128 SGEs is only three times
 	// higher than with one SGE" (post operation).
-	rs, err := SGESweep(sysp(), []int{1, 128}, []int{64})
+	rs, _, err := SGESweep(sysp(), []int{1, 128}, []int{64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestFig3FourSGEsCheapAggregation(t *testing.T) {
 	// Paper: "up to 128 Byte, the sending of 4 SGEs with same sizes - the
 	// overall message size is 4 times higher than with one SGE - is only
 	// 14 % more costly".
-	rs, err := SGESweep(sysp(), []int{1, 4}, []int{8, 16, 32, 64, 128})
+	rs, _, err := SGESweep(sysp(), []int{1, 4}, []int{8, 16, 32, 64, 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestFig3FourSGEsCheapAggregation(t *testing.T) {
 func TestFig3OneSGEFlatThenLinear(t *testing.T) {
 	// Paper: "The outlay for 1 SGE is relatively constant up to 512 Bytes
 	// and then grows linearly with buffer size."
-	rs, err := SGESweep(sysp(), []int{1}, DefaultSGESizes())
+	rs, _, err := SGESweep(sysp(), []int{1}, DefaultSGESizes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestFig4OffsetEffect(t *testing.T) {
 	// consumption ... differs up to 8 percent", optimised "e.g. at offset
 	// 64".
 	sizes := []int{8, 16, 32, 64}
-	rs, err := OffsetSweep(sysp(), DefaultOffsets(), sizes)
+	rs, _, err := OffsetSweep(sysp(), DefaultOffsets(), sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestFig4OffsetEffect(t *testing.T) {
 }
 
 func TestParameterValidation(t *testing.T) {
-	rg, err := newRig(sysp(), 1, nil, nil, "")
+	rg, err := newRig(sysp(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

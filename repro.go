@@ -127,17 +127,20 @@ func NewClusterConfig(cfg ClusterConfig) (*Cluster, error) { return mpi.NewWorld
 
 // SGESweep reproduces Figure 3: post/poll ticks per (SGE count, SGE size).
 func SGESweep(m *Machine, sgeCounts, sgeSizes []int) ([]WRResult, error) {
-	return wrbench.SGESweep(m, sgeCounts, sgeSizes)
+	rs, _, err := wrbench.SGESweep(NodeConfig{Machine: m}, sgeCounts, sgeSizes)
+	return rs, err
 }
 
 // OffsetSweep reproduces Figure 4: work-request ticks per (offset, size).
 func OffsetSweep(m *Machine, offsets, sizes []int) ([]WRResult, error) {
-	return wrbench.OffsetSweep(m, offsets, sizes)
+	rs, _, err := wrbench.OffsetSweep(NodeConfig{Machine: m}, offsets, sizes)
+	return rs, err
 }
 
 // IMBSendRecv reproduces one Figure 5 curve under an MPI configuration.
 func IMBSendRecv(cfg ClusterConfig, sizes []int) ([]SendRecvResult, error) {
-	return imb.SendRecv(cfg, sizes)
+	rs, _, err := imb.SendRecv(cfg, sizes)
+	return rs, err
 }
 
 // IMBPingPong runs the IMB PingPong latency test (an extension beyond the
@@ -153,13 +156,13 @@ func IMBExchange(cfg ClusterConfig, sizes []int) ([]imb.ExchangeResult, error) {
 
 // Fig5 runs all four Figure 5 configurations on a machine.
 func Fig5(m *Machine, sizes []int) (map[string][]SendRecvResult, error) {
-	return imb.RunFig5(m, sizes)
+	return imb.RunFig5(ClusterConfig{Machine: m}, sizes)
 }
 
 // RegistrationSweep reproduces the registration-cost premise (E9):
 // RegMR time for 4 KiB vs 2 MiB placement across buffer sizes.
 func RegistrationSweep(m *Machine, sizes []uint64) ([]imb.RegResult, error) {
-	return imb.RegistrationSweep(m, sizes)
+	return imb.RegistrationSweep(NodeConfig{Machine: m}, sizes)
 }
 
 // NASKernels returns the five NAS kernels (cg, ep, is, lu, mg).
@@ -176,12 +179,12 @@ func RunNAS(m *Machine, ranks int, s Strategy, k nas.Kernel) (NASResult, error) 
 	if err := s.Validate(); err != nil {
 		return NASResult{}, err
 	}
-	return nas.RunKernelConfig(s.MPIConfig(ranks), k)
+	return nas.RunKernel(s.MPIConfig(ranks), k)
 }
 
 // Fig6 reproduces the NAS improvement split on a machine.
 func Fig6(m *Machine, ranks int) ([]Fig6Row, error) {
-	return nas.RunFig6(m, ranks, nil)
+	return nas.RunFig6(ClusterConfig{Machine: m, Ranks: ranks}, nil)
 }
 
 // FormatFig6 renders Figure 6 rows as text.
@@ -241,7 +244,7 @@ func RunSweep(g SweepGrid, workers int) (*Bench, []sweep.RunError, error) {
 var GateBench = sweep.Gate
 
 // SweepCache is the content-addressed result store behind sweeprun
-// -cache and the sweepd service: replicates keyed by a canonical hash
+// -cache: replicates keyed by a canonical hash
 // of (workload, machine, strategy, faults, seed, schema version, code
 // fingerprint), served byte-identically on re-runs.
 type SweepCache = cas.Store
