@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"repro/internal/alloc"
-	"repro/internal/mpi"
 	"repro/internal/workload"
 )
 
@@ -54,23 +53,12 @@ func BenchmarkFig4Offset(b *testing.B) {
 // BenchmarkFig5IMB regenerates Figure 5: IMB SendRecv bandwidth for the
 // four page-size x lazy-deregistration configurations on the Opteron.
 func BenchmarkFig5IMB(b *testing.B) {
-	configs := []struct {
-		name string
-		a    mpi.AllocatorKind
-		lazy bool
-	}{
-		{"small-pages", mpi.AllocLibc, false},
-		{"hugepages", mpi.AllocHuge, false},
-		{"small-pages-lazy", mpi.AllocLibc, true},
-		{"hugepages-lazy", mpi.AllocHuge, true},
-	}
-	for _, c := range configs {
-		b.Run(c.name, func(b *testing.B) {
+	for _, name := range []string{"small", "huge", "small-lazy", "huge-lazy"} {
+		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rs, err := IMBSendRecv(ClusterConfig{
+				rs, err := IMBSendRecv(MustStrategy(name).Apply(ClusterConfig{
 					Machine: Opteron(), Ranks: 2,
-					Allocator: c.a, LazyDereg: c.lazy, HugeATT: true,
-				}, []int{4 << 20})
+				}), []int{4 << 20})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -84,17 +72,15 @@ func BenchmarkFig5IMB(b *testing.B) {
 // lazy-deregistration bandwidth with and without hugepage translations
 // pushed to the adapter.
 func BenchmarkFig5XeonATT(b *testing.B) {
-	for _, patched := range []bool{false, true} {
-		name := "unpatched-driver"
-		if patched {
-			name = "hugepage-att-patch"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, c := range []struct{ name, strategy string }{
+		{"unpatched-driver", "huge-lazy-noatt"},
+		{"hugepage-att-patch", "huge-lazy"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rs, err := IMBSendRecv(ClusterConfig{
+				rs, err := IMBSendRecv(MustStrategy(c.strategy).Apply(ClusterConfig{
 					Machine: Xeon(), Ranks: 2,
-					Allocator: mpi.AllocHuge, LazyDereg: true, HugeATT: patched,
-				}, []int{4 << 20})
+				}), []int{4 << 20})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -111,11 +97,11 @@ func BenchmarkFig6NAS(b *testing.B) {
 	for _, k := range NASKernels() {
 		b.Run(k.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				small, err := RunNAS(Opteron(), 8, Baseline(Opteron()), k)
+				small, err := RunNAS(MustStrategy("small").Apply(ClusterConfig{Machine: Opteron(), Ranks: 8}), k)
 				if err != nil {
 					b.Fatal(err)
 				}
-				huge, err := RunNAS(Opteron(), 8, Recommended(Opteron()), k)
+				huge, err := RunNAS(hugeLazy(Opteron(), 8), k)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -166,7 +152,7 @@ func BenchmarkAbinitAlloc(b *testing.B) {
 
 // BenchmarkAllocAblations regenerates the Section 3 design-choice
 // ablations (E8): the library with single design points flipped, on the
-// Abinit trace.
+// Abinit trace, on the Opteron.
 func BenchmarkAllocAblations(b *testing.B) {
 	variants := []struct {
 		name   string
@@ -184,7 +170,7 @@ func BenchmarkAllocAblations(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := alloc.DefaultHugeConfig()
 				v.mutate(&cfg)
-				n, err := NewNode(NodeConfig{Machine: SystemP(), Allocator: "huge", HugeConfig: &cfg})
+				n, err := NewNode(NodeConfig{Machine: Opteron(), Allocator: "huge", HugeConfig: &cfg})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -204,7 +190,7 @@ func BenchmarkAllocAblations(b *testing.B) {
 // scatter/gather work request.
 func BenchmarkSGEAggregation(b *testing.B) {
 	run := func(b *testing.B, gathered bool) Ticks {
-		w, err := NewCluster(Recommended(SystemP()), 2)
+		w, err := NewCluster(hugeLazy(SystemP(), 2))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -265,11 +251,9 @@ func BenchmarkRendezvousProtocols(b *testing.B) {
 	for _, proto := range []string{"write", "read"} {
 		b.Run(proto, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				w, err := NewClusterConfig(ClusterConfig{
-					Machine: Opteron(), Ranks: 2,
-					Allocator: mpi.AllocHuge, LazyDereg: true, HugeATT: true,
-					RendezvousProtocol: proto,
-				})
+				cfg := hugeLazy(Opteron(), 2)
+				cfg.RendezvousProtocol = proto
+				w, err := NewCluster(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -315,11 +299,9 @@ func BenchmarkProtocolLimits(b *testing.B) {
 	for _, rdmaLimit := range []int{16 << 10, 64 << 10} {
 		b.Run(fmt.Sprintf("rdma-limit=%dKiB", rdmaLimit/1024), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rs, err := IMBSendRecv(ClusterConfig{
-					Machine: Opteron(), Ranks: 2,
-					Allocator: mpi.AllocHuge, LazyDereg: true, HugeATT: true,
-					RdmaLimit: rdmaLimit,
-				}, []int{32 << 10})
+				cfg := hugeLazy(Opteron(), 2)
+				cfg.RdmaLimit = rdmaLimit
+				rs, err := IMBSendRecv(cfg, []int{32 << 10})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -341,10 +323,9 @@ func BenchmarkRegCacheBound(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				w, err := NewClusterConfig(ClusterConfig{
+				w, err := NewCluster(MustStrategy("small-lazy").Apply(ClusterConfig{
 					Machine: Opteron(), Ranks: 2,
-					Allocator: mpi.AllocLibc, LazyDereg: true, HugeATT: true,
-				})
+				}))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -352,12 +333,19 @@ func BenchmarkRegCacheBound(b *testing.B) {
 				err = w.Run(func(r *Rank) error {
 					r.Cache().MaxPinned = bound
 					const n, slices = 512 << 10, 8
-					va, _ := r.Malloc(n * slices)
+					va, err := r.Malloc(n * slices)
+					if err != nil {
+						return err
+					}
+					rva, err := r.Malloc(n * slices)
+					if err != nil {
+						return err
+					}
 					peer := 1 - r.ID()
 					for it := 0; it < 6; it++ {
 						for s := 0; s < slices; s++ {
 							off := VA(s * n)
-							if _, err := r.Sendrecv(peer, s, va+off, n, peer, s, va+off, n); err != nil {
+							if _, err := r.Sendrecv(peer, s, va+off, n, peer, s, rva+off, n); err != nil {
 								return err
 							}
 						}

@@ -58,7 +58,7 @@ func main() {
 	fmt.Println("=== E1 (Figure 3): work-request duration by SGE count (IBM System p, TBR ticks) ===")
 	sysp := machine.SystemP()
 	wr := node.Config{Machine: sysp, Faults: spec, Policy: env.Policy}
-	rs, _, err := wrbench.SGESweep(wr, []int{1, 2, 4, 8, 128}, []int{1, 64, 128, 512, 4096})
+	rs, err := wrbench.SGESweep(wr, []int{1, 2, 4, 8, 128}, []int{1, 64, 128, 512, 4096})
 	if err != nil {
 		env.Fail(err)
 	}
@@ -74,7 +74,7 @@ func main() {
 		float64(p128.PostTicks)/float64(p1.PostTicks))
 
 	fmt.Println("=== E2 (Figure 4): work-request duration by buffer offset (IBM System p) ===")
-	or, _, err := wrbench.OffsetSweep(wr, []int{0, 16, 32, 48, 64, 80, 96, 128}, []int{8, 64})
+	or, err := wrbench.OffsetSweep(wr, []int{0, 16, 32, 48, 64, 80, 96, 128}, []int{8, 64})
 	if err != nil {
 		env.Fail(err)
 	}
@@ -155,7 +155,7 @@ func main() {
 	}
 	fmt.Printf("libc %v, hugepage library %v -> %.1fx faster\n", libcT, hugeT,
 		float64(libcT)/float64(hugeT))
-	fmt.Println("paper: \"allocation benefits of up to 10 times\" (full table: cmd/allocbench)")
+	fmt.Println("paper: \"allocation benefits of up to 10 times\" (full table: examples/allocator)")
 	fmt.Println()
 
 	if *quick {

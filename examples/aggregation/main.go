@@ -3,7 +3,7 @@
 // The classic path packs them with CPU copies (MPI_Pack) into one
 // contiguous buffer; the paper's proposal posts ONE work request whose
 // scatter/gather list references the pieces in place. This example runs
-// both paths, checks the advisor's prediction, and prints the costs.
+// both paths and prints the measured costs.
 package main
 
 import (
@@ -20,7 +20,8 @@ const (
 )
 
 func run(gathered bool) (repro.Ticks, error) {
-	cluster, err := repro.NewCluster(repro.Recommended(repro.SystemP()), 2)
+	cluster, err := repro.NewCluster(repro.MustStrategy("huge-lazy").Apply(
+		repro.ClusterConfig{Machine: repro.SystemP(), Ranks: 2}))
 	if err != nil {
 		return 0, err
 	}
@@ -83,12 +84,7 @@ func run(gathered bool) (repro.Ticks, error) {
 }
 
 func main() {
-	s := repro.Recommended(repro.SystemP())
-	fmt.Printf("scenario: %d pieces x %d bytes, non-contiguous\n", npieces, pieceLen)
-	fmt.Printf("advisor: pack=%v ticks  gather=%v ticks  -> aggregate? %v\n\n",
-		s.EstimatePackCost(npieces, pieceLen),
-		s.EstimateGatherCost(npieces, pieceLen),
-		s.ShouldAggregate(npieces, pieceLen))
+	fmt.Printf("scenario: %d pieces x %d bytes, non-contiguous\n\n", npieces, pieceLen)
 
 	packed, err := run(false)
 	if err != nil {
@@ -102,8 +98,4 @@ func main() {
 	fmt.Printf("measured per-send cost, scatter/gather list:  %v\n", gathered)
 	fmt.Printf("SGE aggregation saves %.1f%% (paper Section 4: \"MPI implementations\n", 100*(1-float64(gathered)/float64(packed)))
 	fmt.Println("for InfiniBand may benefit in a perceptible way by using this feature\")")
-
-	// The advisor also knows when NOT to aggregate.
-	fmt.Printf("\ncounter-case: 256 pieces x 4 bytes -> aggregate? %v (copying tiny pieces is cheaper)\n",
-		s.ShouldAggregate(256, 4))
 }

@@ -47,12 +47,27 @@ func main() {
 	st = lib.Stats()
 	fmt.Printf("splits=%d coalesces=%d (no coalescing on the free path)\n\n", st.Splits, st.Coalesces)
 
-	// The headline comparison (E7).
-	libcTicks, hugeTicks, err := repro.AbinitComparison(m)
-	if err != nil {
-		log.Fatal(err)
+	// The headline comparison (E7), one row per allocation library.
+	fmt.Printf("Abinit-style trace, all four libraries (%s)\n", m.Name)
+	fmt.Printf("%-26s %14s %10s %12s %12s\n", "library", "alloc time", "speedup", "syscalls", "peak huge MB")
+	var libcTicks float64
+	for _, lib := range []struct{ name, kind string }{
+		{"libc", "libc"},
+		{"hugepage-library", "huge"},
+		{"libhugetlbfs-morecore", "morecore"},
+		{"libhugepagealloc", "pagesep"},
+	} {
+		r, err := repro.AbinitReplay(m, lib.kind)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if libcTicks == 0 {
+			libcTicks = float64(r.AllocTime)
+		}
+		fmt.Printf("%-26s %14v %9.1fx %12d %12.1f\n", lib.name, r.AllocTime,
+			libcTicks/float64(r.AllocTime), r.Stats.Syscalls,
+			float64(r.Stats.PeakLive)/float64(1<<20))
 	}
-	fmt.Printf("Abinit-style trace: libc %v, hugepage library %v -> %.1fx faster\n",
-		libcTicks, hugeTicks, float64(libcTicks)/float64(hugeTicks))
 	fmt.Println(`paper (Section 2): "we measured allocation benefits of up to 10 times"`)
+	fmt.Println("note: libhugepagealloc is additionally not thread safe (modelled; see DESIGN.md)")
 }

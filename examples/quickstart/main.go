@@ -1,6 +1,6 @@
-// Quickstart: build a simulated InfiniBand cluster, pick the paper's
-// recommended data-placement strategy, and bounce a message between two
-// ranks — printing what the placement decisions were and what they cost.
+// Quickstart: build a simulated InfiniBand cluster under the paper's
+// recommended data-placement strategy ("huge-lazy") and bounce a message
+// between two ranks — printing what the cached registration saves.
 package main
 
 import (
@@ -12,20 +12,12 @@ import (
 
 func main() {
 	m := repro.Opteron()
-	strategy := repro.Recommended(m)
+	strategy := repro.MustStrategy("huge-lazy")
 	fmt.Printf("machine:  %s\n", m.Name)
-	fmt.Printf("strategy: hugepages>=%dKiB lazy-dereg=%v hugepage-ATT=%v SGE-aggregation=%v\n\n",
-		strategy.Threshold/1024, strategy.LazyDereg, strategy.HugeATT, strategy.AggregateSGEs)
+	fmt.Printf("strategy: %s (allocator=%s lazy-dereg=%v hugepage-ATT=%v)\n\n",
+		strategy.Name, strategy.Allocator, strategy.LazyDereg, strategy.HugeATT)
 
-	// Ask the placement advisor about two buffers.
-	for _, size := range []uint64{16 << 10, 1 << 20} {
-		p := strategy.PlaceBuffer(size, 100)
-		fmt.Printf("a %4d KiB buffer reused 100x -> hugepages=%v register-once=%v offset=%d\n",
-			size/1024, p.Huge, p.RegisterOnce, p.SuggestedOffset)
-	}
-	fmt.Println()
-
-	cluster, err := repro.NewCluster(strategy, 2)
+	cluster, err := repro.NewCluster(strategy.Apply(repro.ClusterConfig{Machine: m, Ranks: 2}))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -28,8 +28,8 @@ type result struct {
 	pinnedKiB            int64
 }
 
-func run(s repro.Strategy, ranks int) (result, error) {
-	cluster, err := repro.NewCluster(s, ranks)
+func run(m *repro.Machine, s repro.Strategy, ranks int) (result, error) {
+	cluster, err := repro.NewCluster(s.Apply(repro.ClusterConfig{Machine: m, Ranks: ranks}))
 	if err != nil {
 		return result{}, err
 	}
@@ -109,11 +109,11 @@ func run(s repro.Strategy, ranks int) (result, error) {
 func main() {
 	m := repro.Opteron()
 	const ranks = 4
-	libc, err := run(repro.Baseline(m), ranks) // libc placement, no reg cache
+	libc, err := run(m, repro.MustStrategy("small"), ranks) // libc placement, no reg cache
 	if err != nil {
 		log.Fatal(err)
 	}
-	hp, err := run(repro.Recommended(m), ranks)
+	hp, err := run(m, repro.MustStrategy("huge-lazy"), ranks)
 	if err != nil {
 		log.Fatal(err)
 	}

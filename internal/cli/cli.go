@@ -1,6 +1,6 @@
 // Package cli carries the flag-parsing and setup boilerplate shared by
-// every cmd tool: the -machine/-machines selector, the -faults spec,
-// the -stats toggle and the -trace collector, plus the uniform
+// every cmd tool: the -faults spec, the -stats toggle, the -policy
+// selector and the -trace collector, plus the uniform
 // "tool: error" exit path and the single rendering calls for reports
 // and traces. Each tool declares which of the shared flags it takes,
 // parses once, and gets back a resolved Env; tool-specific flags stay
@@ -14,10 +14,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/faults"
-	"repro/internal/machine"
 	"repro/internal/node"
 	"repro/internal/policy"
 	"repro/internal/trace"
@@ -30,12 +28,10 @@ type App struct {
 	fs   *flag.FlagSet
 	args func() []string
 
-	machineFlag  *string
-	machinesFlag *string
-	statsFlag    *bool
-	faultsFlag   *string
-	traceFlag    *string
-	policyFlag   *string
+	statsFlag  *bool
+	faultsFlag *string
+	traceFlag  *string
+	policyFlag *string
 }
 
 // New starts an App for a tool on the process-wide flag set (the normal
@@ -48,7 +44,7 @@ func New(tool string) *App {
 }
 
 // NewEnv builds a resolved Env directly — a clean-run default (no
-// machine, no faults, no trace) for tests that call a tool's helpers
+// faults, no trace) for tests that call a tool's helpers
 // without going through flag parsing.
 func NewEnv(tool string) *Env {
 	return &Env{Tool: tool}
@@ -64,20 +60,6 @@ func newWith(tool string, fs *flag.FlagSet, args []string) *App {
 func (a *App) registerCommon() {
 	a.faultsFlag = a.fs.String("faults", EnvDefault("FAULTS", ""), "deterministic fault spec, e.g. seed=7,hugecap=8,memlock=16m (see README; env REPRO_FAULTS)")
 	a.traceFlag = a.fs.String("trace", EnvDefault("TRACE", ""), "write a Perfetto trace of the run to this file ('-' = stdout; env REPRO_TRACE)")
-}
-
-// MachineFlag registers the single-machine -machine selector with a
-// default ("opteron", "systemp", ...).
-func (a *App) MachineFlag(def string) *App {
-	a.machineFlag = a.fs.String("machine", EnvDefault("MACHINE", def), "machine (opteron|xeon|systemp; env REPRO_MACHINE)")
-	return a
-}
-
-// MachinesFlag registers the -machines list selector (comma-separated)
-// with a default.
-func (a *App) MachinesFlag(def string) *App {
-	a.machinesFlag = a.fs.String("machines", def, "comma-separated machine list")
-	return a
 }
 
 // StatsFlag registers the -stats toggle with a tool-specific usage
@@ -101,12 +83,6 @@ type Env struct {
 	// Tool is the invoking command's name, used in error messages and
 	// report records.
 	Tool string
-	// Machine is the resolved -machine selection (nil unless
-	// MachineFlag was registered).
-	Machine *machine.Machine
-	// Machines is the resolved -machines selection (nil unless
-	// MachinesFlag was registered).
-	Machines []*machine.Machine
 	// Spec is the parsed -faults spec (nil = clean).
 	Spec *faults.Spec
 	// Stats reports the -stats toggle (false unless StatsFlag was
@@ -123,7 +99,7 @@ type Env struct {
 }
 
 // Parse parses the command line and resolves every registered shared
-// flag, exiting through Fail on any error (unknown machine, malformed
+// flag, exiting through Fail on any error (unknown policy, malformed
 // fault spec).
 func (a *App) Parse() *Env {
 	if a.fs == flag.CommandLine {
@@ -135,20 +111,6 @@ func (a *App) Parse() *Env {
 	e := &Env{Tool: a.tool, tracePath: *a.traceFlag}
 	if a.statsFlag != nil {
 		e.Stats = *a.statsFlag
-	}
-	if a.machineFlag != nil {
-		if e.Machine = machine.ByName(*a.machineFlag); e.Machine == nil {
-			e.Fail(fmt.Errorf("unknown machine %q", *a.machineFlag))
-		}
-	}
-	if a.machinesFlag != nil {
-		for _, name := range strings.Split(*a.machinesFlag, ",") {
-			m := machine.ByName(strings.TrimSpace(name))
-			if m == nil {
-				e.Fail(fmt.Errorf("unknown machine %q", name))
-			}
-			e.Machines = append(e.Machines, m)
-		}
 	}
 	if a.policyFlag != nil {
 		if _, err := policy.ParseKind(*a.policyFlag); err != nil {
@@ -163,9 +125,6 @@ func (a *App) Parse() *Env {
 	if e.tracePath != "" {
 		e.Col = trace.NewCollector()
 		e.Col.SetMeta("tool", a.tool)
-		if e.Machine != nil {
-			e.Col.SetMeta("machine", e.Machine.Name)
-		}
 		e.Col.SetMeta("faults", e.Spec.String())
 	}
 	return e
@@ -177,23 +136,10 @@ func (e *Env) Fail(err error) {
 	os.Exit(1)
 }
 
-// Failf is Fail with formatting.
-func (e *Env) Failf(format string, args ...any) {
-	e.Fail(fmt.Errorf(format, args...))
-}
-
 // NewReport assembles a node.Report stamped with the tool name, fault
 // spec and machine.
 func (e *Env) NewReport(workload, machineName string, nodes []node.Stats) node.Report {
 	return node.NewReport(e.Tool, workload, machineName, e.Spec.String(), nodes)
-}
-
-// EmitReports renders reports as the shared -stats JSON on stdout,
-// exiting through Fail on error.
-func (e *Env) EmitReports(reports []node.Report) {
-	if err := node.WriteReports(os.Stdout, reports); err != nil {
-		e.Fail(err)
-	}
 }
 
 // WriteTrace renders the -trace collector (no-op when -trace is

@@ -15,15 +15,15 @@ func newTestApp(t *testing.T, tool string, args []string) *App {
 
 func TestParseResolvesSharedFlags(t *testing.T) {
 	app := newTestApp(t, "x", []string{
-		"-machine", "systemp", "-stats", "-faults", "seed=7,hugecap=8", "-trace", "out.json",
+		"-policy", "adaptive", "-stats", "-faults", "seed=7,hugecap=8", "-trace", "out.json",
 	})
-	app.MachineFlag("opteron").StatsFlag("usage")
+	app.PolicyFlag().StatsFlag("usage")
 	e := app.Parse()
 	if e.Tool != "x" {
 		t.Fatalf("tool = %q", e.Tool)
 	}
-	if e.Machine == nil || e.Machine.Name != "ibm-systemp-ehca-gx" {
-		t.Fatalf("machine = %+v", e.Machine)
+	if e.Policy != "adaptive" {
+		t.Fatalf("policy = %q", e.Policy)
 	}
 	if !e.Stats {
 		t.Fatal("stats flag not resolved")
@@ -41,10 +41,10 @@ func TestParseResolvesSharedFlags(t *testing.T) {
 
 func TestParseDefaults(t *testing.T) {
 	app := newTestApp(t, "x", nil)
-	app.MachineFlag("opteron")
+	app.PolicyFlag()
 	e := app.Parse()
-	if e.Machine == nil {
-		t.Fatal("default machine not resolved")
+	if e.Policy != "static" {
+		t.Fatalf("default policy = %q, want static", e.Policy)
 	}
 	if e.Spec != nil {
 		t.Fatalf("clean run should have nil spec, got %+v", e.Spec)
@@ -54,33 +54,21 @@ func TestParseDefaults(t *testing.T) {
 	}
 }
 
-func TestParseMachinesList(t *testing.T) {
-	app := newTestApp(t, "x", []string{"-machines", "opteron, xeon"})
-	app.MachinesFlag("opteron,systemp")
-	e := app.Parse()
-	if len(e.Machines) != 2 {
-		t.Fatalf("got %d machines, want 2", len(e.Machines))
-	}
-	if e.Machines[0].Name == e.Machines[1].Name {
-		t.Fatal("machines not distinct")
-	}
-}
-
 // TestEnvProvidesDefaults pins the environment half of the plumbing:
-// with no flags given, REPRO_FAULTS / REPRO_MACHINE / REPRO_TRACE
+// with no flags given, REPRO_FAULTS / REPRO_POLICY / REPRO_TRACE
 // become the resolved configuration.
 func TestEnvProvidesDefaults(t *testing.T) {
 	t.Setenv("REPRO_FAULTS", "seed=11,hugecap=4")
-	t.Setenv("REPRO_MACHINE", "xeon")
+	t.Setenv("REPRO_POLICY", "threshold")
 	t.Setenv("REPRO_TRACE", "env.json")
 	app := newTestApp(t, "x", nil)
-	app.MachineFlag("opteron")
+	app.PolicyFlag()
 	e := app.Parse()
 	if e.Spec == nil || e.Spec.Seed != 11 {
 		t.Fatalf("REPRO_FAULTS not applied: spec = %+v", e.Spec)
 	}
-	if e.Machine == nil || e.Machine.Name != "intel-xeon-infinihost-pcix" {
-		t.Fatalf("REPRO_MACHINE not applied: machine = %+v", e.Machine)
+	if e.Policy != "threshold" {
+		t.Fatalf("REPRO_POLICY not applied: policy = %q", e.Policy)
 	}
 	if e.TracePath() != "env.json" || e.Col == nil {
 		t.Fatalf("REPRO_TRACE not applied: path = %q", e.TracePath())
@@ -91,15 +79,15 @@ func TestEnvProvidesDefaults(t *testing.T) {
 // over the environment for every shared flag.
 func TestFlagBeatsEnv(t *testing.T) {
 	t.Setenv("REPRO_FAULTS", "seed=11")
-	t.Setenv("REPRO_MACHINE", "xeon")
-	app := newTestApp(t, "x", []string{"-faults", "seed=99", "-machine", "systemp"})
-	app.MachineFlag("opteron")
+	t.Setenv("REPRO_POLICY", "threshold")
+	app := newTestApp(t, "x", []string{"-faults", "seed=99", "-policy", "adaptive"})
+	app.PolicyFlag()
 	e := app.Parse()
 	if e.Spec == nil || e.Spec.Seed != 99 {
 		t.Fatalf("flag did not beat REPRO_FAULTS: spec = %+v", e.Spec)
 	}
-	if e.Machine == nil || e.Machine.Name != "ibm-systemp-ehca-gx" {
-		t.Fatalf("flag did not beat REPRO_MACHINE: machine = %+v", e.Machine)
+	if e.Policy != "adaptive" {
+		t.Fatalf("flag did not beat REPRO_POLICY: policy = %q", e.Policy)
 	}
 }
 
@@ -111,20 +99,6 @@ func TestEnvDefaultFallsBack(t *testing.T) {
 	t.Setenv("REPRO_SET_PROBE", "value")
 	if got := EnvDefault("SET_PROBE", "fallback"); got != "value" {
 		t.Fatalf("EnvDefault = %q, want value", got)
-	}
-}
-
-func TestEnvInt(t *testing.T) {
-	t.Setenv("REPRO_WORKERS", "7")
-	if n, err := EnvInt("WORKERS", 0); err != nil || n != 7 {
-		t.Fatalf("EnvInt = %d, %v", n, err)
-	}
-	if n, err := EnvInt("WORKERS_ABSENT", 3); err != nil || n != 3 {
-		t.Fatalf("EnvInt default = %d, %v", n, err)
-	}
-	t.Setenv("REPRO_WORKERS", "seven")
-	if _, err := EnvInt("WORKERS", 0); err == nil {
-		t.Fatal("malformed REPRO_WORKERS accepted")
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 
 // Environment-variable plumbing for the shared flags. Every cmd tool
 // resolves flag defaults through these helpers, so a deployment can set
-// REPRO_FAULTS / REPRO_TRACE / REPRO_MACHINE / REPRO_POLICY /
-// REPRO_CACHE once instead of repeating flags on every invocation.
+// REPRO_FAULTS / REPRO_TRACE / REPRO_POLICY / REPRO_CACHE once instead
+// of repeating flags on every invocation.
 // Precedence is strict and uniform: an explicit flag beats the
 // environment, the environment beats the built-in default. Malformed
 // environment values fail exactly like malformed flag values — at Parse
@@ -27,20 +27,6 @@ func EnvDefault(name, def string) string {
 		return v
 	}
 	return def
-}
-
-// EnvInt resolves an integer default from REPRO_<name>. A set but
-// malformed value is an error naming the variable.
-func EnvInt(name string, def int) (int, error) {
-	v := os.Getenv(EnvPrefix + name)
-	if v == "" {
-		return def, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("%s%s=%q is not an integer", EnvPrefix, name, v)
-	}
-	return n, nil
 }
 
 // ParseSize parses a byte count with an optional binary suffix: "4096",

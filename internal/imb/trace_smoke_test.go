@@ -7,23 +7,15 @@ import (
 	"repro/internal/faults"
 	"repro/internal/machine"
 	"repro/internal/mpi"
+	"repro/internal/node"
 	"repro/internal/trace"
 )
 
-// traceBytes runs one traced SendRecv ladder and renders the trace.
-func traceBytes(t *testing.T, spec *faults.Spec) []byte {
+// render runs one traced experiment and renders the trace.
+func render(t *testing.T, run func(*trace.Collector) error) []byte {
 	t.Helper()
 	col := trace.NewCollector()
-	_, _, err := SendRecv(mpi.Config{
-		Machine:   machine.Opteron(),
-		Ranks:     2,
-		Allocator: mpi.AllocHuge,
-		LazyDereg: true,
-		HugeATT:   true,
-		Faults:    spec,
-		Trace:     col,
-	}, []int{64 << 10, 1 << 20})
-	if err != nil {
+	if err := run(col); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -33,10 +25,39 @@ func traceBytes(t *testing.T, spec *faults.Spec) []byte {
 	return buf.Bytes()
 }
 
+// traceBytes runs one traced SendRecv ladder and renders the trace.
+func traceBytes(t *testing.T, spec *faults.Spec) []byte {
+	t.Helper()
+	return render(t, func(col *trace.Collector) error {
+		_, _, err := SendRecv(mpi.Config{
+			Machine:   machine.Opteron(),
+			Ranks:     2,
+			Allocator: mpi.AllocHuge,
+			LazyDereg: true,
+			HugeATT:   true,
+			Faults:    spec,
+			Trace:     col,
+		}, []int{64 << 10, 1 << 20})
+		return err
+	})
+}
+
+// regTraceBytes runs one traced registration sweep and renders the
+// trace. It runs clean: the sweep pins up to 2x64 MiB, which a memlock
+// fault correctly rejects.
+func regTraceBytes(t *testing.T) []byte {
+	t.Helper()
+	return render(t, func(col *trace.Collector) error {
+		_, err := RegistrationSweep(node.Config{Machine: machine.Opteron(), Trace: col},
+			[]uint64{2 << 20, 8 << 20, 64 << 20})
+		return err
+	})
+}
+
 // TestTraceBytesIdenticalAcrossRuns is the determinism smoke test: the
 // same seed and spec must render byte-identical trace files, including
-// under fault injection (the CI trace-golden step runs the same check
-// through the cmd tools).
+// under fault injection, for the SendRecv ladder and the registration
+// sweep.
 func TestTraceBytesIdenticalAcrossRuns(t *testing.T) {
 	spec, err := faults.ParseSpec("seed=7,hugecap=8,hugefail=40,shrink=100:2,memlock=16m,wr=50,attevict=400")
 	if err != nil {
@@ -50,6 +71,9 @@ func TestTraceBytesIdenticalAcrossRuns(t *testing.T) {
 		if !bytes.Equal(a, b) {
 			t.Fatalf("same-seed trace bytes differ (spec=%v): %d vs %d bytes", s, len(a), len(b))
 		}
+	}
+	if a, b := regTraceBytes(t), regTraceBytes(t); len(a) == 0 || !bytes.Equal(a, b) {
+		t.Fatalf("registration-sweep trace bytes differ or empty: %d vs %d bytes", len(a), len(b))
 	}
 }
 
@@ -75,6 +99,18 @@ func TestTraceBreakdownPartitionsElapsed(t *testing.T) {
 		}
 		if b.Self[string(trace.LMPI)] == 0 {
 			t.Fatalf("%s: no MPI time attributed", b.Name)
+		}
+	}
+	reg, err := trace.ParsePerfetto(bytes.NewReader(regTraceBytes(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reg.Spans)+len(reg.Events) == 0 {
+		t.Fatal("registration sweep traced nothing")
+	}
+	for _, b := range reg.Breakdowns() {
+		if b.Total() != reg.Elapsed() {
+			t.Fatalf("registration sweep %s: breakdown total %d != elapsed %d", b.Name, b.Total(), reg.Elapsed())
 		}
 	}
 }

@@ -72,9 +72,7 @@ func (r *Rank) AlltoallvPieces(pieces [][]Piece, recvVA vm.VA, recvCounts, recvD
 				return fmt.Errorf("mpi: alltoallv-pieces step %d: %w", k, err)
 			}
 		default:
-			estGather := r.GatherCostEstimate(total/len(send), len(send))
-			estPack := r.memcpyTicks(total) + r.GatherCostEstimate(total, 1)
-			if r.node.Policy().DecideGather(len(send), uint64(total), estGather, estPack) {
+			if r.preferGather(send, total) {
 				if err := r.SendGathered(dst, tag, send); err != nil {
 					return fmt.Errorf("mpi: alltoallv-pieces step %d: %w", k, err)
 				}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/node"
 	"repro/internal/simtime"
 	"repro/internal/vm"
 )
@@ -617,6 +618,27 @@ func TestWorldValidation(t *testing.T) {
 	}
 	if _, err := NewWorld(Config{Machine: machine.Opteron(), Ranks: 1, Allocator: "bogus"}); err == nil {
 		t.Fatal("bogus allocator accepted")
+	}
+}
+
+// TestHugeATTNeedsAdapterSupport pins the one strategy check every path
+// shares: the ATT driver patch on an adapter that cannot hold 2 MiB
+// translations is rejected by node.Config.Validate, so both a
+// standalone host and a whole job refuse it.
+func TestHugeATTNeedsAdapterSupport(t *testing.T) {
+	m := *machine.Opteron()
+	m.HCA.SupportsHugeATT = false
+	if _, err := node.New(node.Config{Machine: &m, HugeATT: true}); err == nil {
+		t.Fatal("node.New accepted HugeATT on an adapter without 2 MiB ATT entries")
+	}
+	cfg := defaultCfg(2)
+	cfg.Machine = &m
+	if _, err := NewWorld(cfg); err == nil {
+		t.Fatal("NewWorld accepted HugeATT on an adapter without 2 MiB ATT entries")
+	}
+	cfg.HugeATT = false
+	if _, err := NewWorld(cfg); err != nil {
+		t.Fatalf("unpatched driver on the same adapter rejected: %v", err)
 	}
 }
 

@@ -141,28 +141,33 @@ func (r *Rank) RecvUnpack(src, tag int, pieces []Piece) error {
 }
 
 // SendPieces transmits a non-contiguous buffer, choosing between the
-// single-WR gather list (SendGathered) and pack-and-copy (SendPacked).
-// The send-side cost estimates — pieces SGEs versus one copy of the
-// whole payload plus a single-SGE post — go through the node's policy
-// engine (DecideGather), which may overrule them on live ATT pressure;
-// without an engine the raw estimates decide.
+// single-WR gather list (SendGathered) and pack-and-copy (SendPacked)
+// through preferGather.
 func (r *Rank) SendPieces(dst, tag int, pieces []Piece) error {
 	if len(pieces) == 0 {
 		return fmt.Errorf("mpi: empty piece list")
 	}
-	total := totalPieces(pieces)
-	estGather := r.GatherCostEstimate(total/len(pieces), len(pieces))
-	estPack := r.memcpyTicks(total) + r.GatherCostEstimate(total, 1)
-	if r.node.Policy().DecideGather(len(pieces), uint64(total), estGather, estPack) {
+	if r.preferGather(pieces, totalPieces(pieces)) {
 		return r.SendGathered(dst, tag, pieces)
 	}
 	return r.SendPacked(dst, tag, pieces)
 }
 
-// GatherCostEstimate reports the modelled post+gather cost of an n-piece
-// send at the given piece size, without sending (used by the SGE planner
-// in internal/core to decide between packing and gathering).
-func (r *Rank) GatherCostEstimate(pieceLen, pieces int) simtime.Ticks {
+// preferGather is the runtime's one pack-vs-gather decision for a
+// non-empty piece list of total bytes. The send-side cost estimates —
+// len(pieces) SGEs versus one copy of the whole payload plus a
+// single-SGE post — go through the node's policy engine (DecideGather),
+// which may overrule them on live ATT pressure; without an engine the
+// raw estimates decide.
+func (r *Rank) preferGather(pieces []Piece, total int) bool {
+	estGather := r.gatherCost(total/len(pieces), len(pieces))
+	estPack := r.memcpyTicks(total) + r.gatherCost(total, 1)
+	return r.node.Policy().DecideGather(len(pieces), uint64(total), estGather, estPack)
+}
+
+// gatherCost is the modelled post+gather cost of an n-piece send at the
+// given piece size.
+func (r *Rank) gatherCost(pieceLen, pieces int) simtime.Ticks {
 	post := r.world.cfg.Machine.HCA.DoorbellTicks +
 		r.world.cfg.Machine.HCA.WQEBaseTicks +
 		simtime.Ticks(pieces-1)*r.world.cfg.Machine.HCA.WQESGETicks

@@ -8,9 +8,7 @@
 package mpip
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/simtime"
@@ -145,26 +143,4 @@ func (p *Profile) Merge(q *Profile) {
 	p.compute += compute
 	p.alloc += alloc
 	p.mu.Unlock()
-}
-
-// Report renders an mpiP-style text summary.
-func (p *Profile) Report() string {
-	var b strings.Builder
-	comm, comp := p.CommTime(), p.ComputeTime()
-	total := comm + comp
-	fmt.Fprintf(&b, "@--- MPI Time (virtual) ------------------------------\n")
-	fmt.Fprintf(&b, "App time %v, MPI time %v (%.1f%%)\n", total, comm, pct(comm, total))
-	fmt.Fprintf(&b, "@--- Aggregate Time (top MPI callsites) --------------\n")
-	for _, cs := range p.Calls() {
-		fmt.Fprintf(&b, "%-14s calls %8d  time %12v  (%.1f%% of MPI)\n",
-			cs.Name, cs.Count, cs.Time, pct(cs.Time, comm))
-	}
-	return b.String()
-}
-
-func pct(a, b simtime.Ticks) float64 {
-	if b == 0 {
-		return 0
-	}
-	return 100 * float64(a) / float64(b)
 }

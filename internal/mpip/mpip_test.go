@@ -1,7 +1,6 @@
 package mpip
 
 import (
-	"strings"
 	"sync"
 	"testing"
 )
@@ -62,18 +61,6 @@ func TestMerge(t *testing.T) {
 	}
 }
 
-func TestReportRendersAll(t *testing.T) {
-	p := New()
-	p.AddCall("Sendrecv", 512)
-	p.AddCompute(1000)
-	rep := p.Report()
-	for _, want := range []string{"MPI Time", "Sendrecv", "calls", "App time"} {
-		if !strings.Contains(rep, want) {
-			t.Errorf("report missing %q:\n%s", want, rep)
-		}
-	}
-}
-
 func TestNilProfileIsSafe(t *testing.T) {
 	var p *Profile
 	p.AddCall("Send", 1) // must not panic
@@ -104,8 +91,5 @@ func TestEmptyProfile(t *testing.T) {
 	p := New()
 	if p.CommTime() != 0 || len(p.Calls()) != 0 {
 		t.Fatal("empty profile not empty")
-	}
-	if !strings.Contains(p.Report(), "MPI Time") {
-		t.Fatal("empty report malformed")
 	}
 }

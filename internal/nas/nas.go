@@ -48,8 +48,6 @@ type Result struct {
 	HugeBytes int64         // peak bytes placed in hugepages (rank 0)
 	RegTicks  simtime.Ticks // aggregate registration time
 	Evictions int64         // registration-cache evictions
-	// MPIProfile is the rendered mpiP-style report of the whole job.
-	MPIProfile string
 	// Nodes is every rank's end-of-run host telemetry, in rank order.
 	Nodes []node.Stats
 }
@@ -98,7 +96,6 @@ func RunKernel(cfg mpi.Config, k Kernel) (Result, error) {
 	}
 	res.Total = res.Comm + res.Compute
 	res.HugeBytes = w.Rank(0).Allocator().Stats().HugeBytes
-	res.MPIProfile = w.Profile().Report()
 	res.Nodes = w.NodeStats()
 	return res, nil
 }

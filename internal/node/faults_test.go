@@ -3,12 +3,15 @@ package node_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/faults"
 	"repro/internal/machine"
 	"repro/internal/node"
+	"repro/internal/vm"
 )
 
 func probeNode(t *testing.T, specStr string) *node.Node {
@@ -30,9 +33,66 @@ func probeNode(t *testing.T, specStr string) *node.Node {
 	return n
 }
 
+// degradationProbe drives the node's allocation and registration path
+// hard enough to surface degraded-mode behaviour under an active fault
+// spec: a deterministic ladder of large allocations (hugepage-library
+// requests that redirect to libc once the pool runs dry), each
+// registered through the pin-down cache (tripping the memlock
+// evict-and-retry policy when a ceiling is set), then invalidated and
+// freed. With no fault spec it is just a short, clean
+// allocate/register/free exercise.
+//
+// The ladder holds all blocks live before releasing any, so a capped
+// pool genuinely exhausts, and it keeps every registration released
+// (refcount zero) before the next Acquire, so memlock recovery always
+// has idle entries to evict — the probe completes under any spec whose
+// memlock ceiling admits one block.
+func degradationProbe(n *node.Node) error {
+	const (
+		blocks     = 12
+		blockBytes = 4 << 20
+	)
+	vas := make([]vm.VA, 0, blocks)
+	for i := 0; i < blocks; i++ {
+		va, err := n.Alloc.Alloc(blockBytes)
+		if err != nil {
+			return fmt.Errorf("node: probe alloc %d: %w", i, err)
+		}
+		mr, _, err := n.Cache.Acquire(va, blockBytes)
+		if err != nil {
+			return fmt.Errorf("node: probe register %d: %w", i, err)
+		}
+		if _, err := n.Cache.Release(mr); err != nil {
+			return fmt.Errorf("node: probe release %d: %w", i, err)
+		}
+		vas = append(vas, va)
+	}
+	// A BSS-style mapping exercises the vm-level MapHugeOrSmall fallback
+	// (distinct from the library's Figure-2 redirect): under an
+	// exhausted pool it lands in small pages and counts HugeFallbacks.
+	// The segment is startup-owned and never freed, as in the paper's
+	// linker-script trick.
+	if h, ok := n.Alloc.(*alloc.Huge); ok {
+		if _, _, err := h.MapBSS(blockBytes); err != nil {
+			return fmt.Errorf("node: probe bss: %w", err)
+		}
+	} else if _, _, err := n.AS.MapHugeOrSmall(blockBytes); err != nil {
+		return fmt.Errorf("node: probe bss: %w", err)
+	}
+	for i, va := range vas {
+		if _, err := n.Cache.Invalidate(va, blockBytes); err != nil {
+			return fmt.Errorf("node: probe invalidate %d: %w", i, err)
+		}
+		if err := n.Alloc.Free(va); err != nil {
+			return fmt.Errorf("node: probe free %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 func TestDegradationProbeSurfacesPressure(t *testing.T) {
 	n := probeNode(t, "seed=7,hugecap=8,memlock=16m")
-	if err := n.DegradationProbe(); err != nil {
+	if err := degradationProbe(n); err != nil {
 		t.Fatal(err)
 	}
 	st := n.Stats()
@@ -56,7 +116,7 @@ func TestDegradationProbeSurfacesPressure(t *testing.T) {
 func TestDegradationProbeIsDeterministic(t *testing.T) {
 	run := func() node.Stats {
 		n := probeNode(t, "seed=7,hugecap=8,hugefail=40,shrink=100:2,memlock=16m,attevict=400")
-		if err := n.DegradationProbe(); err != nil {
+		if err := degradationProbe(n); err != nil {
 			t.Fatal(err)
 		}
 		return n.Stats()
@@ -69,7 +129,7 @@ func TestDegradationProbeIsDeterministic(t *testing.T) {
 
 func TestDegradationProbeCleanWithoutFaults(t *testing.T) {
 	n := probeNode(t, "")
-	if err := n.DegradationProbe(); err != nil {
+	if err := degradationProbe(n); err != nil {
 		t.Fatal(err)
 	}
 	st := n.Stats()
@@ -82,11 +142,11 @@ func TestDegradationProbeCleanWithoutFaults(t *testing.T) {
 }
 
 // TestReportSchemaIsClosed is the authoritative check behind CI's golden
-// step: every tool's -stats output must decode against []node.Report
+// step: the -stats output must decode against []node.Report
 // with no unknown fields in either direction.
 func TestReportSchemaIsClosed(t *testing.T) {
 	n := probeNode(t, "seed=7,hugecap=8,memlock=16m")
-	if err := n.DegradationProbe(); err != nil {
+	if err := degradationProbe(n); err != nil {
 		t.Fatal(err)
 	}
 	reports := []node.Report{

@@ -108,6 +108,9 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("node: unknown allocator %q", c.Allocator)
 	}
+	if c.HugeATT && !c.Machine.HCA.SupportsHugeATT {
+		return fmt.Errorf("node: %s cannot hold hugepage ATT entries", c.Machine.HCA.Name)
+	}
 	if c.Policy != "" {
 		if _, err := policy.ParseKind(c.Policy); err != nil {
 			return err

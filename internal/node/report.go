@@ -8,15 +8,15 @@ import (
 	"repro/internal/trace"
 )
 
-// Report is the shared -stats JSON schema every cmd tool emits: one
-// record per workload the tool ran, carrying the per-node telemetry
-// snapshots plus their cluster-wide total. Tools emit a JSON array of
-// Reports ([]node.Report) so a single decoder handles all six; CI's
-// golden check decodes each tool's output against exactly this type.
+// Report is the -stats JSON schema cmd/repro emits: one record per
+// workload it ran, carrying the per-node telemetry snapshots plus their
+// cluster-wide total. The output is a JSON array of Reports
+// ([]node.Report); CI's golden check decodes it against exactly this
+// type.
 type Report struct {
-	// Tool is the emitting command ("repro", "imbbench", ...).
+	// Tool is the emitting command ("repro").
 	Tool string `json:"tool"`
-	// Workload names what ran ("sendrecv", "cg/huge", "sge-sweep", ...).
+	// Workload names what ran ("sendrecv", ...).
 	Workload string `json:"workload"`
 	// Machine is the simulated system the workload ran on.
 	Machine string `json:"machine"`
@@ -42,8 +42,7 @@ func NewReport(tool, workload, machine, faults string, nodes []Stats) Report {
 }
 
 // WriteReports marshals reports as indented JSON — the one rendering
-// path behind every tool's -stats flag, so the bytes are comparable
-// across tools and across runs.
+// path behind the -stats flag, so the bytes are comparable across runs.
 func WriteReports(w io.Writer, reports []Report) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

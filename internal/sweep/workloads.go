@@ -61,8 +61,7 @@ func (c *RunContext) MPIConfig(ranks int) mpi.Config {
 }
 
 // Workload is one registered experiment the sweep engine can run
-// in-process — the library entry points behind the cmd tools
-// (imbbench, nasbench, sgebench, offsetbench, allocbench, repro).
+// in-process — the same library entry points cmd/repro's tables call.
 type Workload struct {
 	// Name is the grid-facing identifier ("imb/sendrecv", "nas/cg", ...).
 	Name string
@@ -138,11 +137,11 @@ func ensureBuiltins() {
 // regimes (cache-resident and re-registering) without the slow tail.
 var sendrecvSizes = []int{64 << 10, 1 << 20, 4 << 20}
 
-// builtins returns the six tools' workloads.
+// builtins returns the registered experiments.
 func builtins() []Workload {
 	wls := []Workload{
 		{
-			// imbbench / repro E3: IMB SendRecv bandwidth.
+			// repro E3: IMB SendRecv bandwidth.
 			Name:           "imb/sendrecv",
 			Primary:        "bw_mbs_4m",
 			HigherIsBetter: true,
@@ -164,7 +163,7 @@ func builtins() []Workload {
 			},
 		},
 		{
-			// imbbench -pingpong: small-message latency.
+			// IMB PingPong: small-message latency.
 			Name:           "imb/pingpong",
 			Primary:        "lat_ticks_64k",
 			HigherIsBetter: false,
@@ -186,7 +185,7 @@ func builtins() []Workload {
 			},
 		},
 		{
-			// allocbench / repro E7: the Abinit-style allocator replay.
+			// repro E7: the Abinit-style allocator replay.
 			// The replicate seed feeds the trace generator, so replicates
 			// vary even on clean runs.
 			Name:           "alloc/abinit",
@@ -221,13 +220,13 @@ func builtins() []Workload {
 			},
 		},
 		{
-			// sgebench / repro E1: Figure 3 work-request sweep.
+			// repro E1: Figure 3 work-request sweep.
 			Name:           "wr/sge",
 			Primary:        "total_ticks",
 			HigherIsBetter: false,
 			Strategied:     false,
 			Run: func(c RunContext) (Metrics, error) {
-				rs, _, err := wrbench.SGESweep(node.Config{Machine: c.Machine, Faults: c.Spec, Trace: c.Trace},
+				rs, err := wrbench.SGESweep(node.Config{Machine: c.Machine, Faults: c.Spec, Trace: c.Trace},
 					[]int{1, 2, 4, 8}, []int{64, 512, 4096})
 				if err != nil {
 					return nil, err
@@ -236,13 +235,13 @@ func builtins() []Workload {
 			},
 		},
 		{
-			// offsetbench / repro E2: Figure 4 offset sweep.
+			// repro E2: Figure 4 offset sweep.
 			Name:           "wr/offset",
 			Primary:        "total_ticks",
 			HigherIsBetter: false,
 			Strategied:     false,
 			Run: func(c RunContext) (Metrics, error) {
-				rs, _, err := wrbench.OffsetSweep(node.Config{Machine: c.Machine, Faults: c.Spec, Trace: c.Trace},
+				rs, err := wrbench.OffsetSweep(node.Config{Machine: c.Machine, Faults: c.Spec, Trace: c.Trace},
 					[]int{0, 16, 32, 64, 96, 128}, []int{8, 64})
 				if err != nil {
 					return nil, err
@@ -392,7 +391,7 @@ func builtins() []Workload {
 			},
 		},
 	}
-	// nasbench / repro E5: one workload per NAS kernel, so the grid can
+	// repro E5: one workload per NAS kernel, so the grid can
 	// subset and the comparisons stay per-kernel (the paper's Figure 6
 	// bars).
 	for _, k := range nas.All() {

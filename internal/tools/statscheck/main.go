@@ -1,9 +1,9 @@
-// Command statscheck validates a -stats document from any of the cmd/
-// tools against the shared telemetry schema. It strictly decodes stdin
-// as []node.Report (unknown fields are errors in both directions —
+// Command statscheck validates a -stats document (cmd/repro -stats)
+// against the telemetry schema. It strictly decodes stdin as
+// []node.Report (unknown fields are errors in both directions —
 // TestReportSchemaIsClosed in internal/node guards the reverse) and
-// exits non-zero on any mismatch. CI pipes every tool's output through
-// it so the six tools cannot drift apart.
+// exits non-zero on any mismatch. CI pipes the output through it so the
+// emitter and the schema cannot drift apart.
 package main
 
 import (

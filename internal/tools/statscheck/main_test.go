@@ -9,8 +9,8 @@ import (
 )
 
 // validDoc renders a well-formed one-report document through the same
-// WriteReports path the cmd tools use, so the fixture cannot drift from
-// the real emitters.
+// WriteReports path cmd/repro uses, so the fixture cannot drift from
+// the real emitter.
 func validDoc(t *testing.T) string {
 	t.Helper()
 	reports := []node.Report{
@@ -85,7 +85,7 @@ func TestCheckRejectsEmptyArray(t *testing.T) {
 	}
 }
 
-// render marshals reports exactly as the cmd tools would, without
+// render marshals reports exactly as cmd/repro would, without
 // recomputing totals — so tests can serve tampered documents.
 func render(t *testing.T, reports []node.Report) string {
 	t.Helper()

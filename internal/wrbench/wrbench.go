@@ -42,8 +42,6 @@ func (r Result) Total() simtime.Ticks { return r.PostTicks + r.PollTicks }
 
 // rig is a pair of connected systems with an RC queue pair between them.
 type rig struct {
-	cfg        node.Config
-	nodes      []*node.Node // sender, receiver — retained for telemetry
 	send, recv *verbs.Context
 	sendBuf    vm.VA
 	recvBuf    vm.VA
@@ -66,7 +64,7 @@ type rig struct {
 // a sweep under pressure replays bit-identically.
 func newRig(cfg node.Config, maxSGEs int) (*rig, error) {
 	span := uint64(maxSGEs+1) * machine.SmallPageSize * 2
-	rg := &rig{cfg: cfg, span: span}
+	rg := &rig{span: span}
 	names := []string{"wr/sender", "wr/receiver"}
 	mk := func(salt uint64) (*verbs.Context, vm.VA, *verbs.MR, error) {
 		// The Section 4 rig's hosts are less aged than a long-running MPI
@@ -82,7 +80,6 @@ func newRig(cfg node.Config, maxSGEs int) (*rig, error) {
 		if salt == 0 {
 			rg.tr = n.Tracer()
 		}
-		rg.nodes = append(rg.nodes, n)
 		ctx := n.Verbs
 		va, err := n.AS.MapSmall(span)
 		if err != nil {
@@ -227,13 +224,7 @@ func (rg *rig) measure(sges, sgeSize, offset int) (Result, error) {
 // for each SGE count over a ladder of SGE sizes, at the default offset
 // 64. Each measured combination appears as a wr.post + wr.poll span pair
 // on the sender timeline, strung end to end in sweep order.
-//
-// It also returns host telemetry in order sender, receiver, probe: after
-// the sweep a third probe host (hugepage allocator, lazy deregistration)
-// runs node.DegradationProbe, so the -stats output carries
-// allocation-fallback and memlock-recovery counters even though the
-// Section 4 rig itself never calls an allocator.
-func SGESweep(cfg node.Config, sgeCounts, sgeSizes []int) ([]Result, []node.Stats, error) {
+func SGESweep(cfg node.Config, sgeCounts, sgeSizes []int) ([]Result, error) {
 	maxSGEs := 1
 	for _, c := range sgeCounts {
 		if c > maxSGEs {
@@ -242,68 +233,38 @@ func SGESweep(cfg node.Config, sgeCounts, sgeSizes []int) ([]Result, []node.Stat
 	}
 	rg, err := newRig(cfg, maxSGEs)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var out []Result
 	for _, c := range sgeCounts {
 		for _, s := range sgeSizes {
 			res, err := rg.measure(c, s, 64)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			out = append(out, res)
 		}
 	}
-	st, err := rg.nodeStats()
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, st, nil
+	return out, nil
 }
 
 // OffsetSweep reproduces Figure 4 with 1 SGE for each (offset, buffer
 // size) combination, shaped exactly like SGESweep.
-func OffsetSweep(cfg node.Config, offsets, sizes []int) ([]Result, []node.Stats, error) {
+func OffsetSweep(cfg node.Config, offsets, sizes []int) ([]Result, error) {
 	rg, err := newRig(cfg, 1)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var out []Result
 	for _, size := range sizes {
 		for _, off := range offsets {
 			res, err := rg.measure(1, size, off)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			out = append(out, res)
 		}
 	}
-	st, err := rg.nodeStats()
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, st, nil
-}
-
-// nodeStats snapshots the rig hosts and appends a degradation-probe
-// host: salt 2, hugepage allocator, lazy deregistration — the
-// configuration on which every fault class in the rig's spec can land.
-func (rg *rig) nodeStats() ([]node.Stats, error) {
-	probe, err := node.New(node.Config{
-		Machine: rg.cfg.Machine, Allocator: node.AllocHuge, LazyDereg: true,
-		Faults: rg.cfg.Faults, FaultSalt: 2,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("wrbench: probe host: %w", err)
-	}
-	if err := probe.DegradationProbe(); err != nil {
-		return nil, fmt.Errorf("wrbench: degradation probe: %w", err)
-	}
-	out := make([]node.Stats, 0, len(rg.nodes)+1)
-	for _, n := range rg.nodes {
-		out = append(out, n.Stats())
-	}
-	out = append(out, probe.Stats())
 	return out, nil
 }
 

@@ -22,7 +22,7 @@ func at(rs []Result, sges, size, off int) Result {
 func TestFig3PostCostBand(t *testing.T) {
 	// Paper: post time "varies between 450-650 TBR ticks" and is
 	// "approximately constant for small and for large messages".
-	rs, _, err := SGESweep(sysp(), []int{1, 2, 4, 8}, DefaultSGESizes())
+	rs, err := SGESweep(sysp(), []int{1, 2, 4, 8}, DefaultSGESizes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestFig3PostCostBand(t *testing.T) {
 func TestFig3OneTwentyEightSGEsIsThreeX(t *testing.T) {
 	// Paper: "the time consumption by using 128 SGEs is only three times
 	// higher than with one SGE" (post operation).
-	rs, _, err := SGESweep(sysp(), []int{1, 128}, []int{64})
+	rs, err := SGESweep(sysp(), []int{1, 128}, []int{64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestFig3FourSGEsCheapAggregation(t *testing.T) {
 	// Paper: "up to 128 Byte, the sending of 4 SGEs with same sizes - the
 	// overall message size is 4 times higher than with one SGE - is only
 	// 14 % more costly".
-	rs, _, err := SGESweep(sysp(), []int{1, 4}, []int{8, 16, 32, 64, 128})
+	rs, err := SGESweep(sysp(), []int{1, 4}, []int{8, 16, 32, 64, 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestFig3FourSGEsCheapAggregation(t *testing.T) {
 func TestFig3OneSGEFlatThenLinear(t *testing.T) {
 	// Paper: "The outlay for 1 SGE is relatively constant up to 512 Bytes
 	// and then grows linearly with buffer size."
-	rs, _, err := SGESweep(sysp(), []int{1}, DefaultSGESizes())
+	rs, err := SGESweep(sysp(), []int{1}, DefaultSGESizes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestFig4OffsetEffect(t *testing.T) {
 	// consumption ... differs up to 8 percent", optimised "e.g. at offset
 	// 64".
 	sizes := []int{8, 16, 32, 64}
-	rs, _, err := OffsetSweep(sysp(), DefaultOffsets(), sizes)
+	rs, err := OffsetSweep(sysp(), DefaultOffsets(), sizes)
 	if err != nil {
 		t.Fatal(err)
 	}

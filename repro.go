@@ -10,9 +10,9 @@
 //     simulated stack under them (virtual memory, TLBs, IO buses, HCAs
 //     with ATT caches, a verbs layer, a pin-down registration cache, and
 //     an MVAPICH2-like MPI runtime),
-//   - the paper's contribution as a placement Strategy (hugepage library
-//     placement, lazy deregistration, hugepage ATT entries, SGE
-//     aggregation, preferred offsets),
+//   - the paper's contribution as one named placement Strategy table
+//     (hugepage library placement, lazy deregistration, hugepage ATT
+//     entries) applied to a ClusterConfig,
 //   - the paper's full evaluation as callable experiments: the Figure 3/4
 //     work-request sweeps, the Figure 5 IMB SendRecv curves, the Figure 6
 //     NAS benchmark improvement split, and the allocator comparisons.
@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/cas"
-	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/imb"
 	"repro/internal/machine"
@@ -50,8 +49,9 @@ type (
 	Ticks = simtime.Ticks
 	// VA is a simulated virtual address.
 	VA = vm.VA
-	// Strategy is a complete data-placement policy (the contribution).
-	Strategy = core.Strategy
+	// Strategy is one named data-placement configuration (the
+	// contribution); Apply sets its knobs on a ClusterConfig.
+	Strategy = mpi.Strategy
 	// Cluster is a running MPI job on simulated hardware.
 	Cluster = mpi.World
 	// Rank is one MPI process of a Cluster.
@@ -69,8 +69,8 @@ type (
 	// NodeStats is one host's aggregated telemetry snapshot; every Rank
 	// of a Cluster exposes it through Rank.NodeStats().
 	NodeStats = node.Stats
-	// NodeStatsReport is the shared -stats JSON record every cmd tool
-	// emits (a []NodeStatsReport array).
+	// NodeStatsReport is the -stats JSON record cmd/repro emits (a
+	// []NodeStatsReport array).
 	NodeStatsReport = node.Report
 	// FaultSpec is a deterministic fault-injection configuration; plug
 	// it into ClusterConfig.Faults or NodeConfig.Faults. A nil *FaultSpec
@@ -96,7 +96,7 @@ var (
 // MachineByName resolves "opteron", "xeon" or "systemp".
 func MachineByName(name string) *Machine { return machine.ByName(name) }
 
-// ParseFaultSpec parses the -faults syntax shared by the cmd tools,
+// ParseFaultSpec parses the -faults syntax of cmd/repro and sweep grids,
 // e.g. "seed=7,hugecap=8,memlock=16m". Empty input returns (nil, nil):
 // faults disabled.
 func ParseFaultSpec(s string) (*FaultSpec, error) { return faults.ParseSpec(s) }
@@ -104,37 +104,31 @@ func ParseFaultSpec(s string) (*FaultSpec, error) { return faults.ParseSpec(s) }
 // Machines returns all three systems in the paper's order.
 func Machines() []*Machine { return machine.All() }
 
-// Recommended returns the paper's full placement recipe for a machine;
-// Baseline the do-nothing policy.
+// The named placement strategies: "small", "huge", "small-lazy" and
+// "huge-lazy" are the four Figure 5 curves ("huge-lazy" is the paper's
+// full recipe, "small" the do-nothing baseline), "huge-lazy-noatt" the
+// unpatched-driver ablation, "threshold" and "adaptive" huge-lazy under
+// a live placement-policy engine.
 var (
-	Recommended = core.Recommended
-	Baseline    = core.Baseline
+	Strategies     = mpi.Strategies
+	StrategyByName = mpi.StrategyByName
+	MustStrategy   = mpi.MustStrategy
 )
 
-// NewCluster starts a simulated MPI job under a placement strategy.
-func NewCluster(s Strategy, ranks int) (*Cluster, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return mpi.NewWorld(s.MPIConfig(ranks))
-}
-
-// NewClusterConfig starts a job from an explicit configuration (full
-// control over allocator kind, protocol limits, ...).
-func NewClusterConfig(cfg ClusterConfig) (*Cluster, error) { return mpi.NewWorld(cfg) }
+// NewCluster starts a simulated MPI job; apply a Strategy to cfg to
+// choose its placement.
+func NewCluster(cfg ClusterConfig) (*Cluster, error) { return mpi.NewWorld(cfg) }
 
 // ---- Experiments (one per paper artifact; see EXPERIMENTS.md) ----
 
 // SGESweep reproduces Figure 3: post/poll ticks per (SGE count, SGE size).
 func SGESweep(m *Machine, sgeCounts, sgeSizes []int) ([]WRResult, error) {
-	rs, _, err := wrbench.SGESweep(NodeConfig{Machine: m}, sgeCounts, sgeSizes)
-	return rs, err
+	return wrbench.SGESweep(NodeConfig{Machine: m}, sgeCounts, sgeSizes)
 }
 
 // OffsetSweep reproduces Figure 4: work-request ticks per (offset, size).
 func OffsetSweep(m *Machine, offsets, sizes []int) ([]WRResult, error) {
-	rs, _, err := wrbench.OffsetSweep(NodeConfig{Machine: m}, offsets, sizes)
-	return rs, err
+	return wrbench.OffsetSweep(NodeConfig{Machine: m}, offsets, sizes)
 }
 
 // IMBSendRecv reproduces one Figure 5 curve under an MPI configuration.
@@ -171,16 +165,10 @@ func NASKernels() []nas.Kernel { return nas.All() }
 // NASKernel resolves a kernel by name.
 func NASKernel(name string) nas.Kernel { return nas.ByName(name) }
 
-// RunNAS runs one kernel under the full placement strategy: allocator,
-// lazy deregistration AND the ATT driver patch all follow the policy
-// (earlier versions dropped everything but the allocator choice).
-func RunNAS(m *Machine, ranks int, s Strategy, k nas.Kernel) (NASResult, error) {
-	s.Machine = m
-	if err := s.Validate(); err != nil {
-		return NASResult{}, err
-	}
-	return nas.RunKernel(s.MPIConfig(ranks), k)
-}
+// RunNAS runs one kernel on a fresh cluster; every placement knob of
+// cfg (allocator, lazy deregistration, ATT patch, policy engine)
+// reaches the run.
+func RunNAS(cfg ClusterConfig, k nas.Kernel) (NASResult, error) { return nas.RunKernel(cfg, k) }
 
 // Fig6 reproduces the NAS improvement split on a machine.
 func Fig6(m *Machine, ranks int) ([]Fig6Row, error) {
@@ -190,24 +178,30 @@ func Fig6(m *Machine, ranks int) ([]Fig6Row, error) {
 // FormatFig6 renders Figure 6 rows as text.
 var FormatFig6 = nas.FormatFig6
 
-// AbinitComparison replays the Abinit-style allocation trace against the
-// libc model and the hugepage library and returns (libc time, hugepage
-// library time) — the "up to 10 times" claim (E7).
-func AbinitComparison(m *Machine) (libc, huge Ticks, err error) {
+// AllocReplay is one allocation library's outcome on a replayed trace.
+type AllocReplay = alloc.ReplayResult
+
+// AbinitReplay replays the Abinit-style allocation trace against one of
+// the four allocation-library models ("libc", "huge", "morecore",
+// "pagesep") on a fresh node — one row of the E7 library comparison.
+func AbinitReplay(m *Machine, kind string) (AllocReplay, error) {
 	ops, slots := workload.AbinitTrace(workload.DefaultAbinitParams())
-	la, err := newAllocator(m, mpi.AllocLibc)
+	a, err := NewAllocator(m, kind)
+	if err != nil {
+		return AllocReplay{}, err
+	}
+	return alloc.Replay(a, ops, slots)
+}
+
+// AbinitComparison returns the Abinit-style trace's allocation time
+// under the libc model and under the hugepage library — the "up to 10
+// times" claim (E7).
+func AbinitComparison(m *Machine) (libc, huge Ticks, err error) {
+	rl, err := AbinitReplay(m, "libc")
 	if err != nil {
 		return 0, 0, err
 	}
-	rl, err := alloc.Replay(la, ops, slots)
-	if err != nil {
-		return 0, 0, err
-	}
-	ha, err := newAllocator(m, mpi.AllocHuge)
-	if err != nil {
-		return 0, 0, err
-	}
-	rh, err := alloc.Replay(ha, ops, slots)
+	rh, err := AbinitReplay(m, "huge")
 	if err != nil {
 		return 0, 0, err
 	}
@@ -281,11 +275,7 @@ func SumNodeStats(sts []NodeStats) NodeStats { return node.Sum(sts) }
 // NewAllocator builds one of the four allocation-library models
 // ("libc", "huge", "morecore", "pagesep") on a fresh simulated node.
 func NewAllocator(m *Machine, kind string) (Allocator, error) {
-	return newAllocator(m, node.AllocatorKind(kind))
-}
-
-func newAllocator(m *Machine, kind node.AllocatorKind) (Allocator, error) {
-	n, err := node.New(node.Config{Machine: m, Allocator: kind})
+	n, err := node.New(node.Config{Machine: m, Allocator: node.AllocatorKind(kind)})
 	if err != nil {
 		return nil, fmt.Errorf("repro: %w", err)
 	}
