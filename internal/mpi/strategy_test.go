@@ -20,3 +20,19 @@ func TestStrategyApply(t *testing.T) {
 		t.Fatal("unknown strategy resolved")
 	}
 }
+
+// TestRecipeAndBaselineMapping checks the two strategies the figures
+// compare: the paper's full recipe ("huge-lazy") turns on all three
+// placement knobs, the do-nothing baseline ("small") leaves the
+// allocator and registration cache as stock, and neither touches the
+// rank count.
+func TestRecipeAndBaselineMapping(t *testing.T) {
+	cfg := MustStrategy("huge-lazy").Apply(Config{Ranks: 8})
+	if cfg.Allocator != AllocHuge || !cfg.LazyDereg || !cfg.HugeATT || cfg.Ranks != 8 {
+		t.Fatalf("huge-lazy config wrong: %+v", cfg)
+	}
+	base := MustStrategy("small").Apply(Config{Ranks: 2})
+	if base.Allocator != AllocLibc || base.LazyDereg || base.Ranks != 2 {
+		t.Fatalf("small config wrong: %+v", base)
+	}
+}
