@@ -3,12 +3,6 @@
 
 GO ?= go
 
-# Shared content-addressed result store for the sweep targets. The cache
-# key includes the module code fingerprint, so entries only replay when
-# the code that produced them is unchanged — a warm re-run of an
-# untouched tree executes zero cells.
-SWEEP_CACHE ?= /tmp/sweepcache
-
 .PHONY: all build test race lint lint-fix lint-analyzers baselines bench scale policy modern
 
 all: build test
@@ -19,8 +13,12 @@ build:
 test:
 	$(GO) test ./...
 
+# race: the host-concurrent code under the race detector — the runtime,
+# NAS, scheduler, frame pool, adapter (an RDMA write copies frame to
+# frame across two adapters' memories) and the sweep engine's worker
+# pool.
 race:
-	$(GO) test -race ./internal/mpi/... ./internal/nas/... ./internal/sched/... ./internal/phys/... ./internal/hca/... ./internal/cas/...
+	$(GO) test -race ./internal/mpi/... ./internal/nas/... ./internal/sched/... ./internal/phys/... ./internal/hca/... ./internal/sweep/...
 
 # lint: gofmt, go vet, and the repo's own eight-analyzer reprolint v2
 # suite (determinism, maporder, nilspec, parkflow, schedonly,
@@ -71,24 +69,17 @@ lint-analyzers:
 # bench: the sweep engine's end-to-end gate. The smoke grid must render
 # byte-identical BENCH documents at pool widths 1 and 4, both documents
 # must pass benchcheck, and a fresh seed-grid run must hold the
-# committed BENCH_seed.json baseline within the default tolerance.
-# The seed-grid run doubles as the cold half of the result cache's
-# cold/warm loop: it fills a fresh store, a warm re-run must execute
-# zero replicates, and both must reproduce the committed BENCH_seed.json
-# byte for byte.
+# committed BENCH_seed.json baseline within the default tolerance and
+# reproduce it byte for byte.
 bench:
 	$(GO) build -o /tmp/reprosweep ./cmd/sweeprun
 	GOMAXPROCS=1 /tmp/reprosweep -grid smoke -workers 1 -o /tmp/BENCH_smoke.w1.json
 	GOMAXPROCS=4 /tmp/reprosweep -grid smoke -workers 4 -o /tmp/BENCH_smoke.w4.json
 	cmp /tmp/BENCH_smoke.w1.json /tmp/BENCH_smoke.w4.json
 	$(GO) run ./internal/tools/benchcheck < /tmp/BENCH_smoke.w1.json
-	rm -rf /tmp/benchcache
-	/tmp/reprosweep -grid seed -cache /tmp/benchcache -o /tmp/BENCH_seed.json -baseline BENCH_seed.json -gate
+	/tmp/reprosweep -grid seed -o /tmp/BENCH_seed.json -baseline BENCH_seed.json -gate
 	$(GO) run ./internal/tools/benchcheck < /tmp/BENCH_seed.json
-	/tmp/reprosweep -grid seed -cache /tmp/benchcache -o /tmp/BENCH_seed.warm.json 2> /tmp/BENCH_seed.warm.log
-	grep -q 'executed=0' /tmp/BENCH_seed.warm.log || { cat /tmp/BENCH_seed.warm.log; exit 1; }
 	cmp /tmp/BENCH_seed.json BENCH_seed.json
-	cmp /tmp/BENCH_seed.warm.json BENCH_seed.json
 
 # policy: the placement-policy gate. One policy-grid run (all four
 # fixed strategies plus the threshold and adaptive engines over the
@@ -97,13 +88,9 @@ bench:
 # in every cell group, and — since policy decisions are pure functions
 # of virtual-time telemetry — render byte-identical documents under
 # different GOMAXPROCS and worker counts.
-# The gate run goes through the shared cache; the second run stays
-# uncached so the GOMAXPROCS/worker byte-identity comparison really
-# re-executes instead of replaying the first run's stored bytes.
 policy:
 	$(GO) build -o /tmp/reprosweep ./cmd/sweeprun
 	GOMAXPROCS=2 /tmp/reprosweep -grid policy -workers 2 -o /tmp/BENCH_policy.w2.json \
-		-cache $(SWEEP_CACHE) \
 		-baseline BENCH_policy.json -gate -require-best adaptive
 	GOMAXPROCS=8 /tmp/reprosweep -grid policy -workers 4 -o /tmp/BENCH_policy.w4.json
 	cmp /tmp/BENCH_policy.w2.json /tmp/BENCH_policy.w4.json
@@ -117,16 +104,10 @@ policy:
 # regressions should trip it), and — after stripping the host-dependent
 # ticks_per_wallsec metrics — render byte-identical documents under
 # GOMAXPROCS 1 and 8 and different worker counts.
-# Cache caveat: a warm hit replays the stored ticks_per_wallsec from
-# the run that produced the entry rather than re-timing this host. That
-# is sound for the gate — the cache key includes the module code
-# fingerprint, so a hit means the scheduler code is unchanged and its
-# throughput cannot have regressed.
 scale:
 	$(GO) build -o /tmp/reprosweep ./cmd/sweeprun
 	GOMAXPROCS=1 /tmp/reprosweep -grid scale -workers 1 \
 		-o /tmp/BENCH_scale.json -stripped /tmp/BENCH_scale.det1.json \
-		-cache $(SWEEP_CACHE) \
 		-baseline BENCH_scale.json -gate -tol 75
 	GOMAXPROCS=8 /tmp/reprosweep -grid scale -workers 2 \
 		-o /dev/null -stripped /tmp/BENCH_scale.det8.json
@@ -142,7 +123,6 @@ modern:
 	$(GO) build -o /tmp/reprosweep ./cmd/sweeprun
 	GOMAXPROCS=1 /tmp/reprosweep -grid modern -workers 1 \
 		-o /tmp/BENCH_modern.w1.json -stripped /tmp/BENCH_modern.det1.json \
-		-cache $(SWEEP_CACHE) \
 		-baseline BENCH_modern.json -gate
 	GOMAXPROCS=8 /tmp/reprosweep -grid modern -workers 4 \
 		-o /dev/null -stripped /tmp/BENCH_modern.det8.json

@@ -5,12 +5,7 @@
 // -baseline and -gate it compares the run against a committed baseline
 // and exits non-zero naming every regressed cell; any cell whose run
 // fails also produces a non-zero exit naming the cell, without aborting
-// sibling cells. With -cache the run shares a content-addressed result
-// store: replicates whose key —
-// workload, machine, strategy, faults, seed, ranks, schema version and
-// the module code fingerprint — already has an entry are served from it
-// instead of executing, so a re-run of an unchanged grid executes zero
-// cells and reproduces the same deterministic bytes.
+// sibling cells.
 //
 // Usage:
 //
@@ -19,7 +14,6 @@
 //	sweeprun -grid seed -baseline BENCH_seed.json -gate -tol 5
 //	sweeprun -grid @mygrid.json -trace slowest.json
 //	sweeprun -grid scale -stripped BENCH_scale.det.json
-//	sweeprun -grid seed -cache /var/tmp/sweepcache -o BENCH_seed.json
 package main
 
 import (
@@ -28,8 +22,6 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/cas"
-	"repro/internal/cli"
 	"repro/internal/mpi"
 	"repro/internal/node"
 	"repro/internal/sweep"
@@ -55,8 +47,6 @@ func main() {
 	stripped := flag.String("stripped", "", "also write a copy with wall-clock metrics stripped — the byte-comparable deterministic view")
 	traceFlag := flag.String("trace", "", "re-run the slowest cell with tracing and write the Perfetto trace here")
 	requireBest := flag.String("require-best", "", "fail unless this strategy is best-or-tied on the primary metric in every cell group")
-	cacheDir := flag.String("cache", cli.EnvDefault("CACHE", ""), "content-addressed result store directory ('' = no caching; env REPRO_CACHE)")
-	cacheMax := flag.String("cache-max", cli.EnvDefault("CACHE_MAX", "0"), "cache size cap, bytes with optional k/m/g suffix (0 = uncapped; env REPRO_CACHE_MAX)")
 	list := flag.Bool("list", false, "list built-in grids, workloads and strategies, then exit")
 	flag.Parse()
 
@@ -105,32 +95,12 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	opts := sweep.Options{Workers: *workers}
-	var execStats sweep.ExecStats
-	if *cacheDir != "" {
-		maxBytes, err := cli.ParseSize(*cacheMax)
-		if err != nil {
-			fail(err)
-		}
-		store, err := cas.Open(*cacheDir, maxBytes)
-		if err != nil {
-			fail(err)
-		}
-		opts.Cache = store
-		opts.Stats = &execStats
-	}
-	bench, runErrs, err := sweep.Execute(grid, opts)
+	bench, runErrs, err := sweep.Execute(grid, *workers)
 	if err != nil {
 		fail(err)
 	}
 	if err := bench.WriteFile(*out); err != nil {
 		fail(err)
-	}
-	if opts.Cache != nil {
-		st := opts.Cache.Stats()
-		fmt.Fprintf(os.Stderr, "sweeprun: cache: executed=%d cached=%d failed=%d hits=%d misses=%d evictions=%d corruptions=%d entries=%d bytes=%d\n",
-			execStats.RunsExecuted, execStats.RunsCached, execStats.RunsFailed,
-			st.Hits, st.Misses, st.Evictions, st.Corruptions, st.Entries, st.Bytes)
 	}
 	if *table {
 		fmt.Fprint(os.Stderr, sweep.FormatCells(bench))

@@ -32,7 +32,7 @@ func TestAllowlistedPackagesAreExempt(t *testing.T) {
 func TestNoSimulationPackageIsAllowed(t *testing.T) {
 	for _, p := range []string{
 		"repro/internal/mpi", "repro/internal/ib", "repro/internal/node",
-		"repro/internal/sim", "repro/internal/sweep", "repro/internal/cas",
+		"repro/internal/sim", "repro/internal/sweep",
 	} {
 		if determinism.AllowedPkgs[p] {
 			t.Errorf("simulation package %s must not be allowed", p)

@@ -26,7 +26,7 @@ func TestExemptPackagesMayUseConcurrency(t *testing.T) {
 func TestNoSimulationPackageIsExempt(t *testing.T) {
 	for _, p := range []string{
 		"repro/internal/mpi", "repro/internal/ib", "repro/internal/node",
-		"repro/internal/sim", "repro/internal/cas",
+		"repro/internal/sim",
 	} {
 		if schedonly.ExemptPkgs[p] {
 			t.Errorf("simulation package %s must not be exempt", p)

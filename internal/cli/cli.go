@@ -4,10 +4,7 @@
 // "tool: error" exit path and the single rendering calls for reports
 // and traces. Each tool declares which of the shared flags it takes,
 // parses once, and gets back a resolved Env; tool-specific flags stay
-// in the tool. Shared flag defaults resolve through REPRO_* environment
-// variables (see env.go): flag beats environment beats built-in
-// default, and malformed environment values fail at Parse time exactly
-// like malformed flags.
+// in the tool.
 package cli
 
 import (
@@ -58,8 +55,8 @@ func newWith(tool string, fs *flag.FlagSet, args []string) *App {
 }
 
 func (a *App) registerCommon() {
-	a.faultsFlag = a.fs.String("faults", EnvDefault("FAULTS", ""), "deterministic fault spec, e.g. seed=7,hugecap=8,memlock=16m (see README; env REPRO_FAULTS)")
-	a.traceFlag = a.fs.String("trace", EnvDefault("TRACE", ""), "write a Perfetto trace of the run to this file ('-' = stdout; env REPRO_TRACE)")
+	a.faultsFlag = a.fs.String("faults", "", "deterministic fault spec, e.g. seed=7,hugecap=8,memlock=16m (see README)")
+	a.traceFlag = a.fs.String("trace", "", "write a Perfetto trace of the run to this file ('-' = stdout)")
 }
 
 // StatsFlag registers the -stats toggle with a tool-specific usage
@@ -73,8 +70,8 @@ func (a *App) StatsFlag(usage string) *App {
 // the decision counters come for free while every placement decision
 // stays exactly the configured strategy's.
 func (a *App) PolicyFlag() *App {
-	a.policyFlag = a.fs.String("policy", EnvDefault("POLICY", string(policy.Static)),
-		"placement policy (static|threshold|adaptive; env REPRO_POLICY)")
+	a.policyFlag = a.fs.String("policy", string(policy.Static),
+		"placement policy (static|threshold|adaptive)")
 	return a
 }
 

@@ -396,17 +396,24 @@ type Regression struct {
 	// WorsePct is how much worse current is, in percent of baseline,
 	// direction-aware (always positive for a regression).
 	WorsePct float64
+	// Missing marks a cell whose current run lacks the primary metric
+	// the baseline carries; Current and WorsePct are then zero.
+	Missing bool
 }
 
 func (r Regression) String() string {
+	if r.Missing {
+		return fmt.Sprintf("%s: %s missing (baseline %.6g)", r.Cell, r.Metric, r.Baseline)
+	}
 	return fmt.Sprintf("%s: %s %.6g -> %.6g (%.2f%% worse)", r.Cell, r.Metric, r.Baseline, r.Current, r.WorsePct)
 }
 
 // Gate compares the current document's cells against a baseline on each
 // workload's primary metric mean and returns every cell that regressed
-// beyond tolPct percent. Cells absent from either side are ignored (new
-// cells gate from their first committed baseline onward). The returned
-// slice is sorted by cell key.
+// beyond tolPct percent, or that lost the primary metric the baseline
+// carries. Cells absent from either side are ignored (new cells gate
+// from their first committed baseline onward). The returned slice is
+// sorted by cell key.
 func Gate(current, baseline *Bench, tolPct float64) []Regression {
 	base := make(map[string]*Cell, len(baseline.Cells))
 	for i := range baseline.Cells {
@@ -423,9 +430,16 @@ func Gate(current, baseline *Bench, tolPct float64) []Regression {
 		if wl == nil {
 			continue
 		}
-		cd, okC := cur.Stats[wl.Primary]
-		bd, okB := bc.Stats[wl.Primary]
-		if !okC || !okB || bd.Mean == 0 {
+		bd, ok := bc.Stats[wl.Primary]
+		if !ok {
+			continue
+		}
+		cd, ok := cur.Stats[wl.Primary]
+		if !ok {
+			out = append(out, Regression{Cell: cur.Key(), Metric: wl.Primary, Baseline: bd.Mean, Missing: true})
+			continue
+		}
+		if bd.Mean == 0 {
 			continue
 		}
 		worse := 100 * (cd.Mean - bd.Mean) / bd.Mean

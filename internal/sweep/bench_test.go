@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -21,7 +22,7 @@ func fixture(t *testing.T) *Bench {
 			Strategies: []string{"small-lazy", "huge-lazy"},
 			Seeds:      []uint64{1, 2, 3},
 		}
-		b, runErrs, err := Execute(g, Options{Workers: 2})
+		b, runErrs, err := Execute(g, 2)
 		if err != nil || len(runErrs) != 0 {
 			t.Fatalf("fixture grid failed: err=%v runErrs=%v", err, runErrs)
 		}
@@ -108,6 +109,27 @@ func TestGateFlagsDoctoredBaseline(t *testing.T) {
 	}
 }
 
+// TestGateFlagsMissingPrimary deletes one cell's primary statistic from
+// the current run and expects the gate to name exactly that cell and
+// the missing metric, rather than skip a cell it cannot measure.
+func TestGateFlagsMissingPrimary(t *testing.T) {
+	cur := fixture(t)
+	base := fixture(t)
+	victim := cur.Cells[0].Key()
+	delete(cur.Cells[0].Stats, "alloc_ticks")
+	regs := Gate(cur, base, 5)
+	if len(regs) != 1 {
+		t.Fatalf("gate found %d regressions, want 1: %v", len(regs), regs)
+	}
+	r := regs[0]
+	if r.Cell != victim || r.Metric != "alloc_ticks" || !r.Missing {
+		t.Fatalf("regression = %+v, want %s missing alloc_ticks", r, victim)
+	}
+	if s := r.String(); !strings.Contains(s, victim) || !strings.Contains(s, "alloc_ticks missing") {
+		t.Fatalf("regression string %q does not name the cell and the missing metric", s)
+	}
+}
+
 // TestGateDirectionAware checks both metric directions on hand-built
 // documents: for higher-is-better primaries a *drop* is the regression.
 func TestGateDirectionAware(t *testing.T) {
@@ -142,6 +164,47 @@ func TestGateDirectionAware(t *testing.T) {
 	}
 }
 
+// TestStripWallRemovesWallMetrics: a wall-reporting workload's run
+// carries its _per_wallsec metric, and StripWall leaves the
+// deterministic view, which two executions render byte-identically.
+func TestStripWallRemovesWallMetrics(t *testing.T) {
+	g := Grid{
+		Name:       "walltest",
+		Machines:   []string{"opteron"},
+		Workloads:  []string{"scale/sendrecv"},
+		Strategies: []string{"huge-lazy"},
+		Seeds:      []uint64{1},
+		Ranks:      2,
+	}
+	var views [2]bytes.Buffer
+	for i := range views {
+		b, errs, err := Execute(g, 1)
+		if err != nil || len(errs) != 0 {
+			t.Fatalf("run %d: %v %v", i, errs, err)
+		}
+		if _, ok := b.Cells[0].Stats["ticks_per_wallsec"]; !ok {
+			t.Fatal("run missing its wall metric")
+		}
+		b.StripWall()
+		for name := range b.Cells[0].Stats {
+			if IsWallMetric(name) {
+				t.Fatalf("stats kept wall metric %s", name)
+			}
+		}
+		for name := range b.Cells[0].Runs[0].Metrics {
+			if IsWallMetric(name) {
+				t.Fatalf("run kept wall metric %s", name)
+			}
+		}
+		if err := b.Write(&views[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(views[0].Bytes(), views[1].Bytes()) {
+		t.Fatal("stripped views of two runs differ")
+	}
+}
+
 func TestLoadRejectsCorruptDocuments(t *testing.T) {
 	b := fixture(t)
 	b.Cells[0].Stats["alloc_ticks"] = Dist{N: 99, Mean: 1, Median: 1, Min: 1, Max: 1}
@@ -168,5 +231,34 @@ func TestFormatTablesCoverEveryCell(t *testing.T) {
 	}
 	if strings.Contains(cmps, VirtTicks) {
 		t.Fatal("FormatComparisons leaks the internal virt_ticks metric")
+	}
+}
+
+// TestCommittedBaselinesValidate guards every committed BENCH_*.json:
+// each must strictly decode and pass Validate, the same path the
+// regression gate uses — a hand-edited or stale baseline fails here.
+func TestCommittedBaselinesValidate(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no committed BENCH baselines found (err=%v)", err)
+	}
+	want := map[string]bool{"BENCH_seed.json": false, "BENCH_policy.json": false, "BENCH_modern.json": false, "BENCH_scale.json": false}
+	for _, p := range paths {
+		b, err := LoadFile(p)
+		if err != nil {
+			t.Errorf("%s: %v", p, err)
+			continue
+		}
+		if _, tracked := want[filepath.Base(p)]; tracked {
+			want[filepath.Base(p)] = true
+		}
+		if b.Name == "" {
+			t.Errorf("%s: empty grid name", p)
+		}
+	}
+	for name, found := range want {
+		if !found {
+			t.Errorf("expected committed baseline %s missing", name)
+		}
 	}
 }

@@ -5,47 +5,9 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
-	"repro/internal/cas"
 	"repro/internal/trace"
 )
-
-// Options tunes one Execute call.
-type Options struct {
-	// Workers sizes the goroutine pool; <= 0 takes GOMAXPROCS. The
-	// worker count affects wall-clock time only, never the output
-	// bytes: runs are independent and results are indexed, not
-	// appended.
-	Workers int
-	// Cache, when non-nil, serves each (cell, seed) replicate from the
-	// content-addressed store when an entry matches its key (see
-	// cache.go for the key material) and stores fresh results back.
-	// Cached and fresh runs produce byte-identical deterministic views:
-	// stored payloads carry the wall-metric-stripped metrics, the same
-	// family Bench.StripWall removes.
-	Cache *cas.Store
-	// Fingerprint overrides the code fingerprint mixed into cache keys
-	// ("" = cas.ModuleFingerprint()). Tests use it to simulate code
-	// edits without editing code.
-	Fingerprint string
-	// Stats, when non-nil, receives the execution summary before
-	// Execute returns.
-	Stats *ExecStats
-}
-
-// ExecStats summarizes how one Execute call obtained its results.
-type ExecStats struct {
-	// RunsTotal = RunsExecuted + RunsCached + RunsFailed.
-	RunsTotal    int `json:"runs_total"`
-	RunsExecuted int `json:"runs_executed"`
-	RunsCached   int `json:"runs_cached"`
-	RunsFailed   int `json:"runs_failed"`
-	CellsTotal   int `json:"cells_total"`
-	// CellsComplete counts cells whose every replicate succeeded — the
-	// cells present in the Bench.
-	CellsComplete int `json:"cells_complete"`
-}
 
 // RunError is one failed (cell, seed) replicate. The engine never
 // aborts sibling runs on a failure: every run executes, every error is
@@ -64,35 +26,28 @@ func (e RunError) Error() string {
 func (e RunError) Unwrap() error { return e.Err }
 
 // Execute expands the grid, runs every (cell, seed) replicate on a
-// worker pool, and aggregates the results into a Bench document. Cell
-// run failures come back as RunErrors (the document still carries every
-// cell that succeeded); the error return is reserved for unusable grids
-// and for cancellation through Options.Ctx.
-func Execute(g Grid, opt Options) (*Bench, []RunError, error) {
+// pool of workers goroutines (<= 0 takes GOMAXPROCS), and aggregates
+// the results into a Bench document. The worker count affects
+// wall-clock time only, never the output bytes: runs are independent
+// and results are indexed, not appended. Cell run failures come back
+// as RunErrors (the document still carries every cell that succeeded);
+// the error return is reserved for unusable grids.
+func Execute(g Grid, workers int) (*Bench, []RunError, error) {
 	ex, err := expand(g)
 	if err != nil {
 		return nil, nil, err
 	}
-	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(ex.jobs) {
 		workers = len(ex.jobs)
 	}
-	fingerprint := ""
-	if opt.Cache != nil {
-		fingerprint = fingerprintOr(opt.Fingerprint)
-	}
 
 	// Each worker writes only its job's dedicated slots; no two jobs
 	// share an index, so the table needs no lock and the outcome no
 	// ordering assumptions.
-	// runFailed marks the replicates that produced no result, as opposed
-	// to a result whose cache store failed.
 	runErrs := make([]error, len(ex.jobs))
-	runFailed := make([]bool, len(ex.jobs))
-	var executed, cached atomic.Int64
 
 	jobs := make(chan int)
 	var wg sync.WaitGroup
@@ -102,15 +57,6 @@ func Execute(g Grid, opt Options) (*Bench, []RunError, error) {
 			defer wg.Done()
 			for ji := range jobs {
 				j := &ex.jobs[ji]
-				if opt.Cache != nil {
-					if payload, ok := opt.Cache.Get(runKey(fingerprint, j)); ok {
-						if m, ok := decodeMetrics(payload); ok {
-							ex.cells[j.cell].Runs[j.rep] = Run{Seed: j.seed, Metrics: m}
-							cached.Add(1)
-							continue
-						}
-					}
-				}
 				metrics, err := j.wl.Run(RunContext{
 					Machine:  j.machine,
 					Strategy: j.strat,
@@ -119,23 +65,10 @@ func Execute(g Grid, opt Options) (*Bench, []RunError, error) {
 					Ranks:    j.ranks,
 				})
 				if err != nil {
-					runErrs[ji], runFailed[ji] = err, true
+					runErrs[ji] = err
 					continue
 				}
-				executed.Add(1)
 				ex.cells[j.cell].Runs[j.rep] = Run{Seed: j.seed, Metrics: metrics}
-				if opt.Cache != nil {
-					payload, encErr := encodeMetrics(metrics)
-					if encErr == nil {
-						encErr = opt.Cache.Put(runKey(fingerprint, j), payload)
-					}
-					if encErr != nil {
-						// A store failure must not fail the sweep; the
-						// result is in hand. Surface it as a run error
-						// so operators see degraded caching.
-						runErrs[ji] = fmt.Errorf("result ok, cache store failed: %w", encErr)
-					}
-				}
 			}
 		}()
 	}
@@ -151,7 +84,7 @@ func Execute(g Grid, opt Options) (*Bench, []RunError, error) {
 		if err != nil {
 			j := ex.jobs[ji]
 			errs = append(errs, RunError{Cell: ex.cells[j.cell].Key(), Seed: j.seed, Err: err})
-			cellFailed[j.cell] = cellFailed[j.cell] || runFailed[ji]
+			cellFailed[j.cell] = true
 		}
 	}
 	sortRunErrors(errs)
@@ -168,17 +101,6 @@ func Execute(g Grid, opt Options) (*Bench, []RunError, error) {
 		cells = append(cells, c)
 	}
 	sortCells(cells)
-
-	if opt.Stats != nil {
-		*opt.Stats = ExecStats{
-			RunsTotal:     len(ex.jobs),
-			RunsExecuted:  int(executed.Load()),
-			RunsCached:    int(cached.Load()),
-			RunsFailed:    len(ex.jobs) - int(executed.Load()) - int(cached.Load()),
-			CellsTotal:    len(ex.cells),
-			CellsComplete: len(cells),
-		}
-	}
 
 	b := &Bench{
 		SchemaVersion: SchemaVersion,

@@ -70,7 +70,7 @@ func TestExecuteByteIdenticalAcrossWorkerCounts(t *testing.T) {
 		Seeds:      []uint64{1, 2, 3},
 	}
 	render := func(workers int) []byte {
-		b, runErrs, err := Execute(g, Options{Workers: workers})
+		b, runErrs, err := Execute(g, workers)
 		if err != nil || len(runErrs) != 0 {
 			t.Fatalf("workers=%d: err=%v runErrs=%v", workers, err, runErrs)
 		}
@@ -111,7 +111,7 @@ func TestExecuteOverlapsReplicates(t *testing.T) {
 		}
 	})
 	defer barrierHook.Store(func() error { return nil })
-	b, runErrs, err := Execute(testGrid("test/barrier", 1, 2, 3, 4), Options{Workers: n})
+	b, runErrs, err := Execute(testGrid("test/barrier", 1, 2, 3, 4), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestExecuteWallClockBeatsSequential(t *testing.T) {
 	g := testGrid("test/spin", 1, 2, 3, 4, 5, 6, 7, 8)
 	elapsed := func(workers int) time.Duration {
 		start := time.Now() //reprolint:ignore wall-clock concurrency sanity check, never feeds results
-		if _, runErrs, err := Execute(g, Options{Workers: workers}); err != nil || len(runErrs) != 0 {
+		if _, runErrs, err := Execute(g, workers); err != nil || len(runErrs) != 0 {
 			t.Fatalf("workers=%d: err=%v runErrs=%v", workers, err, runErrs)
 		}
 		return time.Since(start) //reprolint:ignore wall-clock concurrency sanity check, never feeds results
@@ -166,7 +166,7 @@ func TestExecuteMemlockCellFailsWithoutAbortingSiblings(t *testing.T) {
 		Faults:     []string{"", "memlock=8k"},
 		Seeds:      []uint64{1, 2},
 	}
-	b, runErrs, err := Execute(g, Options{Workers: 4})
+	b, runErrs, err := Execute(g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestSlowestCellAndTraceCell(t *testing.T) {
 		Strategies: []string{"small-lazy"},
 		Seeds:      []uint64{1},
 	}
-	b, runErrs, err := Execute(g, Options{Workers: 2})
+	b, runErrs, err := Execute(g, 2)
 	if err != nil || len(runErrs) != 0 {
 		t.Fatalf("err=%v runErrs=%v", err, runErrs)
 	}

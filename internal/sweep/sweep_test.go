@@ -166,3 +166,26 @@ func TestLoadGridUnknownNameListsBuiltins(t *testing.T) {
 		t.Fatalf("err = %v, want unknown-grid error naming the built-ins", err)
 	}
 }
+
+// TestGridCounts pins the -list cost estimate: strategy-agnostic
+// workloads collapse to one cell per machine × faults.
+func TestGridCounts(t *testing.T) {
+	g := Grid{
+		Name:       "counts",
+		Machines:   []string{"opteron"},
+		Workloads:  []string{"alloc/abinit", "wr/sge"},
+		Strategies: []string{"small-lazy", "huge-lazy"},
+		Seeds:      []uint64{1, 2, 3},
+	}
+	cells, runs, err := g.Counts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// alloc/abinit is strategied (2 cells), wr/sge is agnostic (1 cell).
+	if cells != 3 || runs != 9 {
+		t.Fatalf("Counts = %d cells, %d runs; want 3, 9", cells, runs)
+	}
+	if _, _, err := (Grid{Name: "bad"}).Counts(); err == nil {
+		t.Fatal("invalid grid counted")
+	}
+}

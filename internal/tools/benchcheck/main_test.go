@@ -21,7 +21,7 @@ var validDoc = sync.OnceValue(func() string {
 		Strategies: []string{"small-lazy", "huge-lazy"},
 		Seeds:      []uint64{1, 2},
 	}
-	b, runErrs, err := sweep.Execute(g, sweep.Options{Workers: 2})
+	b, runErrs, err := sweep.Execute(g, 2)
 	if err != nil || len(runErrs) != 0 {
 		panic("fixture grid failed")
 	}

@@ -26,7 +26,6 @@ import (
 	"fmt"
 
 	"repro/internal/alloc"
-	"repro/internal/cas"
 	"repro/internal/faults"
 	"repro/internal/imb"
 	"repro/internal/machine"
@@ -229,39 +228,13 @@ var LoadGrid = sweep.LoadGrid
 // GOMAXPROCS) and returns the BENCH document plus per-cell run errors;
 // a failed cell never aborts its siblings.
 func RunSweep(g SweepGrid, workers int) (*Bench, []sweep.RunError, error) {
-	return sweep.Execute(g, sweep.Options{Workers: workers})
+	return sweep.Execute(g, workers)
 }
 
 // GateBench compares a BENCH document against a baseline on each
 // workload's primary-metric mean (direction-aware) and returns every
 // cell regressed beyond tolPct percent.
 var GateBench = sweep.Gate
-
-// SweepCache is the content-addressed result store behind sweeprun
-// -cache: replicates keyed by a canonical hash
-// of (workload, machine, strategy, faults, seed, schema version, code
-// fingerprint), served byte-identically on re-runs.
-type SweepCache = cas.Store
-
-// SweepStats summarizes how a sweep obtained its results: replicates
-// executed, served from cache, and failed.
-type SweepStats = sweep.ExecStats
-
-// OpenSweepCache opens (or creates) a content-addressed result store
-// rooted at dir. maxBytes > 0 caps the store with LRU eviction;
-// <= 0 leaves it uncapped.
-func OpenSweepCache(dir string, maxBytes int64) (*SweepCache, error) {
-	return cas.Open(dir, maxBytes)
-}
-
-// RunSweepCached is RunSweep through a content-addressed store:
-// replicates already in the cache are served from it (byte-identically
-// — stored payloads carry only deterministic metrics), fresh results
-// are stored back, and stats (optional) reports the executed/cached
-// split. A re-run of an unchanged grid executes zero cells.
-func RunSweepCached(g SweepGrid, workers int, cache *SweepCache, stats *SweepStats) (*Bench, []sweep.RunError, error) {
-	return sweep.Execute(g, sweep.Options{Workers: workers, Cache: cache, Stats: stats})
-}
 
 // NewNode builds one standalone simulated host (for experiments outside
 // a Cluster); its NodeStats method is the telemetry snapshot.
