@@ -14,11 +14,12 @@ test:
 	$(GO) test ./...
 
 # race: the host-concurrent code under the race detector — the runtime,
-# NAS, scheduler, frame pool, adapter (an RDMA write copies frame to
-# frame across two adapters' memories) and the sweep engine's worker
+# NAS, scheduler, frame pool, page tables (value entries mutated under
+# the address space's mutex), TLB, adapter (an RDMA write copies frame
+# to frame across two adapters' memories) and the sweep engine's worker
 # pool.
 race:
-	$(GO) test -race ./internal/mpi/... ./internal/nas/... ./internal/sched/... ./internal/phys/... ./internal/hca/... ./internal/sweep/...
+	$(GO) test -race ./internal/mpi/... ./internal/nas/... ./internal/sched/... ./internal/phys/... ./internal/vm/... ./internal/tlb/... ./internal/hca/... ./internal/sweep/...
 
 # lint: gofmt, go vet, and the repo's own eight-analyzer reprolint v2
 # suite (determinism, maporder, nilspec, parkflow, schedonly,

@@ -7,13 +7,11 @@ package hca
 // translations (1/512th the entries) raises SendRecv bandwidth by ≈ 6 %
 // on the PCI-X system, where those fetches compete with payload DMA.
 
-type attKey struct {
-	lkey uint32
-	page int
-}
-
+// attEntry is one cached translation, 24 bytes. age is the LRU stamp:
+// it is set from the cache's tick, which is never 0 once an access has
+// begun, so age 0 marks an empty slot.
 type attEntry struct {
-	valid bool
+	lkey uint32
 	// poisoned marks a translation dropped by injected forced eviction:
 	// the next access to this key misses (the adapter refetches across
 	// the bus) and clears the mark. The slot itself stays occupied —
@@ -22,41 +20,50 @@ type attEntry struct {
 	// interleaving of concurrent DMA streams, while the refetch itself
 	// is local to this key and therefore interleaving-invariant.
 	poisoned bool
-	key      attKey
+	page     int
 	age      uint64
 }
 
+// attCache keeps its entries in one flat array, set s holding
+// ents[s*ways : (s+1)*ways]. The array is allocated on the first access:
+// an adapter that never translates costs only the header.
 type attCache struct {
-	sets [][]attEntry
-	tick uint64
+	ents        []attEntry
+	nsets, ways int
+	tick        uint64
 }
 
-func newATTCache(entries, ways int) *attCache {
+func newATTCache(entries, ways int) attCache {
 	if ways <= 0 {
 		ways = 1
 	}
 	if entries < ways {
 		entries = ways
 	}
-	// Every set is a run of one backing array, so building a cache costs
-	// the same three allocations whatever its size.
-	nsets := entries / ways
-	ents := make([]attEntry, nsets*ways)
-	c := &attCache{sets: make([][]attEntry, nsets)}
-	for i := range c.sets {
-		c.sets[i] = ents[i*ways : (i+1)*ways : (i+1)*ways]
+	return attCache{nsets: entries / ways, ways: ways}
+}
+
+// set returns the ways (lkey,page) hashes to.
+func (c *attCache) set(lkey uint32, page int) []attEntry {
+	h := (uint64(lkey)*0x9E3779B97F4A7C15 + uint64(page)*0xBF58476D1CE4E5B9)
+	return c.setAt(int(h % uint64(c.nsets)))
+}
+
+// setAt returns set s, allocating the entry array on first use.
+func (c *attCache) setAt(s int) []attEntry {
+	if c.ents == nil {
+		c.ents = make([]attEntry, c.nsets*c.ways)
 	}
-	return c
+	lo := s * c.ways
+	return c.ents[lo : lo+c.ways : lo+c.ways]
 }
 
 // access looks up (lkey,page), installing it on miss; reports hit.
 func (c *attCache) access(lkey uint32, page int) bool {
 	c.tick++
-	k := attKey{lkey, page}
-	h := (uint64(lkey)*0x9E3779B97F4A7C15 + uint64(page)*0xBF58476D1CE4E5B9)
-	set := c.sets[h%uint64(len(c.sets))]
+	set := c.set(lkey, page)
 	for i := range set {
-		if set[i].valid && set[i].key == k {
+		if set[i].age != 0 && set[i].lkey == lkey && set[i].page == page {
 			set[i].age = c.tick
 			if set[i].poisoned {
 				set[i].poisoned = false
@@ -67,7 +74,7 @@ func (c *attCache) access(lkey uint32, page int) bool {
 	}
 	victim := 0
 	for i := range set {
-		if !set[i].valid {
+		if set[i].age == 0 {
 			victim = i
 			break
 		}
@@ -75,7 +82,7 @@ func (c *attCache) access(lkey uint32, page int) bool {
 			victim = i
 		}
 	}
-	set[victim] = attEntry{valid: true, key: k, age: c.tick}
+	set[victim] = attEntry{lkey: lkey, page: page, age: c.tick}
 	return false
 }
 
@@ -87,11 +94,12 @@ func (c *attCache) access(lkey uint32, page int) bool {
 // occupancy untouched — so concurrent accessors of other entries see
 // identical outcomes regardless of interleaving.
 func (c *attCache) evictEntry(lkey uint32, page int) bool {
-	k := attKey{lkey, page}
-	h := (uint64(lkey)*0x9E3779B97F4A7C15 + uint64(page)*0xBF58476D1CE4E5B9)
-	set := c.sets[h%uint64(len(c.sets))]
+	if c.ents == nil {
+		return false
+	}
+	set := c.set(lkey, page)
 	for i := range set {
-		if set[i].valid && set[i].key == k {
+		if set[i].age != 0 && set[i].lkey == lkey && set[i].page == page {
 			if set[i].poisoned {
 				return false
 			}
@@ -105,11 +113,9 @@ func (c *attCache) evictEntry(lkey uint32, page int) bool {
 // invalidate drops every entry belonging to one memory region (MR
 // deregistration shoots its translations down).
 func (c *attCache) invalidate(lkey uint32) {
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].valid && set[i].key.lkey == lkey {
-				set[i] = attEntry{}
-			}
+	for i := range c.ents {
+		if c.ents[i].age != 0 && c.ents[i].lkey == lkey {
+			c.ents[i] = attEntry{}
 		}
 	}
 }

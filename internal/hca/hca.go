@@ -129,7 +129,7 @@ type HCA struct {
 	// inherit that nondeterminism.
 	vaGen     map[vm.VA]uint32
 	nextQPNum uint32
-	att       *attCache
+	att       attCache
 	stats     Stats
 }
 

@@ -184,12 +184,11 @@ func (r *Rank) reduceTreeF64(root int, va vm.VA, count int, op ReduceOp) error {
 // combineF64 applies va[i] = op(va[i], tmp[i]) including the CPU cost of
 // streaming both arrays.
 func (r *Rank) combineF64(va, tmp vm.VA, count int, op ReduceOp) error {
-	a, err := r.ReadF64(va, count)
-	if err != nil {
+	a, b := make([]float64, count), make([]float64, count)
+	if err := r.ReadF64(va, a); err != nil {
 		return err
 	}
-	b, err := r.ReadF64(tmp, count)
-	if err != nil {
+	if err := r.ReadF64(tmp, b); err != nil {
 		return err
 	}
 	for i := range a {

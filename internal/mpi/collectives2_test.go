@@ -102,7 +102,10 @@ func TestScanPrefixSums(t *testing.T) {
 		if err := r.ScanF64(va, count, Sum); err != nil {
 			return err
 		}
-		got, _ := r.ReadF64(va, count)
+		got := make([]float64, count)
+		if err := r.ReadF64(va, got); err != nil {
+			return err
+		}
 		// Inclusive prefix over ranks 0..id of (rank+1)*(i+1).
 		pref := float64((r.ID() + 1) * (r.ID() + 2) / 2)
 		for i := range got {

@@ -317,8 +317,8 @@ func TestAllreduceSumAndMax(t *testing.T) {
 			if err := r.AllreduceF64(va, count, Sum); err != nil {
 				return err
 			}
-			got, err := r.ReadF64(va, count)
-			if err != nil {
+			got := make([]float64, count)
+			if err := r.ReadF64(va, got); err != nil {
 				return err
 			}
 			sumRanks := float64(p*(p+1)) / 2
@@ -338,7 +338,9 @@ func TestAllreduceSumAndMax(t *testing.T) {
 			if err := r.AllreduceF64(va, count, Max); err != nil {
 				return err
 			}
-			got, _ = r.ReadF64(va, count)
+			if err := r.ReadF64(va, got); err != nil {
+				return err
+			}
 			for i := range got {
 				if got[i] != float64(p-1) {
 					return fmt.Errorf("max elem %d: got %g want %d", i, got[i], p-1)
@@ -374,8 +376,8 @@ func TestF64RoundTripAcrossChunksAndPages(t *testing.T) {
 		if err := r.WriteF64(va, xs); err != nil {
 			return err
 		}
-		got, err := r.ReadF64(va, n)
-		if err != nil {
+		got := make([]float64, n)
+		if err := r.ReadF64(va, got); err != nil {
 			return err
 		}
 		for i := range xs {
@@ -388,7 +390,7 @@ func TestF64RoundTripAcrossChunksAndPages(t *testing.T) {
 		if err := r.WriteF64(tail, xs); !errors.Is(err, vm.ErrUnmapped) {
 			return fmt.Errorf("write over an unmapped tail: got %v, want %v", err, vm.ErrUnmapped)
 		}
-		if _, err := r.ReadF64(tail, n); !errors.Is(err, vm.ErrUnmapped) {
+		if err := r.ReadF64(tail, got); !errors.Is(err, vm.ErrUnmapped) {
 			return fmt.Errorf("read over an unmapped tail: got %v, want %v", err, vm.ErrUnmapped)
 		}
 		return nil
@@ -410,7 +412,10 @@ func TestReduceToRoot(t *testing.T) {
 			return err
 		}
 		if r.ID() == 2 {
-			got, _ := r.ReadF64(va, 1)
+			var got [1]float64
+			if err := r.ReadF64(va, got[:]); err != nil {
+				return err
+			}
 			if got[0] != 10 {
 				return fmt.Errorf("reduce sum = %g, want 10", got[0])
 			}

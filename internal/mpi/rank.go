@@ -426,22 +426,21 @@ func (r *Rank) WriteF64(va vm.VA, xs []float64) error {
 	return nil
 }
 
-// ReadF64 loads n float64s from va.
-func (r *Rank) ReadF64(va vm.VA, n int) ([]float64, error) {
+// ReadF64 fills xs with the float64s stored at va (little-endian).
+func (r *Rank) ReadF64(va vm.VA, xs []float64) error {
 	var buf [8 * f64Chunk]byte
-	xs := make([]float64, n)
-	for done := 0; done < n; {
-		m := min(n-done, f64Chunk)
-		if err := r.as.Read(va, buf[:8*m]); err != nil {
-			return nil, err
+	for len(xs) > 0 {
+		n := min(len(xs), f64Chunk)
+		if err := r.as.Read(va, buf[:8*n]); err != nil {
+			return err
 		}
-		for i := 0; i < m; i++ {
-			xs[done+i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+		for i := range xs[:n] {
+			xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
 		}
-		va += vm.VA(8 * m)
-		done += m
+		va += vm.VA(8 * n)
+		xs = xs[n:]
 	}
-	return xs, nil
+	return nil
 }
 
 // memcpyTicks is the CPU cost of copying n bytes (eager bounce copies).

@@ -90,7 +90,8 @@ func runCollectives64(t *testing.T, ranks int) *collectiveFingerprint {
 		if err := r.AllreduceF64(rva, redCount, Sum); err != nil {
 			return err
 		}
-		if fp.allreduce[r.ID()], err = r.ReadF64(rva, redCount); err != nil {
+		fp.allreduce[r.ID()] = make([]float64, redCount)
+		if err := r.ReadF64(rva, fp.allreduce[r.ID()]); err != nil {
 			return err
 		}
 

@@ -135,8 +135,8 @@ func (k *CG) Run(r *mpi.Rank) error {
 		if err := r.AllreduceF64(dotVA, 1, mpi.Sum); err != nil {
 			return 0, err
 		}
-		out, err := r.ReadF64(dotVA, 1)
-		if err != nil {
+		var out [1]float64
+		if err := r.ReadF64(dotVA, out[:]); err != nil {
 			return 0, err
 		}
 		return out[0], nil
@@ -147,6 +147,11 @@ func (k *CG) Run(r *mpi.Rank) error {
 		return err
 	}
 	rho0 := rho
+
+	// The band window of pfull is the same every iteration, so one
+	// buffer holds it throughout.
+	wlo, whi := cgWindow(k.N, lo, local)
+	w := make([]float64, whi-wlo)
 
 	for it := 0; it < k.Iters; it++ {
 		// Publish the local direction segment into pfull, then ring-
@@ -159,9 +164,7 @@ func (k *CG) Run(r *mpi.Rank) error {
 		}
 		// Only the band window of pfull feeds the matvec; reading it
 		// costs no virtual time, so the window changes host work only.
-		wlo, whi := cgWindow(k.N, lo, local)
-		w, err := r.ReadF64(pfullVA+vm.VA(8*wlo), whi-wlo)
-		if err != nil {
+		if err := r.ReadF64(pfullVA+vm.VA(8*wlo), w); err != nil {
 			return err
 		}
 		// Matvec: stream the matrix block, gather from the full vector.

@@ -149,8 +149,8 @@ func (k *EP) Run(r *mpi.Rank) error {
 	if err := r.AllreduceF64(sumVA, len(vals), mpi.Sum); err != nil {
 		return err
 	}
-	out, err := r.ReadF64(sumVA, len(vals))
-	if err != nil {
+	out := make([]float64, len(vals))
+	if err := r.ReadF64(sumVA, out); err != nil {
 		return err
 	}
 	totalAccepted, gsx, gsy := out[0], out[1], out[2]
@@ -202,18 +202,17 @@ func epButterfly(r *mpi.Rank, batch int, stats []float64) error {
 			peer, tag, rVAbuf, qTableBytes); err != nil {
 			return err
 		}
-		mine, err := r.ReadF64(qVA, 16)
-		if err != nil {
+		var mine, theirs [16]float64
+		if err := r.ReadF64(qVA, mine[:]); err != nil {
 			return err
 		}
-		theirs, err := r.ReadF64(rVAbuf, 16)
-		if err != nil {
+		if err := r.ReadF64(rVAbuf, theirs[:]); err != nil {
 			return err
 		}
 		for i := range mine {
 			mine[i] += theirs[i]
 		}
-		if err := r.WriteF64(qVA, mine); err != nil {
+		if err := r.WriteF64(qVA, mine[:]); err != nil {
 			return err
 		}
 	}
@@ -222,8 +221,8 @@ func epButterfly(r *mpi.Rank, batch int, stats []float64) error {
 	}
 	// The reduced table is checked against local contribution sanity:
 	// global counts can never be below this rank's own.
-	got, err := r.ReadF64(qVA, 16)
-	if err != nil {
+	var got [16]float64
+	if err := r.ReadF64(qVA, got[:]); err != nil {
 		return err
 	}
 	for i, v := range stats {

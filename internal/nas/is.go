@@ -246,8 +246,8 @@ func (k *IS) Run(r *mpi.Rank) error {
 		if err := r.AllreduceF64(totVA, 1, mpi.Sum); err != nil {
 			return err
 		}
-		tot, err := r.ReadF64(totVA, 1)
-		if err != nil {
+		var tot [1]float64
+		if err := r.ReadF64(totVA, tot[:]); err != nil {
 			return err
 		}
 		if int(tot[0]) != p*k.KeysPerRank {
@@ -275,11 +275,9 @@ func isExchangeCounts(r *mpi.Rank, scratch vm.VA, myCounts []float64, it int) ([
 		if _, err := r.Sendrecv(dst, tag, scratch, 8, src, tag, scratch+8, 8); err != nil {
 			return nil, err
 		}
-		v, err := r.ReadF64(scratch+8, 1)
-		if err != nil {
+		if err := r.ReadF64(scratch+8, out[src:src+1]); err != nil {
 			return nil, err
 		}
-		out[src] = v[0]
 	}
 	return out, nil
 }
@@ -308,8 +306,8 @@ func isCheckBoundaries(r *mpi.Rank, mine []uint32, it int) error {
 	if r.ID() == 0 {
 		return nil // wrapped boundary is not ordered
 	}
-	leftMax, err := r.ReadF64(scratch+8, 1)
-	if err != nil {
+	var leftMax [1]float64
+	if err := r.ReadF64(scratch+8, leftMax[:]); err != nil {
 		return err
 	}
 	if len(mine) > 0 && leftMax[0] >= 0 && float64(mine[0]) < leftMax[0] {

@@ -132,8 +132,8 @@ func (k *LU) Run(r *mpi.Rank) error {
 		if err := r.AllreduceF64(normVA, 1, mpi.Sum); err != nil {
 			return err
 		}
-		got, err := r.ReadF64(normVA, 1)
-		if err != nil {
+		var got [1]float64
+		if err := r.ReadF64(normVA, got[:]); err != nil {
 			return err
 		}
 		want := float64(p) / float64(sweep+1)

@@ -142,8 +142,8 @@ func (k *MG) Run(r *mpi.Rank) error {
 		if err := r.AllreduceF64(resVA, 1, mpi.Sum); err != nil {
 			return err
 		}
-		got, err := r.ReadF64(resVA, 1)
-		if err != nil {
+		var got [1]float64
+		if err := r.ReadF64(resVA, got[:]); err != nil {
 			return err
 		}
 		want := float64(p) * residual * residual

@@ -97,3 +97,85 @@ func TestReserveComposesAndValidates(t *testing.T) {
 		t.Fatalf("negative reserve: got %v, want ErrBadReserve", err)
 	}
 }
+
+// drainHuge allocates hugepages until the pool refuses and returns them
+// in the order they were handed out.
+func drainHuge(m *Memory) []Frame {
+	var out []Frame
+	for {
+		f, err := m.AllocHuge()
+		if err != nil {
+			return out
+		}
+		out = append(out, f)
+	}
+}
+
+// TestPoolTrimsRemoveLastHandedOut checks that a pool cap at attach and
+// a mid-run shrink both take the free pages an untrimmed twin would
+// hand out last, after frees have reordered the free stack, and that
+// the trimmed stack never outgrows the array the pool was built with.
+func TestPoolTrimsRemoveLastHandedOut(t *testing.T) {
+	// prep allocates five pages and frees two of them out of order.
+	prep := func(m *Memory) {
+		var fs []Frame
+		for i := 0; i < 5; i++ {
+			f, err := m.AllocHuge()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs = append(fs, f)
+		}
+		_ = m.FreeHuge(fs[3])
+		_ = m.FreeHuge(fs[1])
+	}
+	for _, c := range []struct {
+		name    string
+		faults  string
+		removed int
+	}{
+		{name: "cap", faults: "seed=1,hugecap=8", removed: 512 - 3 - 8},
+		{name: "shrink", faults: "seed=1,shrink=1:3", removed: 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got, twin := testMem(t), testMem(t)
+			prep(got)
+			prep(twin)
+			got.SetFaults(faults.New(spec(t, c.faults), 0))
+			var first []Frame
+			if c.name == "shrink" {
+				// One allocation fires one shrink, then faults detach.
+				f, err := got.AllocHuge()
+				if err != nil {
+					t.Fatal(err)
+				}
+				first = append(first, f)
+				got.SetFaults(nil)
+			}
+			want := drainHuge(twin)
+			all := append(first, drainHuge(got)...)
+			if st := got.Stats(); st.HugeRemoved != int64(c.removed) {
+				t.Fatalf("HugeRemoved = %d, want %d", st.HugeRemoved, c.removed)
+			}
+			if len(all) != len(want)-c.removed {
+				t.Fatalf("trimmed pool handed out %d pages, want %d", len(all), len(want)-c.removed)
+			}
+			for i := range all {
+				if all[i] != want[i] {
+					t.Fatalf("page %d = %d, want %d: the trim took a page other than the last ones", i, all[i], want[i])
+				}
+			}
+			// Every page goes back without the free stack outgrowing the
+			// array it was built with: an append that reallocated would
+			// leave a larger capacity.
+			for _, f := range all {
+				if err := got.FreeHuge(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n, capacity := len(got.hugeFree), cap(got.hugeFree); n != len(all) || capacity != got.hugeTotal-c.removed {
+				t.Fatalf("free stack holds %d pages in capacity %d, want %d in %d", n, capacity, len(all), got.hugeTotal-c.removed)
+			}
+		})
+	}
+}

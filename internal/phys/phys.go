@@ -56,13 +56,18 @@ type Memory struct {
 	// physically *discontiguous* frame sequences, which is the property
 	// the registration path cares about.
 	free []Frame
+	// run is the warm-up Scramble leaves on a fresh pool, kept as
+	// arithmetic instead of a list. It sits at the bottom of the free
+	// stack: AllocFrame pops free first, then the run, then the bump
+	// pointer, and FreeFrame pushes onto free, on top of the run.
+	run scrambledRun
 
 	// hugeFree holds the indices of free hugepages in the boot-time pool.
 	// Hugepage i covers frames [hugeBase + i*512, hugeBase + (i+1)*512).
 	hugeBase  Frame
 	hugeTotal int
 	hugeFree  []int
-	hugeBusy  map[int]bool
+	hugeBusy  []bool
 	// hugeReserved is the number of pool pages held back for fork/CoW;
 	// AllocHuge refuses to hand them out. Reservations compose: every
 	// Reserve call adds to the total (and validates it against the pool)
@@ -106,10 +111,12 @@ func NewMemory(m *machine.Machine) *Memory {
 		totalFrames: totalFrames,
 		hugeBase:    Frame(totalFrames - hugeFrames),
 		hugeTotal:   m.Mem.HugePool,
-		hugeBusy:    make(map[int]bool),
+		hugeFree:    make([]int, m.Mem.HugePool),
+		hugeBusy:    make([]bool, m.Mem.HugePool),
 	}
-	for i := m.Mem.HugePool - 1; i >= 0; i-- {
-		mem.hugeFree = append(mem.hugeFree, i)
+	// Pages pop from the end, so the pool hands out page 0 first.
+	for i := range mem.hugeFree {
+		mem.hugeFree[i] = m.Mem.HugePool - 1 - i
 	}
 	return mem
 }
@@ -123,6 +130,9 @@ func (m *Memory) AllocFrame() (Frame, error) {
 	case len(m.free) > 0:
 		f = m.free[len(m.free)-1]
 		m.free = m.free[:len(m.free)-1]
+	case m.run.left > 0:
+		m.run.left--
+		f = m.run.at(m.run.left)
 	case m.next < m.hugeBase:
 		f = m.next
 		m.next++
@@ -174,7 +184,9 @@ func (m *Memory) SetTrace(cur *trace.Cursor) {
 
 // removeFreeLocked permanently drops up to n free hugepages from the
 // pool (the pages that would have been handed out last, keeping the
-// imminent allocation order stable).
+// imminent allocation order stable). Slicing them off the bottom of the
+// stack shrinks its capacity by as many pages as leave the pool, so
+// FreeHuge's append never outgrows the array NewMemory sized.
 func (m *Memory) removeFreeLocked(n int) {
 	if n > len(m.hugeFree) {
 		n = len(m.hugeFree)
@@ -242,7 +254,7 @@ func (m *Memory) FreeHuge(f Frame) error {
 	if !m.hugeBusy[idx] {
 		return ErrDoubleFree
 	}
-	delete(m.hugeBusy, idx)
+	m.hugeBusy[idx] = false
 	m.hugeFree = append(m.hugeFree, idx)
 	m.stats.HugeAllocated--
 	return nil
@@ -345,14 +357,25 @@ func (m *Memory) Stats() Stats {
 // 0..n-1, so allocations come out n-1, n-3, …, 1, n-2, n-4, …, 0: two
 // frames apart, which is what leaves a multi-page small buffer
 // physically discontiguous. The result, next and Stats included, is
-// that of n AllocFrame calls followed by the matching FreeFrame calls,
-// built in one pass under one lock.
+// that of n AllocFrame calls followed by the matching FreeFrame calls.
+//
+// When the free stack is empty the frames taken are a block of
+// never-used ones, and the warm-up is recorded as a scrambledRun in O(1)
+// space; otherwise the stack is built in one pass under one lock.
 func (m *Memory) Scramble(n int) {
 	if n <= 0 {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if len(m.free) == 0 && m.run.left == 0 {
+		taken := int(min(Frame(n), m.hugeBase-m.next))
+		m.run = scrambledRun{base: m.next, count: taken, left: taken}
+		m.next += Frame(taken)
+		m.stats.SmallPeak = max(m.stats.SmallPeak, m.stats.SmallAllocated+int64(taken))
+		return
+	}
+	m.spillRunLocked()
 	// The frames AllocFrame would hand out: the top of the free list
 	// first, then never-used frames from the bump pointer.
 	popped := min(n, len(m.free))
@@ -376,4 +399,37 @@ func (m *Memory) Scramble(n int) {
 	m.free = free
 	m.next += Frame(fresh)
 	m.stats.SmallPeak = max(m.stats.SmallPeak, m.stats.SmallAllocated+int64(taken))
+}
+
+// scrambledRun is the free stack Scramble leaves over count never-used
+// frames starting at base: from the bottom, base, base+2, base+4, …,
+// then base+1, base+3, …. The left positions at the bottom are still
+// free; AllocFrame pops position left-1.
+type scrambledRun struct {
+	base        Frame
+	count, left int
+}
+
+// at returns the frame at position k from the bottom of the run.
+func (r scrambledRun) at(k int) Frame {
+	evens := (r.count + 1) / 2
+	if k < evens {
+		return r.base + Frame(2*k)
+	}
+	return r.base + Frame(2*(k-evens)+1)
+}
+
+// spillRunLocked writes what is left of the scrambled run into the free
+// list, below the frames freed on top of it, so the list alone holds the
+// whole free stack.
+func (m *Memory) spillRunLocked() {
+	if m.run.left == 0 {
+		return
+	}
+	free := make([]Frame, m.run.left, m.run.left+len(m.free))
+	for k := range free {
+		free[k] = m.run.at(k)
+	}
+	m.free = append(free, m.free...)
+	m.run = scrambledRun{}
 }

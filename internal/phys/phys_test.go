@@ -293,6 +293,9 @@ func TestScrambleMatchesFrameByFrame(t *testing.T) {
 		// prep runs on both pools before the warm-up.
 		prep func(m *Memory)
 		n    int
+		// after runs on both pools after the warm-up; warm is the pool's
+		// own warm-up (Scramble on one, the reference on the other).
+		after func(m *Memory, warm func(n int))
 	}{
 		{name: "fresh", mach: machine.Opteron(), n: 4096},
 		{name: "odd-depth", mach: machine.Opteron(), n: 1023},
@@ -340,6 +343,79 @@ func TestScrambleMatchesFrameByFrame(t *testing.T) {
 				_ = m.FreeFrame(3)
 			},
 		},
+		{
+			// Frees land on top of the run and must come back first,
+			// last freed first, before the run resumes.
+			name: "frees-interleaved", mach: machine.Opteron(), n: 4096,
+			after: func(m *Memory, _ func(int)) {
+				var fs []Frame
+				for i := 0; i < 40; i++ {
+					f, err := m.AllocFrame()
+					if err != nil {
+						t.Fatal(err)
+					}
+					fs = append(fs, f)
+					if i%3 == 2 {
+						_ = m.FreeFrame(fs[i-1])
+					}
+				}
+				for _, i := range []int{30, 4, 17, 39} {
+					_ = m.FreeFrame(fs[i])
+				}
+				for i := 0; i < 7; i++ {
+					_, _ = m.AllocFrame()
+				}
+			},
+		},
+		{
+			// A second warm-up over a partly consumed run with frees on
+			// top: the run must be spilled under the freed frames.
+			name: "rescramble-partly-consumed", mach: machine.Opteron(), n: 1000,
+			after: func(m *Memory, warm func(int)) {
+				var fs []Frame
+				for i := 0; i < 300; i++ {
+					f, _ := m.AllocFrame()
+					fs = append(fs, f)
+				}
+				for _, f := range fs[100:110] {
+					_ = m.FreeFrame(f)
+				}
+				warm(500)
+			},
+		},
+		{
+			// A second warm-up over a partly consumed run, free list
+			// empty, deeper than what is left of the run.
+			name: "rescramble-run-only", mach: machine.Opteron(), n: 1000,
+			after: func(m *Memory, warm func(int)) {
+				for i := 0; i < 401; i++ {
+					_, _ = m.AllocFrame()
+				}
+				warm(2000)
+			},
+		},
+		{
+			// A second warm-up once the run is used up: a fresh run
+			// starting above the live frames.
+			name: "rescramble-consumed-run", mach: machine.Opteron(), n: 64,
+			after: func(m *Memory, warm func(int)) {
+				for i := 0; i < 64+9; i++ {
+					_, _ = m.AllocFrame()
+				}
+				warm(33)
+			},
+		},
+		{
+			// The run ends the small zone: after it, allocation fails.
+			name: "run-exhausts-zone", mach: tiny, n: 64,
+			after: func(m *Memory, warm func(int)) {
+				for i := 0; i < 20; i++ {
+					_, _ = m.AllocFrame()
+				}
+				_ = m.FreeFrame(63)
+				warm(10)
+			},
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -350,6 +426,10 @@ func TestScrambleMatchesFrameByFrame(t *testing.T) {
 			}
 			got.Scramble(c.n)
 			scrambleFrameByFrame(want, c.n)
+			if c.after != nil {
+				c.after(got, got.Scramble)
+				c.after(want, func(n int) { scrambleFrameByFrame(want, n) })
+			}
 			if g, w := got.Stats(), want.Stats(); g != w {
 				t.Fatalf("Stats after warm-up = %+v, want %+v", g, w)
 			}

@@ -13,17 +13,21 @@ import (
 	"repro/internal/vm"
 )
 
-// entry is one TLB slot. age implements true LRU within a set.
+// entry is one TLB slot, 16 bytes. age is the LRU stamp: it is set from
+// the file's tick, which is never 0 once an access has begun, so age 0
+// marks an empty slot.
 type entry struct {
-	valid bool
-	vpn   uint64
-	age   uint64
+	vpn uint64
+	age uint64
 }
 
-// File is one set-associative entry file for a single page size.
+// File is one set-associative entry file for a single page size. Its
+// entries are one flat array, set s holding ents[s*ways : (s+1)*ways].
+// The array is allocated on the first access: a file that is never
+// looked up costs only its header.
 type File struct {
 	geo   machine.TLBGeometry
-	sets  [][]entry
+	ents  []entry
 	tick  uint64
 	stats FileStats
 }
@@ -50,24 +54,27 @@ func NewFile(geo machine.TLBGeometry) *File {
 	if geo.Ways <= 0 || geo.Entries <= 0 || geo.Entries%geo.Ways != 0 {
 		panic(fmt.Sprintf("tlb: bad geometry %+v", geo))
 	}
-	// Every set is a run of one backing array, so building a file costs
-	// the same three allocations whatever its size.
-	nsets, w := geo.Entries/geo.Ways, geo.Ways
-	ents := make([]entry, geo.Entries)
-	f := &File{geo: geo, sets: make([][]entry, nsets)}
-	for i := range f.sets {
-		f.sets[i] = ents[i*w : (i+1)*w : (i+1)*w]
+	return &File{geo: geo}
+}
+
+// set returns the ways vpn maps to, allocating the entry array on first
+// use.
+func (f *File) set(vpn uint64) []entry {
+	if f.ents == nil {
+		f.ents = make([]entry, f.geo.Entries)
 	}
-	return f
+	w := f.geo.Ways
+	lo := int(vpn%uint64(f.geo.Entries/w)) * w
+	return f.ents[lo : lo+w : lo+w]
 }
 
 // Access looks up a virtual page number; on a miss the LRU way of the set
 // is replaced. It reports whether the access hit.
 func (f *File) Access(vpn uint64) bool {
 	f.tick++
-	set := f.sets[vpn%uint64(len(f.sets))]
+	set := f.set(vpn)
 	for i := range set {
-		if set[i].valid && set[i].vpn == vpn {
+		if set[i].age != 0 && set[i].vpn == vpn {
 			set[i].age = f.tick
 			f.stats.Hits++
 			return true
@@ -75,7 +82,7 @@ func (f *File) Access(vpn uint64) bool {
 	}
 	victim := 0
 	for i := range set {
-		if !set[i].valid {
+		if set[i].age == 0 {
 			victim = i
 			break
 		}
@@ -83,7 +90,7 @@ func (f *File) Access(vpn uint64) bool {
 			victim = i
 		}
 	}
-	set[victim] = entry{valid: true, vpn: vpn, age: f.tick}
+	set[victim] = entry{vpn: vpn, age: f.tick}
 	f.stats.Misses++
 	return false
 }
@@ -92,23 +99,15 @@ func (f *File) Access(vpn uint64) bool {
 // targeted shootdown a hugepage demotion issues for the split range,
 // cheaper than a full Flush and without perturbing unrelated entries.
 func (f *File) InvalidateRange(lo, hi uint64) {
-	for _, set := range f.sets {
-		for i := range set {
-			if set[i].valid && set[i].vpn >= lo && set[i].vpn < hi {
-				set[i] = entry{}
-			}
+	for i := range f.ents {
+		if f.ents[i].age != 0 && f.ents[i].vpn >= lo && f.ents[i].vpn < hi {
+			f.ents[i] = entry{}
 		}
 	}
 }
 
 // Flush invalidates every entry (context switch / munmap shootdown).
-func (f *File) Flush() {
-	for _, set := range f.sets {
-		for i := range set {
-			set[i] = entry{}
-		}
-	}
-}
+func (f *File) Flush() { clear(f.ents) }
 
 // Stats returns the counters.
 func (f *File) Stats() FileStats { return f.stats }

@@ -3,6 +3,7 @@ package tlb
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/machine"
 	"repro/internal/vm"
@@ -181,19 +182,79 @@ func TestInvalidateRange(t *testing.T) {
 
 var fileSink *File
 
-// TestNewFileAllocsIndependentOfSets pins the carved set layout: a file
-// is one struct, one set table and one entry array, however many sets
-// it has.
-func TestNewFileAllocsIndependentOfSets(t *testing.T) {
+// TestNewFileAllocatesNoEntries checks that building a file allocates
+// only its header, however large its geometry, and that flushing or
+// shooting down an untouched file allocates nothing either.
+func TestNewFileAllocatesNoEntries(t *testing.T) {
 	for _, geo := range []machine.TLBGeometry{
 		{Entries: 8, Ways: 8},
 		{Entries: 32, Ways: 4},
 		{Entries: 512, Ways: 4},
 		{Entries: 4096, Ways: 2},
 	} {
-		allocs := testing.AllocsPerRun(20, func() { fileSink = NewFile(geo) })
-		if allocs != 3 {
-			t.Errorf("NewFile(%+v) made %v allocations, want 3", geo, allocs)
+		if allocs := testing.AllocsPerRun(20, func() { fileSink = NewFile(geo) }); allocs != 1 {
+			t.Errorf("NewFile(%+v) made %v allocations, want 1", geo, allocs)
+		}
+		f := NewFile(geo)
+		if allocs := testing.AllocsPerRun(20, func() { f.Flush(); f.InvalidateRange(0, 1<<40) }); allocs != 0 {
+			t.Errorf("Flush/InvalidateRange of an untouched %+v file made %v allocations", geo, allocs)
+		}
+		if f.ents != nil {
+			t.Errorf("untouched %+v file holds an entry array", geo)
+		}
+	}
+}
+
+// TestFirstAccessAllocatesOneArray checks that the first access
+// allocates exactly one entry array, sized to the geometry, and that
+// later accesses allocate nothing.
+func TestFirstAccessAllocatesOneArray(t *testing.T) {
+	geo := machine.TLBGeometry{Entries: 512, Ways: 4}
+	var f *File
+	allocs := testing.AllocsPerRun(20, func() {
+		f = NewFile(geo)
+		f.Access(7)
+	})
+	if allocs != 2 {
+		t.Fatalf("NewFile plus one access made %v allocations, want 2 (header and entry array)", allocs)
+	}
+	if len(f.ents) != geo.Entries {
+		t.Fatalf("entry array holds %d entries, want %d", len(f.ents), geo.Entries)
+	}
+	vpn := uint64(0)
+	if allocs := testing.AllocsPerRun(100, func() { f.Access(vpn); vpn += 3 }); allocs != 0 {
+		t.Fatalf("a warm access made %v allocations", allocs)
+	}
+}
+
+// TestFileSetsAreDisjoint checks that the sets laid over the flat entry
+// array do not overlap and together cover it: a distinct stamp written
+// to every way of every set reads back unchanged.
+func TestFileSetsAreDisjoint(t *testing.T) {
+	if sz := unsafe.Sizeof(entry{}); sz != 16 {
+		t.Fatalf("entry is %d bytes, want 16", sz)
+	}
+	const ways, sets = 4, 16
+	f := NewFile(machine.TLBGeometry{Entries: ways * sets, Ways: ways})
+	for s := uint64(0); s < sets; s++ {
+		set := f.set(s)
+		if len(set) != ways || cap(set) != ways {
+			t.Fatalf("set %d has len %d cap %d, want %d ways", s, len(set), cap(set), ways)
+		}
+		for w := range set {
+			set[w].vpn = s*ways + uint64(w)
+		}
+	}
+	for s := uint64(0); s < sets; s++ {
+		for w, e := range f.set(s) {
+			if e.vpn != s*ways+uint64(w) {
+				t.Fatalf("set %d way %d holds %d: sets overlap", s, w, e.vpn)
+			}
+		}
+	}
+	for i, e := range f.ents {
+		if e.vpn != uint64(i) {
+			t.Fatalf("entry %d holds %d: sets do not tile the array", i, e.vpn)
 		}
 	}
 }

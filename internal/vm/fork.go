@@ -2,7 +2,6 @@ package vm
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/machine"
 	"repro/internal/phys"
@@ -26,76 +25,80 @@ func (as *AddressSpace) Fork() (*AddressSpace, error) {
 	defer as.mu.Unlock()
 	child := &AddressSpace{
 		mem:      as.mem,
-		small:    make(map[uint64]*pte, len(as.small)),
-		huge:     make(map[uint64]*pte, len(as.huge)),
 		brk:      as.brk,
 		mmapNext: as.mmapNext,
 		hugeNext: as.hugeNext,
-		regions:  append([]region(nil), as.regions...),
+		regions:  make([]region, len(as.regions)),
 	}
-	copyPage := func(src *pte, huge bool) (*pte, error) {
+	// The child's entries are one fresh array, so no entry is shared
+	// between the two spaces.
+	total := 0
+	for _, r := range as.regions {
+		total += len(r.ptes)
+	}
+	ptes := make([]pte, total)
+	for i, r := range as.regions {
+		n := len(r.ptes)
+		child.regions[i] = region{r.start, r.size, r.class, ptes[:n:n]}
+		ptes = ptes[n:]
+	}
+	copyPage := func(src *pte, class PageClass) (pte, error) {
 		if src.pins == 0 {
 			// Share CoW: both sides now fault on write.
 			src.cow = true
-			return &pte{frame: src.frame, class: src.class, cow: true}, nil
+			return pte{frame: src.frame, cow: true}, nil
 		}
 		// Pinned in the parent: copy the contents eagerly.
 		var f phys.Frame
 		var err error
-		if huge {
+		if class == Huge {
 			f, err = as.mem.AllocHugeCoW()
 		} else {
 			f, err = as.mem.AllocFrame()
 		}
 		if err != nil {
-			return nil, err
+			return pte{}, err
 		}
 		as.mem.CopyPhys(
 			phys.Addr(uint64(f)*machine.SmallPageSize),
 			phys.Addr(uint64(src.frame)*machine.SmallPageSize),
-			int(src.class.Size()))
-		return &pte{frame: f, class: src.class}, nil
+			int(class.Size()))
+		return pte{frame: f}, nil
 	}
-	// Walk the page tables in VPN order, not map order: eager copies
-	// allocate physical frames as they go, and the resulting frame
-	// layout must be a pure function of the address space — map
-	// iteration order would leak into every downstream placement
-	// decision and break run-for-run reproducibility across processes.
-	for _, vpn := range sortedVPNs(as.small) {
-		np, err := copyPage(as.small[vpn], false)
-		if err != nil {
-			return nil, fmt.Errorf("vm: fork: %w", err)
+	// Walk every small page in address order, then every hugepage:
+	// eager copies allocate physical frames as they go, and the
+	// resulting frame layout must be a pure function of the address
+	// space, or it would leak into every downstream placement decision
+	// and break run-for-run reproducibility across processes.
+	for _, class := range []PageClass{Small, Huge} {
+		for i := range as.regions {
+			r := &as.regions[i]
+			if r.class != class {
+				continue
+			}
+			for k := range r.ptes {
+				np, err := copyPage(&r.ptes[k], class)
+				if err != nil {
+					return nil, fmt.Errorf("vm: fork: %w", err)
+				}
+				child.regions[i].ptes[k] = np
+				if class == Huge {
+					child.stats.MappedHuge++
+				} else {
+					child.stats.MappedSmall++
+				}
+			}
 		}
-		child.small[vpn] = np
-		child.stats.MappedSmall++
-	}
-	for _, vpn := range sortedVPNs(as.huge) {
-		np, err := copyPage(as.huge[vpn], true)
-		if err != nil {
-			return nil, fmt.Errorf("vm: fork: %w", err)
-		}
-		child.huge[vpn] = np
-		child.stats.MappedHuge++
 	}
 	return child, nil
 }
 
-// sortedVPNs returns a page table's virtual page numbers in ascending
-// order.
-func sortedVPNs(pt map[uint64]*pte) []uint64 {
-	vpns := make([]uint64, 0, len(pt))
-	for vpn := range pt {
-		vpns = append(vpns, vpn)
-	}
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
-	return vpns
-}
-
-// breakCoW gives the pte a private copy of its page. Callers hold as.mu.
-func (as *AddressSpace) breakCoW(p *pte) error {
+// breakCoW gives the entry, a page of the given class, a private copy of
+// its page. Callers hold as.mu.
+func (as *AddressSpace) breakCoW(p *pte, class PageClass) error {
 	var f phys.Frame
 	var err error
-	if p.class == Huge {
+	if class == Huge {
 		// This is the allocation the reserve exists for.
 		f, err = as.mem.AllocHugeCoW()
 	} else {
@@ -107,7 +110,7 @@ func (as *AddressSpace) breakCoW(p *pte) error {
 	as.mem.CopyPhys(
 		phys.Addr(uint64(f)*machine.SmallPageSize),
 		phys.Addr(uint64(p.frame)*machine.SmallPageSize),
-		int(p.class.Size()))
+		int(class.Size()))
 	// The old frame stays with whichever other space references it; the
 	// simulator does not refcount frames, matching the accounting focus
 	// of the model (pool pressure), not exact RSS.

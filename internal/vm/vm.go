@@ -13,6 +13,7 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -56,27 +57,34 @@ var (
 	ErrMixedClasses = errors.New("vm: range spans mixed page classes")
 )
 
-// pte is one page-table entry.
+// pte is one page-table entry, 16 bytes. Entries are values in their
+// region's page slice, which gives them their page class and virtual
+// address.
 type pte struct {
 	frame phys.Frame // first frame of the page
-	class PageClass
-	pins  int
+	pins  int32
 	cow   bool // shared copy-on-write after a fork
 	// split marks a small pte carved out of a demoted hugepage. The 2 MiB
 	// physical run stays in place (a THP-style split rebuilds the page
 	// table, it does not migrate data), so the run returns to the hugepage
-	// pool as one unit: unmap frees it once, via the subpage whose frame
-	// equals splitBase.
-	split     bool
-	splitBase phys.Frame
+	// pool as one unit: unmap frees it once, via the first subpage.
+	// Demote gives each split hugepage a region of its own whose subpage
+	// i holds frame base+i for as long as it stays split, so the first
+	// subpage's frame is the run's base.
+	split bool
 }
 
-// region records one mapping for unmap bookkeeping.
+// region is one mapping: its extent, page class and page-table entries,
+// one per page in address order. A hugepage region that Demote has split
+// is several regions, each with its own entries.
 type region struct {
 	start VA
 	size  uint64
 	class PageClass
+	ptes  []pte
 }
+
+func (r *region) contains(va VA) bool { return va >= r.start && uint64(va-r.start) < r.size }
 
 // Virtual address layout. Hugepage mappings live in their own window so a
 // single lookup classifies an address; the layout mirrors the split
@@ -97,14 +105,16 @@ type AddressSpace struct {
 	mu  sync.Mutex
 	mem *phys.Memory
 
-	small map[uint64]*pte // key: va / 4K
-	huge  map[uint64]*pte // key: va / 2M
-
 	brk      VA
 	mmapNext VA
 	hugeNext VA
 
+	// regions is the page table: every mapping, sorted by start address
+	// (mappings never overlap; zero-length ones sort before a non-empty
+	// one at the same address). last caches the index of the region the
+	// previous lookup hit.
 	regions []region
+	last    int
 
 	stats Stats
 
@@ -130,8 +140,6 @@ type Stats struct {
 func New(mem *phys.Memory) *AddressSpace {
 	return &AddressSpace{
 		mem:      mem,
-		small:    make(map[uint64]*pte),
-		huge:     make(map[uint64]*pte),
 		brk:      brkBase,
 		mmapNext: mmapBase,
 		hugeNext: hugeBase,
@@ -153,32 +161,33 @@ func (as *AddressSpace) SetTrace(cur *trace.Cursor) {
 
 func roundUp(n, to uint64) uint64 { return (n + to - 1) / to * to }
 
-// mapSmallLocked materialises small pages for [va, va+size).
-func (as *AddressSpace) mapSmallLocked(va VA, size uint64) error {
+// mapSmallLocked allocates frames for the small pages of [va, va+size)
+// and returns their entries. On failure every frame it took goes back.
+func (as *AddressSpace) mapSmallLocked(va VA, size uint64) ([]pte, error) {
 	if uint64(va)%machine.SmallPageSize != 0 {
-		return fmt.Errorf("vm: unaligned small mapping at %#x", va)
+		return nil, fmt.Errorf("vm: unaligned small mapping at %#x", va)
 	}
-	n := roundUp(size, machine.SmallPageSize) / machine.SmallPageSize
-	done := make([]uint64, 0, n)
-	for i := uint64(0); i < n; i++ {
-		vpn := uint64(va)/machine.SmallPageSize + i
-		if _, exists := as.small[vpn]; exists {
-			continue
-		}
+	ptes := make([]pte, roundUp(size, machine.SmallPageSize)/machine.SmallPageSize)
+	for i := range ptes {
 		f, err := as.mem.AllocFrame()
 		if err != nil {
-			for _, d := range done {
-				_ = as.mem.FreeFrame(as.small[d].frame)
-				delete(as.small, d)
-				as.stats.MappedSmall--
+			for _, p := range ptes[:i] {
+				_ = as.mem.FreeFrame(p.frame)
 			}
-			return err
+			as.stats.MappedSmall -= int64(i)
+			return nil, err
 		}
-		as.small[vpn] = &pte{frame: f, class: Small}
+		ptes[i].frame = f
 		as.stats.MappedSmall++
-		done = append(done, vpn)
 	}
-	return nil
+	return ptes, nil
+}
+
+// addRegionLocked inserts r into the sorted region table, after any
+// region starting at the same address.
+func (as *AddressSpace) addRegionLocked(r region) {
+	i := sort.Search(len(as.regions), func(i int) bool { return as.regions[i].start > r.start })
+	as.regions = slices.Insert(as.regions, i, r)
 }
 
 // Sbrk grows the heap by size bytes (rounded up to whole small pages) and
@@ -192,11 +201,12 @@ func (as *AddressSpace) Sbrk(size uint64) (VA, error) {
 	if start+VA(grown) > brkLimit {
 		return 0, phys.ErrOutOfMemory
 	}
-	if err := as.mapSmallLocked(start, grown); err != nil {
+	ptes, err := as.mapSmallLocked(start, grown)
+	if err != nil {
 		return 0, err
 	}
 	as.brk += VA(grown)
-	as.regions = append(as.regions, region{start, grown, Small})
+	as.addRegionLocked(region{start, grown, Small, ptes})
 	if as.cur.Enabled() {
 		as.cur.Event(trace.LVM, "sbrk", trace.I64("bytes", int64(grown)))
 	}
@@ -213,11 +223,12 @@ func (as *AddressSpace) MapSmall(size uint64) (VA, error) {
 	if start+VA(sz) > mmapLimit {
 		return 0, phys.ErrOutOfMemory
 	}
-	if err := as.mapSmallLocked(start, sz); err != nil {
+	ptes, err := as.mapSmallLocked(start, sz)
+	if err != nil {
 		return 0, err
 	}
 	as.mmapNext += VA(sz)
-	as.regions = append(as.regions, region{start, sz, Small})
+	as.addRegionLocked(region{start, sz, Small, ptes})
 	if as.cur.Enabled() {
 		as.cur.Event(trace.LVM, "map.small", trace.I64("bytes", int64(sz)))
 	}
@@ -241,24 +252,20 @@ func (as *AddressSpace) mapHugeLocked(size uint64) (VA, error) {
 	if start+VA(sz) > hugeLimit {
 		return 0, phys.ErrOutOfMemory
 	}
-	got := make([]phys.Frame, 0, n)
-	for i := uint64(0); i < n; i++ {
+	ptes := make([]pte, n)
+	for i := range ptes {
 		f, err := as.mem.AllocHuge()
 		if err != nil {
-			for _, g := range got {
-				_ = as.mem.FreeHuge(g)
+			for _, p := range ptes[:i] {
+				_ = as.mem.FreeHuge(p.frame)
 			}
 			return 0, err
 		}
-		got = append(got, f)
+		ptes[i].frame = f
 	}
-	for i, f := range got {
-		hvpn := uint64(start)/machine.HugePageSize + uint64(i)
-		as.huge[hvpn] = &pte{frame: f, class: Huge}
-		as.stats.MappedHuge++
-	}
+	as.stats.MappedHuge += int64(n)
 	as.hugeNext += VA(sz)
-	as.regions = append(as.regions, region{start, sz, Huge})
+	as.addRegionLocked(region{start, sz, Huge, ptes})
 	if as.cur.Enabled() {
 		as.cur.Event(trace.LVM, "map.huge",
 			trace.I64("bytes", int64(sz)), trace.I64("pages", int64(n)))
@@ -286,11 +293,12 @@ func (as *AddressSpace) MapHugeOrSmall(size uint64) (VA, bool, error) {
 	if start+VA(sz) > mmapLimit {
 		return 0, false, phys.ErrOutOfMemory
 	}
-	if err := as.mapSmallLocked(start, sz); err != nil {
+	ptes, err := as.mapSmallLocked(start, sz)
+	if err != nil {
 		return 0, false, err
 	}
 	as.mmapNext += VA(sz)
-	as.regions = append(as.regions, region{start, sz, Small})
+	as.addRegionLocked(region{start, sz, Small, ptes})
 	as.stats.HugeFallbackBytes += int64(sz)
 	if as.cur.Enabled() {
 		as.cur.Event(trace.LVM, "map.fallback", trace.I64("bytes", int64(sz)))
@@ -321,7 +329,7 @@ func (as *AddressSpace) Unmap(start VA, size uint64) error {
 		as.freeRegionLocked(r)
 		total += r.size
 	}
-	as.regions = append(as.regions[:lo], as.regions[lo+n:]...)
+	as.regions = slices.Delete(as.regions, lo, lo+n)
 	if as.cur.Enabled() {
 		as.cur.Event(trace.LVM, "unmap", trace.I64("bytes", int64(total)))
 	}
@@ -366,51 +374,34 @@ func (as *AddressSpace) unmapRunLocked(start VA, size uint64) (lo, n int) {
 
 // regionPinnedLocked reports whether any page of r is pinned.
 func (as *AddressSpace) regionPinnedLocked(r region) bool {
-	if r.class == Huge {
-		for off := uint64(0); off < r.size; off += machine.HugePageSize {
-			if p := as.huge[uint64(r.start+VA(off))/machine.HugePageSize]; p != nil && p.pins > 0 {
-				return true
-			}
-		}
-		return false
-	}
-	for off := uint64(0); off < r.size; off += machine.SmallPageSize {
-		if p := as.small[uint64(r.start+VA(off))/machine.SmallPageSize]; p != nil && p.pins > 0 {
+	for _, p := range r.ptes {
+		if p.pins > 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// freeRegionLocked releases r's frames and page-table entries.
+// freeRegionLocked releases r's frames.
 func (as *AddressSpace) freeRegionLocked(r region) {
 	if r.class == Huge {
-		for off := uint64(0); off < r.size; off += machine.HugePageSize {
-			key := uint64(r.start+VA(off)) / machine.HugePageSize
-			if p := as.huge[key]; p != nil {
-				_ = as.mem.FreeHuge(p.frame)
-				delete(as.huge, key)
-				as.stats.MappedHuge--
-			}
+		for _, p := range r.ptes {
+			_ = as.mem.FreeHuge(p.frame)
 		}
+		as.stats.MappedHuge -= int64(len(r.ptes))
 		return
 	}
-	for off := uint64(0); off < r.size; off += machine.SmallPageSize {
-		key := uint64(r.start+VA(off)) / machine.SmallPageSize
-		if p := as.small[key]; p != nil {
-			if p.split {
-				// Subpages of a demoted hugepage share one physical
-				// 2 MiB run; free it once, at its base subpage.
-				if p.frame == p.splitBase {
-					_ = as.mem.FreeHuge(p.splitBase)
-				}
-			} else {
-				_ = as.mem.FreeFrame(p.frame)
-			}
-			delete(as.small, key)
-			as.stats.MappedSmall--
+	for i, p := range r.ptes {
+		switch {
+		case !p.split:
+			_ = as.mem.FreeFrame(p.frame)
+		case i == 0:
+			// Subpages of a demoted hugepage share one physical 2 MiB
+			// run; free it once, at its base subpage.
+			_ = as.mem.FreeHuge(p.frame)
 		}
 	}
+	as.stats.MappedSmall -= int64(len(r.ptes))
 }
 
 // Demote splits every hugepage lying fully inside [va, va+size) into 512
@@ -431,23 +422,22 @@ func (as *AddressSpace) Demote(va VA, size uint64) (int, error) {
 	const subpages = machine.HugePageSize / machine.SmallPageSize
 	demoted := 0
 	for h := lo; h < hi; h += VA(machine.HugePageSize) {
-		hvpn := uint64(h) / machine.HugePageSize
-		p := as.huge[hvpn]
-		if p == nil || p.pins > 0 || p.cow {
+		i := as.find(h)
+		if i < 0 || as.regions[i].class != Huge {
 			continue
 		}
-		for i := uint64(0); i < subpages; i++ {
-			as.small[uint64(h)/machine.SmallPageSize+i] = &pte{
-				frame:     p.frame + phys.Frame(i),
-				class:     Small,
-				split:     true,
-				splitBase: p.frame,
-			}
+		k := int(uint64(h-as.regions[i].start) / machine.HugePageSize)
+		p := as.regions[i].ptes[k]
+		if p.pins > 0 || p.cow {
+			continue
 		}
-		delete(as.huge, hvpn)
+		split := make([]pte, subpages)
+		for j := range split {
+			split[j] = pte{frame: p.frame + phys.Frame(j), split: true}
+		}
+		as.splitRegionLocked(i, k, split)
 		as.stats.MappedHuge--
 		as.stats.MappedSmall += subpages
-		as.splitRegionLocked(h)
 		as.stats.Demotions++
 		as.stats.DemotedBytes += machine.HugePageSize
 		demoted++
@@ -460,57 +450,63 @@ func (as *AddressSpace) Demote(va VA, size uint64) (int, error) {
 	return demoted, nil
 }
 
-// splitRegionLocked carves the hugepage at h out of its Huge region
-// record into a standalone Small record, so unmap bookkeeping keeps
-// matching page classes after a demotion. Callers hold as.mu.
-func (as *AddressSpace) splitRegionLocked(h VA) {
-	for i, r := range as.regions {
-		if r.class != Huge || h < r.start || h >= r.start+VA(r.size) {
-			continue
-		}
-		repl := make([]region, 0, 3)
-		if pre := uint64(h - r.start); pre > 0 {
-			repl = append(repl, region{r.start, pre, Huge})
-		}
-		repl = append(repl, region{h, machine.HugePageSize, Small})
-		if post := r.size - uint64(h-r.start) - machine.HugePageSize; post > 0 {
-			repl = append(repl, region{h + VA(machine.HugePageSize), post, Huge})
-		}
-		as.regions = append(as.regions[:i], append(repl, as.regions[i+1:]...)...)
-		return
+// splitRegionLocked replaces hugepage k of the Huge region at index i
+// with a standalone Small region holding the split entries, so unmap
+// bookkeeping keeps matching page classes after a demotion. The pieces
+// before and after keep their entries in the original array. Callers
+// hold as.mu.
+func (as *AddressSpace) splitRegionLocked(i, k int, split []pte) {
+	r := as.regions[i]
+	h := r.start + VA(uint64(k)*machine.HugePageSize)
+	repl := make([]region, 0, 3)
+	if k > 0 {
+		repl = append(repl, region{r.start, uint64(k) * machine.HugePageSize, Huge, r.ptes[:k:k]})
 	}
+	repl = append(repl, region{h, machine.HugePageSize, Small, split})
+	if k+1 < len(r.ptes) {
+		repl = append(repl, region{h + VA(machine.HugePageSize), r.size - uint64(k+1)*machine.HugePageSize, Huge, r.ptes[k+1:]})
+	}
+	as.regions = slices.Replace(as.regions, i, i+1, repl...)
 }
 
-// lookup finds the pte covering va. Callers hold as.mu.
-func (as *AddressSpace) lookup(va VA) (*pte, error) {
-	if va >= hugeBase {
-		if p := as.huge[uint64(va)/machine.HugePageSize]; p != nil {
-			return p, nil
-		}
-		// Demoted hugepages keep their VAs in the huge window but live in
-		// the small page table at 4 KiB granularity.
-		if p := as.small[uint64(va)/machine.SmallPageSize]; p != nil {
-			return p, nil
-		}
-		return nil, ErrUnmapped
+// find returns the index of the region containing va, or -1. Callers
+// hold as.mu.
+func (as *AddressSpace) find(va VA) int {
+	if as.last < len(as.regions) && as.regions[as.last].contains(va) {
+		return as.last
 	}
-	if p := as.small[uint64(va)/machine.SmallPageSize]; p != nil {
-		return p, nil
+	// The last region starting at or below va is the only candidate.
+	i := sort.Search(len(as.regions), func(i int) bool { return as.regions[i].start > va }) - 1
+	if i < 0 || !as.regions[i].contains(va) {
+		return -1
 	}
-	return nil, ErrUnmapped
+	as.last = i
+	return i
+}
+
+// lookup finds the entry covering va and its page class. The pointer
+// indexes the region's entry slice: callers hold as.mu and drop it
+// before the region table next changes.
+func (as *AddressSpace) lookup(va VA) (*pte, PageClass, error) {
+	i := as.find(va)
+	if i < 0 {
+		return nil, Small, ErrUnmapped
+	}
+	r := &as.regions[i]
+	return &r.ptes[uint64(va-r.start)/r.class.Size()], r.class, nil
 }
 
 // Translate resolves a virtual address to (physical address, page class).
 func (as *AddressSpace) Translate(va VA) (phys.Addr, PageClass, error) {
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	p, err := as.lookup(va)
+	p, class, err := as.lookup(va)
 	if err != nil {
 		return 0, Small, fmt.Errorf("%w: %#x", err, uint64(va))
 	}
 	as.stats.Translations++
-	off := uint64(va) % p.class.Size()
-	return phys.Addr(uint64(p.frame)*machine.SmallPageSize + off), p.class, nil
+	off := uint64(va) % class.Size()
+	return phys.Addr(uint64(p.frame)*machine.SmallPageSize + off), class, nil
 }
 
 // Page describes one page of a translated range.
@@ -518,6 +514,40 @@ type Page struct {
 	VA    VA
 	PA    phys.Addr
 	Class PageClass
+}
+
+// walkLocked calls fn, in address order, for every page covering
+// [va, va+length) with length > 0, and returns their class. It stops at
+// the first page that is unmapped (ErrUnmapped) or of another class than
+// the first (ErrMixedClasses), or at fn's first error. A nil fn only
+// checks the range. Callers hold as.mu.
+func (as *AddressSpace) walkLocked(va VA, length uint64, fn func(a VA, p *pte) error) (PageClass, error) {
+	i := as.find(va)
+	if i < 0 {
+		return Small, fmt.Errorf("%w: %#x", ErrUnmapped, uint64(va))
+	}
+	class := as.regions[i].class
+	ps := class.Size()
+	end := uint64(va) + length
+	for a := uint64(va) / ps * ps; a < end; i++ {
+		if i >= len(as.regions) || !as.regions[i].contains(VA(a)) {
+			if i = as.find(VA(a)); i < 0 {
+				return class, fmt.Errorf("%w: %#x", ErrUnmapped, a)
+			}
+		}
+		r := &as.regions[i]
+		if r.class != class {
+			return class, ErrMixedClasses
+		}
+		for k := (a - uint64(r.start)) / ps; k < uint64(len(r.ptes)) && a < end; k, a = k+1, a+ps {
+			if fn != nil {
+				if err := fn(VA(a), &r.ptes[k]); err != nil {
+					return class, err
+				}
+			}
+		}
+	}
+	return class, nil
 }
 
 // Pages enumerates the pages covering [va, va+len), in address order.
@@ -529,79 +559,79 @@ func (as *AddressSpace) Pages(va VA, length uint64) ([]Page, error) {
 	}
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	first, err := as.lookup(va)
+	class, err := as.walkLocked(va, length, nil)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %#x", err, uint64(va))
+		return nil, err
 	}
-	ps := first.class.Size()
-	start := uint64(va) / ps * ps
-	end := uint64(va) + length
-	var pages []Page
-	for a := start; a < end; a += ps {
-		p, err := as.lookup(VA(a))
-		if err != nil {
-			return nil, fmt.Errorf("%w: %#x", err, a)
-		}
-		if p.class != first.class {
-			return nil, ErrMixedClasses
-		}
-		pages = append(pages, Page{
-			VA:    VA(a),
-			PA:    phys.Addr(uint64(p.frame) * machine.SmallPageSize),
-			Class: p.class,
-		})
-	}
+	pages := make([]Page, 0, pageCount(va, length, class))
+	// The range was checked above and fn never fails, so neither can
+	// this walk.
+	_, _ = as.walkLocked(va, length, func(a VA, p *pte) error {
+		pages = append(pages, Page{VA: a, PA: phys.Addr(uint64(p.frame) * machine.SmallPageSize), Class: class})
+		return nil
+	})
 	return pages, nil
+}
+
+// pageCount is the number of class pages covering [va, va+length).
+func pageCount(va VA, length uint64, class PageClass) int {
+	ps := class.Size()
+	return int((uint64(va)+length+ps-1)/ps - uint64(va)/ps)
 }
 
 // Pin pins every page of [va, va+len) in memory and returns the pages, in
 // address order. Each page's pin count is incremented; pinned pages refuse
 // to unmap. Pin is step 1 of memory registration.
 func (as *AddressSpace) Pin(va VA, length uint64) ([]Page, error) {
-	pages, err := as.Pages(va, length)
-	if err != nil {
-		return nil, err
+	if length == 0 {
+		return nil, nil
 	}
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	for i, pg := range pages {
-		p, err := as.lookup(pg.VA)
-		if err != nil {
-			return nil, err
-		}
+	// Check the whole range before pinning any of it.
+	class, err := as.walkLocked(va, length, nil)
+	if err != nil {
+		return nil, err
+	}
+	pages := make([]Page, 0, pageCount(va, length, class))
+	_, err = as.walkLocked(va, length, func(a VA, p *pte) error {
 		if p.cow {
 			// DMA needs a stable private page: break the sharing now.
-			if err := as.breakCoW(p); err != nil {
-				return nil, err
+			if err := as.breakCoW(p, class); err != nil {
+				return err
 			}
-			pages[i].PA = phys.Addr(uint64(p.frame) * machine.SmallPageSize)
 		}
 		p.pins++
 		as.stats.Pins++
+		pages = append(pages, Page{VA: a, PA: phys.Addr(uint64(p.frame) * machine.SmallPageSize), Class: class})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return pages, nil
 }
 
 // Unpin decrements the pin count of every page of [va, va+len).
 func (as *AddressSpace) Unpin(va VA, length uint64) error {
-	pages, err := as.Pages(va, length)
-	if err != nil {
-		return err
+	if length == 0 {
+		return nil
 	}
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	for _, pg := range pages {
-		p, err := as.lookup(pg.VA)
-		if err != nil {
-			return err
-		}
+	// Check the whole range before unpinning any of it.
+	if _, err := as.walkLocked(va, length, nil); err != nil {
+		return err
+	}
+	_, err := as.walkLocked(va, length, func(a VA, p *pte) error {
 		if p.pins == 0 {
-			return fmt.Errorf("%w: %#x", ErrNotPinned, uint64(pg.VA))
+			return fmt.Errorf("%w: %#x", ErrNotPinned, uint64(a))
 		}
 		p.pins--
 		as.stats.Unpins++
-	}
-	return nil
+		return nil
+	})
+	return err
 }
 
 // Write copies p into the address space at va, through the page tables.
@@ -610,10 +640,7 @@ func (as *AddressSpace) Unpin(va VA, length uint64) error {
 // CoW reserve).
 func (as *AddressSpace) Write(va VA, p []byte) error {
 	for len(p) > 0 {
-		if err := as.ensureWritable(va); err != nil {
-			return err
-		}
-		pa, class, err := as.translateQuiet(va)
+		pa, class, err := as.writable(va)
 		if err != nil {
 			return err
 		}
@@ -648,30 +675,34 @@ func (as *AddressSpace) Read(va VA, p []byte) error {
 	return nil
 }
 
-// ensureWritable breaks copy-on-write sharing for the page covering va.
-func (as *AddressSpace) ensureWritable(va VA) error {
+// writable breaks copy-on-write sharing for the page covering va and
+// translates va, without the statistics bump.
+func (as *AddressSpace) writable(va VA) (phys.Addr, PageClass, error) {
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	p, err := as.lookup(va)
+	p, class, err := as.lookup(va)
 	if err != nil {
-		return fmt.Errorf("%w: %#x", err, uint64(va))
+		return 0, Small, fmt.Errorf("%w: %#x", err, uint64(va))
 	}
 	if p.cow {
-		return as.breakCoW(p)
+		if err := as.breakCoW(p, class); err != nil {
+			return 0, Small, err
+		}
 	}
-	return nil
+	off := uint64(va) % class.Size()
+	return phys.Addr(uint64(p.frame)*machine.SmallPageSize + off), class, nil
 }
 
 // translateQuiet is Translate without the statistics bump, for bulk IO.
 func (as *AddressSpace) translateQuiet(va VA) (phys.Addr, PageClass, error) {
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	p, err := as.lookup(va)
+	p, class, err := as.lookup(va)
 	if err != nil {
 		return 0, Small, fmt.Errorf("%w: %#x", err, uint64(va))
 	}
-	off := uint64(va) % p.class.Size()
-	return phys.Addr(uint64(p.frame)*machine.SmallPageSize + off), p.class, nil
+	off := uint64(va) % class.Size()
+	return phys.Addr(uint64(p.frame)*machine.SmallPageSize + off), class, nil
 }
 
 // Stats returns a snapshot of the counters.
@@ -702,7 +733,6 @@ func (as *AddressSpace) Regions() []struct {
 			Class PageClass
 		}{r.start, r.size, r.class}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
 	return out
 }
 
