@@ -111,7 +111,7 @@ func BenchmarkFig6NAS(b *testing.B) {
 				b.ReportMetric(pct(small.Comm, huge.Comm), "comm-impr-%")
 				b.ReportMetric(pct(small.Compute, huge.Compute), "other-impr-%")
 				b.ReportMetric(pct(small.Total, huge.Total), "overall-impr-%")
-				b.ReportMetric(float64(huge.TLB.TotalMisses())/float64(small.TLB.TotalMisses()), "tlb-miss-ratio")
+				b.ReportMetric(float64(SumNodeStats(huge.Nodes).TLB.Misses())/float64(SumNodeStats(small.Nodes).TLB.Misses()), "tlb-miss-ratio")
 			}
 		})
 	}
@@ -351,7 +351,7 @@ func BenchmarkRegCacheBound(b *testing.B) {
 						}
 					}
 					if r.ID() == 0 {
-						comm = r.Profile().CommTime()
+						comm = r.CommTime()
 					}
 					return nil
 				})

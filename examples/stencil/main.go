@@ -96,11 +96,15 @@ func run(m *repro.Machine, s repro.Strategy, ranks int) (result, error) {
 	for _, s := range sums {
 		checksum += s
 	}
-	p := cluster.Profile()
+	var comm, compute repro.Ticks
+	for i := 0; i < ranks; i++ {
+		comm += cluster.Rank(i).CommTime()
+		compute += cluster.Rank(i).ComputeTime()
+	}
 	return result{
-		comm:      p.CommTime(),
-		compute:   p.ComputeTime(),
-		total:     p.CommTime() + p.ComputeTime(),
+		comm:      comm,
+		compute:   compute,
+		total:     comm + compute,
 		checksum:  checksum,
 		pinnedKiB: cluster.Rank(0).Cache().Stats().PinnedBytes / 1024,
 	}, nil

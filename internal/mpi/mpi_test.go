@@ -10,6 +10,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/node"
 	"repro/internal/simtime"
+	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
@@ -647,8 +648,13 @@ func TestHugeATTNeedsAdapterSupport(t *testing.T) {
 	}
 }
 
-func TestProfileRecordsCalls(t *testing.T) {
-	w := mustWorld(t, defaultCfg(2))
+// TestCommTimeMatchesTraceSpans pins where the mpiP-style data lives:
+// each rank's CommTime is the sum of its outermost mpi spans in the
+// trace, one span per call, named by the call.
+func TestCommTimeMatchesTraceSpans(t *testing.T) {
+	cfg := defaultCfg(2)
+	cfg.Trace = trace.NewCollector()
+	w := mustWorld(t, cfg)
 	err := w.Run(func(r *Rank) error {
 		va, _ := r.Malloc(4096)
 		r.Compute(1000)
@@ -661,21 +667,43 @@ func TestProfileRecordsCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := w.Profile()
-	if p.CommTime() <= 0 {
-		t.Fatal("no comm time recorded")
+	var buf bytes.Buffer
+	if err := cfg.Trace.WritePerfetto(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if p.ComputeTime() < 2000 {
-		t.Fatalf("compute time %d, want >= 2000", p.ComputeTime())
+	d, err := trace.ParsePerfetto(&buf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	found := false
-	for _, cs := range p.Calls() {
-		if cs.Name == "Send" && cs.Count == 1 {
-			found = true
+	// Outermost mpi spans on each rank's main track: an mpi span not
+	// inside an earlier one (protocol phases nest inside their call).
+	outer := make([][]trace.PSpan, w.Size())
+	for _, sp := range d.Spans {
+		if sp.Layer != string(trace.LMPI) || sp.TID != trace.TrackMain {
+			continue
 		}
+		if k := len(outer[sp.PID]); k > 0 && sp.Start < outer[sp.PID][k-1].End() {
+			continue
+		}
+		outer[sp.PID] = append(outer[sp.PID], sp)
 	}
-	if !found {
-		t.Fatal("Send call not profiled")
+	var compute simtime.Ticks
+	for i := 0; i < w.Size(); i++ {
+		r := w.Rank(i)
+		var sum simtime.Ticks
+		for _, sp := range outer[i] {
+			sum += sp.Dur
+		}
+		if r.CommTime() <= 0 || r.CommTime() != sum {
+			t.Fatalf("rank %d: CommTime %d, outermost mpi spans sum to %d", i, r.CommTime(), sum)
+		}
+		compute += r.ComputeTime()
+	}
+	if len(outer[0]) != 1 || outer[0][0].Name != "Send" {
+		t.Fatalf("rank 0 outermost mpi spans = %+v, want one Send", outer[0])
+	}
+	if compute < 2000 {
+		t.Fatalf("compute time %d, want >= 2000", compute)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/machine"
 	"repro/internal/memtier"
-	"repro/internal/mpip"
 	"repro/internal/node"
 	"repro/internal/phys"
 	"repro/internal/regcache"
@@ -47,9 +46,8 @@ type Rank struct {
 	alloc alloc.Allocator
 	dtlb  *tlb.DTLB
 	inj   *faults.Injector // nil when faults are disabled (nil-safe)
-	prof  *mpip.Profile
-	tr    *trace.Tracer // nil when tracing is disabled (nil-safe)
-	cur   *trace.Cursor // stamps the clockless layers' instant events
+	tr    *trace.Tracer    // nil when tracing is disabled (nil-safe)
+	cur   *trace.Cursor    // stamps the clockless layers' instant events
 
 	// Per-peer message plumbing, created lazily on first use: a rank
 	// only pays for the peers it actually talks to, which is what makes
@@ -72,6 +70,13 @@ type Rank struct {
 	// (mpiP attributes time to the outermost call site). Plain int: the
 	// scheduler runs at most one of the rank's tasks at a time.
 	mpiDepth int
+
+	// comm and compute split the rank's clock the way the paper's mpiP
+	// profile does: comm is the time inside outermost MPI calls, compute
+	// the application, allocator and policy time charged outside them.
+	// Only the rank's main task touches them, so, like mpiDepth, they
+	// need no lock.
+	comm, compute simtime.Ticks
 
 	// flowSeq[d] numbers the traced messages sent to rank d, so every
 	// message arrow in the trace gets a globally unique id.
@@ -133,13 +138,13 @@ func (r *Rank) enterMPI() bool {
 	return r.mpiDepth == 1
 }
 
-// exitMPI leaves a profiled MPI call, recording d against name if this
-// was the outermost frame.
+// exitMPI leaves a profiled MPI call, adding its duration to the rank's
+// comm time if this was the outermost frame.
 func (r *Rank) exitMPI(name string, start simtime.Ticks, outer bool) {
 	r.mpiDepth--
 	if outer {
 		end := r.clock.Now()
-		r.prof.AddCall(name, end-start)
+		r.comm += end - start
 		// Every outermost MPI call is one span on the rank's main track —
 		// the single emission point all entry points funnel through.
 		if r.tr.Enabled() {
@@ -179,8 +184,14 @@ func (r *Rank) Allocator() alloc.Allocator { return r.alloc }
 // DTLB exposes the rank's TLB simulator (the memmodel charges through it).
 func (r *Rank) DTLB() *tlb.DTLB { return r.dtlb }
 
-// Profile exposes the rank's mpiP profile.
-func (r *Rank) Profile() *mpip.Profile { return r.prof }
+// CommTime is the rank's total time inside outermost MPI calls. The
+// per-call breakdown is in the trace: one mpi span per outermost call,
+// named by the call.
+func (r *Rank) CommTime() simtime.Ticks { return r.comm }
+
+// ComputeTime is the rank's total application time: compute phases,
+// allocator calls, tier migrations and policy demotion splits.
+func (r *Rank) ComputeTime() simtime.Ticks { return r.compute }
 
 // computeYieldTicks is the compute-phase granularity at which a rank
 // hands the baton back to the scheduler: phases at least this long
@@ -198,7 +209,7 @@ func (r *Rank) Compute(d simtime.Ticks) {
 		r.tctx(&r.clock).Span(trace.LApp, "compute", d)
 	}
 	r.clock.Advance(d)
-	r.prof.AddCompute(d)
+	r.compute += d
 	// The compute path is the adaptive policy's heartbeat: window
 	// boundaries are checked here, and any demotion's split cost is
 	// charged to the rank like the application work it interrupts.
@@ -209,7 +220,7 @@ func (r *Rank) Compute(d simtime.Ticks) {
 				r.tctx(&r.clock).Span(trace.LPolicy, "demote.split", c)
 			}
 			r.clock.Advance(c)
-			r.prof.AddCompute(c)
+			r.compute += c
 		}
 	}
 	if d >= computeYieldTicks {
@@ -232,7 +243,7 @@ func (r *Rank) Malloc(n uint64) (vm.VA, error) {
 		r.tctx(&r.clock).Span(trace.LAlloc, "malloc", d, trace.I64("bytes", int64(n)))
 	}
 	r.clock.Advance(d)
-	r.prof.AddAlloc(d)
+	r.compute += d
 	return va, nil
 }
 
@@ -253,7 +264,7 @@ func (r *Rank) Free(va vm.VA) error {
 		r.tctx(&r.clock).Span(trace.LAlloc, "free", d+inv)
 	}
 	r.clock.Advance(d + inv)
-	r.prof.AddAlloc(d + inv)
+	r.compute += d + inv
 	return nil
 }
 
@@ -386,7 +397,7 @@ func (r *Rank) TierMigrate(va vm.VA, n uint64, tier int) (int, error) {
 				trace.I64("tier", int64(tier)), trace.I64("pages", int64(moved)))
 		}
 		r.clock.Advance(cost)
-		r.prof.AddCompute(cost)
+		r.compute += cost
 	}
 	return moved, nil
 }

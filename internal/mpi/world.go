@@ -1,6 +1,6 @@
 // Package mpi is a miniature MPI runtime over the simulated InfiniBand
 // stack, modelled on MVAPICH2 0.9.x as used in the paper's Section 5:
-// eager protocol up to 8 KiB, a copy-based pipeline to 16 KiB, and an
+// eager copy through preregistered bounce buffers up to 16 KiB, and an
 // RDMA-write rendezvous above 16 KiB whose buffers are registered through
 // the pin-down cache (lazy deregistration on or off). Collectives are
 // built from point-to-point. Each rank runs as a task on the world's
@@ -22,7 +22,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/machine"
 	"repro/internal/memtier"
-	"repro/internal/mpip"
 	"repro/internal/node"
 	"repro/internal/sched"
 	"repro/internal/simtime"
@@ -58,10 +57,10 @@ type Config struct {
 	// Tiers enables the tiered-memory model on every rank's host (nil =
 	// flat DRAM, zero cost on any path). See internal/memtier.
 	Tiers *memtier.Config
-	// EagerLimit and RdmaLimit are the protocol switch points.
-	// Zero values take the MVAPICH2 defaults (8 KiB / 16 KiB).
-	EagerLimit int
-	RdmaLimit  int
+	// RdmaLimit is the protocol switch point: messages up to it go
+	// eager (copied through bounce buffers), larger ones rendezvous.
+	// Zero takes the MVAPICH2 default of 16 KiB.
+	RdmaLimit int
 	// RendezvousProtocol selects "write" (RDMA-write with RTS/CTS, the
 	// MVAPICH2 default) or "read" (receiver-driven RDMA read). An
 	// ablation knob; both move the same bytes.
@@ -71,10 +70,6 @@ type Config struct {
 	EagerCredits int
 	// ChannelDepth is the per-peer unexpected-message queue depth.
 	ChannelDepth int
-	// PerRank, when set, rewrites a rank's node configuration before its
-	// host is built — the hook for heterogeneous jobs (per-rank
-	// allocators or placement policies).
-	PerRank func(rank int, cfg node.Config) node.Config
 	// Faults enables deterministic fault injection on every rank's host
 	// (nil = no faults). Each rank is salted with its rank number, so
 	// the hosts run decorrelated schedules that replay bit-identically.
@@ -89,7 +84,7 @@ type Config struct {
 }
 
 // nodeConfig is the homogeneous per-rank host configuration the job
-// implies before any PerRank rewrite.
+// implies.
 func (c Config) nodeConfig() node.Config {
 	return node.Config{
 		Machine:   c.Machine,
@@ -104,9 +99,6 @@ func (c Config) nodeConfig() node.Config {
 }
 
 func (c Config) withDefaults() Config {
-	if c.EagerLimit == 0 {
-		c.EagerLimit = 8 << 10
-	}
 	if c.RdmaLimit == 0 {
 		c.RdmaLimit = 16 << 10
 	}
@@ -165,9 +157,6 @@ func NewWorld(cfg Config) (*World, error) {
 		ncfg := cfg.nodeConfig()
 		ncfg.FaultSalt = uint64(i)
 		ncfg.TraceName = fmt.Sprintf("%srank%d", cfg.TracePrefix, i)
-		if cfg.PerRank != nil {
-			ncfg = cfg.PerRank(i, ncfg)
-		}
 		n, err := node.New(ncfg)
 		if err != nil {
 			return nil, fmt.Errorf("mpi: rank %d: %w", i, err)
@@ -182,7 +171,6 @@ func NewWorld(cfg Config) (*World, error) {
 			alloc: n.Alloc,
 			dtlb:  n.DTLB,
 			inj:   n.Faults(),
-			prof:  mpip.New(),
 			tr:    n.Tracer(),
 			cur:   n.TraceCursor(),
 		}
@@ -329,13 +317,4 @@ func (w *World) EndTrace() {
 	for _, r := range w.ranks {
 		r.tr.At(trace.TrackMain, end).Event(trace.LApp, "job.end")
 	}
-}
-
-// Profile aggregates all ranks' mpiP profiles.
-func (w *World) Profile() *mpip.Profile {
-	p := mpip.New()
-	for _, r := range w.ranks {
-		p.Merge(r.prof)
-	}
-	return p
 }

@@ -1,52 +1,21 @@
 package mpi
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/machine"
-	"repro/internal/node"
 )
 
-func TestPerRankHookCustomisesHosts(t *testing.T) {
-	w, err := NewWorld(Config{
-		Machine: machine.Opteron(),
-		Ranks:   2,
-		PerRank: func(rank int, cfg node.Config) node.Config {
-			if rank == 1 {
-				cfg.Allocator = node.AllocHuge
-			}
-			return cfg
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := w.Node(0).Config().Allocator; got != node.AllocLibc {
-		t.Fatalf("rank 0 allocator = %q, want libc", got)
-	}
-	if got := w.Node(1).Config().Allocator; got != node.AllocHuge {
-		t.Fatalf("rank 1 allocator = %q, want huge", got)
-	}
-	sts := w.NodeStats()
-	if len(sts) != 2 {
-		t.Fatalf("NodeStats returned %d snapshots, want 2", len(sts))
-	}
-	if sts[0].Allocator != "libc" || sts[1].Allocator != "huge" {
-		t.Fatalf("snapshot identities wrong: %q %q", sts[0].Allocator, sts[1].Allocator)
-	}
-}
-
-func TestPerRankHookErrorPropagates(t *testing.T) {
-	_, err := NewWorld(Config{
-		Machine: machine.Opteron(),
-		Ranks:   2,
-		PerRank: func(rank int, cfg node.Config) node.Config {
-			cfg.Allocator = "tcmalloc"
-			return cfg
-		},
-	})
+// TestNodeErrorPropagates pins that a rank's host construction error
+// surfaces from NewWorld, naming the rank.
+func TestNodeErrorPropagates(t *testing.T) {
+	_, err := NewWorld(Config{Machine: machine.Opteron(), Ranks: 2, Allocator: "tcmalloc"})
 	if err == nil {
-		t.Fatal("per-rank config with an unknown allocator accepted")
+		t.Fatal("unknown allocator accepted")
+	}
+	if !strings.Contains(err.Error(), "rank 0") {
+		t.Fatalf("error %q does not name the rank", err)
 	}
 }
 

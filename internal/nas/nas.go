@@ -12,8 +12,9 @@
 // The Figure 6 experiment runs every kernel twice — once with libc
 // placement, once preloaded with the hugepage library (plus the BSS
 // linker-script trick) — and reports the communication / other / overall
-// improvement split obtained through the mpiP profile, and the PAPI TLB
-// counters behind the Section 5.2 discussion.
+// improvement split read off each rank's MPI and compute clocks (the
+// paper's mpiP profile), and the DTLB miss counters of node.Stats behind
+// the Section 5.2 PAPI discussion.
 package nas
 
 import (
@@ -23,7 +24,6 @@ import (
 	"repro/internal/memmodel"
 	"repro/internal/mpi"
 	"repro/internal/node"
-	"repro/internal/papi"
 	"repro/internal/simtime"
 	"repro/internal/vm"
 )
@@ -44,11 +44,8 @@ type Result struct {
 	Compute   simtime.Ticks // aggregate application time
 	Total     simtime.Ticks // Comm + Compute
 	Makespan  simtime.Ticks // latest rank clock
-	TLB       papi.Counters // aggregate over all ranks
-	HugeBytes int64         // peak bytes placed in hugepages (rank 0)
-	RegTicks  simtime.Ticks // aggregate registration time
-	Evictions int64         // registration-cache evictions
-	// Nodes is every rank's end-of-run host telemetry, in rank order.
+	// Nodes is every rank's end-of-run host telemetry, in rank order;
+	// node.Sum(Nodes) aggregates the TLB and registration counters.
 	Nodes []node.Stats
 }
 
@@ -83,19 +80,10 @@ func RunKernel(cfg mpi.Config, k Kernel) (Result, error) {
 		Makespan:  w.MaxTime(),
 	}
 	for i := 0; i < w.Size(); i++ {
-		rk := w.Rank(i)
-		res.Comm += rk.Profile().CommTime()
-		res.Compute += rk.Profile().ComputeTime()
-		res.RegTicks += rk.Verbs().Stats().RegTicks
-		res.Evictions += rk.Cache().Stats().Evictions
-		c := papi.Read(rk.DTLB())
-		res.TLB.DTLB4KAccesses += c.DTLB4KAccesses
-		res.TLB.DTLB4KMisses += c.DTLB4KMisses
-		res.TLB.DTLB2MAccesses += c.DTLB2MAccesses
-		res.TLB.DTLB2MMisses += c.DTLB2MMisses
+		res.Comm += w.Rank(i).CommTime()
+		res.Compute += w.Rank(i).ComputeTime()
 	}
 	res.Total = res.Comm + res.Compute
-	res.HugeBytes = w.Rank(0).Allocator().Stats().HugeBytes
 	res.Nodes = w.NodeStats()
 	return res, nil
 }

@@ -41,10 +41,11 @@ func TestKernelsVerifyUnderBothAllocators(t *testing.T) {
 				if res.Makespan <= 0 {
 					t.Fatal("no makespan")
 				}
-				if ak == mpi.AllocHuge && res.HugeBytes == 0 {
+				huge := res.Nodes[0].Alloc.HugeBytes
+				if ak == mpi.AllocHuge && huge == 0 {
 					t.Fatal("hugepage run placed nothing in hugepages")
 				}
-				if ak == mpi.AllocLibc && res.HugeBytes != 0 {
+				if ak == mpi.AllocLibc && huge != 0 {
 					t.Fatal("libc run leaked into hugepages")
 				}
 			})

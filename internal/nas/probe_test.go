@@ -24,10 +24,7 @@ func TestProbeISCalls(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("=== %s ===", ak)
-		for _, cs := range w.Profile().Calls() {
-			t.Logf("%-12s n=%6d t=%v", cs.Name, cs.Count, cs.Time)
-		}
+		t.Logf("=== %s === rank 0 comm=%v compute=%v", ak, w.Rank(0).CommTime(), w.Rank(0).ComputeTime())
 		st := w.Rank(0).Verbs().HW.Stats()
 		t.Logf("ATT hits=%d misses=%d", st.ATTHits, st.ATTMisses)
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/mpi"
+	"repro/internal/node"
 )
 
 // Fig6Row is one benchmark's bar group in Figure 6: the communication /
@@ -77,7 +78,7 @@ func NewFig6Row(small, huge Result) Fig6Row {
 		CommImprove:    pct(int64(small.Comm), int64(huge.Comm)),
 		OtherImprove:   pct(int64(small.Compute), int64(huge.Compute)),
 		OverallImprove: pct(int64(small.Total), int64(huge.Total)),
-		TLBMissRatio:   ratio(huge.TLB.TotalMisses(), small.TLB.TotalMisses()),
+		TLBMissRatio:   ratio(node.Sum(huge.Nodes).TLB.Misses(), node.Sum(small.Nodes).TLB.Misses()),
 		Small:          small,
 		Huge:           huge,
 	}

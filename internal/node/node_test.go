@@ -155,6 +155,9 @@ func TestStatsAggregationMatchesLayers(t *testing.T) {
 	if st.TLB.Hits2M+st.TLB.Misses2M == 0 {
 		t.Fatal("page-walk sweep left no TLB telemetry")
 	}
+	if st.TLB.Misses() != n.DTLB.Misses() {
+		t.Fatalf("TLB misses %d, DTLB counts %d", st.TLB.Misses(), n.DTLB.Misses())
+	}
 	hw := n.Verbs.HW.Stats()
 	if st.HCA.ATTHits != hw.ATTHits || st.HCA.ATTMisses != hw.ATTMisses ||
 		st.HCA.BytesGather != hw.BytesGather || st.HCA.BytesScatter != hw.BytesScatter {

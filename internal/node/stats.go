@@ -92,6 +92,9 @@ type TLBStats struct {
 	Misses2M int64 `json:"misses_2m"`
 }
 
+// Misses is the total miss count over both page sizes (PAPI_TLB_DM).
+func (t TLBStats) Misses() int64 { return t.Misses4K + t.Misses2M }
+
 // HCAStats covers the adapter: translation cache, work requests, and the
 // bytes its DMA engines moved over the IO bus.
 type HCAStats struct {

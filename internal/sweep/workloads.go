@@ -406,13 +406,14 @@ func builtins() []Workload {
 				if err != nil {
 					return nil, err
 				}
+				tot := node.Sum(res.Nodes)
 				return Metrics{
 					"comm_ticks":     float64(res.Comm),
 					"compute_ticks":  float64(res.Compute),
 					"total_ticks":    float64(res.Total),
 					"makespan_ticks": float64(res.Makespan),
-					"tlb_misses":     float64(res.TLB.TotalMisses()),
-					"reg_ticks":      float64(res.RegTicks),
+					"tlb_misses":     float64(tot.TLB.Misses()),
+					"reg_ticks":      float64(tot.Reg.RegTicks),
 					VirtTicks:        float64(res.Makespan),
 				}, nil
 			},

@@ -123,7 +123,7 @@ type AddressSpace struct {
 	cur *trace.Cursor
 }
 
-// Stats counts translation activity for the PAPI facade and tests.
+// Stats counts translation activity for node telemetry and tests.
 type Stats struct {
 	MappedSmall       int64 // gauge: currently mapped small pages
 	MappedHuge        int64 // gauge: currently mapped hugepages

@@ -117,7 +117,7 @@ func TestRunNASThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Comm <= 0 || res.Compute <= 0 || res.HugeBytes == 0 {
+	if res.Comm <= 0 || res.Compute <= 0 || res.Nodes[0].Alloc.HugeBytes == 0 {
 		t.Fatalf("suspicious result: %+v", res)
 	}
 }
