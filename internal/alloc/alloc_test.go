@@ -421,11 +421,51 @@ func TestMapBSS(t *testing.T) {
 
 // The paper stresses that its library — unlike libhugepagealloc — is
 // thread safe. Hammer it from many goroutines and check the invariants
-// hold (run with -race in CI to catch data races too).
+// hold (make race and CI run it under -race to catch data races too).
+// The address space and frame pool below take no lock of their own, so
+// the library must serialise every path into them: the hugepage tiers,
+// the sub-threshold libc delegate and the libc redirect of a dry pool.
 func TestHugeThreadSafety(t *testing.T) {
-	h := newHugeT(t, newAS(t))
+	t.Run("hugepages", func(t *testing.T) {
+		// Every request is at or above the 32 KiB threshold and the pool
+		// never runs dry.
+		h := newHugeT(t, newAS(t))
+		hammerHuge(t, h, 8, func(w, i int) uint64 {
+			return uint64(32<<10 + (w*977+i*131)%(256<<10))
+		})
+	})
+	t.Run("fallback", func(t *testing.T) {
+		// Even workers stay below the threshold, so libc serves them and
+		// grows its arena. Odd workers stay above it and keep every block
+		// until the end, so the library maps hugepages until its 8-page
+		// pool runs dry and then redirects them to libc too.
+		n := nodetest.New(t, machine.Opteron())
+		h := newHugeT(t, n.AS)
+		if err := n.Mem.Reserve(n.Mem.HugeAvailable() - 8); err != nil {
+			t.Fatal(err)
+		}
+		hammerHuge(t, h, rounds, func(w, i int) uint64 {
+			if w%2 == 0 {
+				return uint64(1<<10 + (w*977+i*4093)%(31<<10))
+			}
+			return uint64(32<<10 + (w*977+i*4093)%(256<<10))
+		})
+		if h.Stats().FallbackToSmall == 0 {
+			t.Fatal("the pool never ran dry; the libc redirect went untested")
+		}
+	})
+}
+
+// workers goroutines make rounds allocations each in hammerHuge.
+const workers, rounds = 8, 200
+
+// hammerHuge runs the workers concurrently, worker w's i-th request
+// being size(w, i) bytes. Each frees its oldest block whenever it holds
+// more than live, and the rest at the end. Then nothing may have leaked
+// and the freelist must be intact.
+func hammerHuge(t *testing.T, h *alloc.Huge, live int, size func(w, i int) uint64) {
+	t.Helper()
 	var wg sync.WaitGroup //reprolint:ignore schedonly: real-thread stress test of the paper's thread-safety claim
-	const workers, rounds = 8, 200
 	errs := make([]error, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -433,14 +473,13 @@ func TestHugeThreadSafety(t *testing.T) {
 			defer wg.Done()
 			var mine []vm.VA
 			for i := 0; i < rounds; i++ {
-				sz := uint64(32<<10 + (w*977+i*131)%(256<<10))
-				va, err := h.Alloc(sz)
+				va, err := h.Alloc(size(w, i))
 				if err != nil {
 					errs[w] = err
 					return
 				}
 				mine = append(mine, va)
-				if len(mine) > 8 {
+				if len(mine) > live {
 					if err := h.Free(mine[0]); err != nil {
 						errs[w] = err
 						return

@@ -57,7 +57,8 @@ func DefaultHugeConfig() HugeConfig {
 // metadata in a dedicated cache and no coalescing on free.
 //
 // Huge is safe for concurrent use (the paper contrasts this with
-// libhugepagealloc, which is not thread safe).
+// libhugepagealloc, which is not thread safe): one lock, shared with the
+// libc delegate, covers every call into the address space.
 type Huge struct {
 	cfg   HugeConfig
 	as    *vm.AddressSpace
@@ -68,7 +69,7 @@ type Huge struct {
 	// construction, before any allocation traffic.
 	placer Placer
 
-	mu    sync.Mutex
+	mu    sync.Mutex       //reprolint:ignore schedonly: paper §3 thread-safety claim, checked by TestHugeThreadSafety
 	free  []span           // tier-3 freelist, address-ordered, sizes in bytes (chunk multiples)
 	used  map[vm.VA]uint64 // live block sizes in bytes (chunk multiples)
 	stats Stats
@@ -107,12 +108,16 @@ func NewHuge(as *vm.AddressSpace, syscallTicks simtime.Ticks, cfg HugeConfig) (*
 	if err := as.Mem().Reserve(cfg.ReservePages); err != nil {
 		return nil, fmt.Errorf("alloc: installing fork/CoW reserve: %w", err)
 	}
-	return &Huge{
+	h := &Huge{
 		cfg:   cfg,
 		as:    as,
 		small: NewLibc(as, syscallTicks),
 		used:  make(map[vm.VA]uint64),
-	}, nil
+	}
+	// The address space takes no lock of its own, so the library and
+	// its delegate, which both map memory through it, share one.
+	h.small.mu = &h.mu
+	return h, nil
 }
 
 // Name implements Allocator.
@@ -359,15 +364,16 @@ func (h *Huge) Stats() Stats {
 // a constructor function ... to map this segment into hugepages at
 // startup time"). The segment is owned by the caller and never freed.
 func (h *Huge) MapBSS(size uint64) (vm.VA, bool, error) {
+	h.mu.Lock()
 	va, huge, err := h.as.MapHugeOrSmall(size)
 	if err != nil {
+		h.mu.Unlock()
 		return 0, false, err
 	}
 	mapped := alignUp(size, machine.SmallPageSize)
 	if huge {
 		mapped = alignUp(size, machine.HugePageSize)
 	}
-	h.mu.Lock()
 	h.stats.Syscalls++
 	h.stats.Ticks += h.small.syscallTicks
 	if !huge {

@@ -20,8 +20,10 @@ type Libc struct {
 	name string
 	as   *vm.AddressSpace
 
-	mu   sync.Mutex
-	free []span // address-ordered free spans
+	// mu is the allocator's own lock, or the lock of the Huge library
+	// delegating to it.
+	mu   *sync.Mutex //reprolint:ignore schedonly: paper §3 thread-safety claim, checked by TestHugeThreadSafety
+	free []span      // address-ordered free spans
 	used map[vm.VA]uint64
 	mmap map[vm.VA]uint64 // direct mappings (va -> mapped length)
 
@@ -58,6 +60,7 @@ func NewLibc(as *vm.AddressSpace, syscallTicks simtime.Ticks) *Libc {
 	l := &Libc{
 		name:          "libc",
 		as:            as,
+		mu:            new(sync.Mutex), //reprolint:ignore schedonly: the lock of the field above
 		used:          make(map[vm.VA]uint64),
 		mmap:          make(map[vm.VA]uint64),
 		MmapThreshold: 128 << 10,

@@ -25,7 +25,7 @@ type PageSep struct {
 	as           *vm.AddressSpace
 	syscallTicks simtime.Ticks
 
-	mu    sync.Mutex
+	mu    sync.Mutex //reprolint:ignore schedonly: paper §3 thread-safety claim, checked by TestHugeThreadSafety
 	used  map[vm.VA]uint64
 	stats Stats
 }

@@ -1,18 +1,22 @@
 // Package schedonly forbids raw Go concurrency — go statements,
-// channel types, select, sync.WaitGroup — everywhere except the
-// packages that are allowed to own it. Since the event-scheduler
-// refactor, every simulated rank runs as a cooperative task on
-// internal/sched, and the execution schedule is a pure function of
-// virtual time precisely because nothing ever blocks on the Go runtime
-// scheduler. A single raw goroutine or channel in a simulation package
-// reintroduces GOMAXPROCS-dependent interleavings, which breaks the
-// byte-identical same-seed guarantee in exactly the way the old
-// one-goroutine-per-rank engine did — so the ban is enforced at
-// analysis time, not rediscovered as a flaky golden diff.
+// channel types, select, sync.WaitGroup, sync.Mutex, sync.RWMutex and
+// sync/atomic — everywhere except the packages that are allowed to own
+// it. Since the event-scheduler refactor, every simulated rank runs as
+// a cooperative task on internal/sched, and the execution schedule is a
+// pure function of virtual time precisely because nothing ever blocks
+// on the Go runtime scheduler. A single raw goroutine or channel in a
+// simulation package reintroduces GOMAXPROCS-dependent interleavings,
+// which breaks the byte-identical same-seed guarantee in exactly the
+// way the old one-goroutine-per-rank engine did — so the ban is
+// enforced at analysis time, not rediscovered as a flaky golden diff.
 //
 // Blocking simulation code should use sched.Queue and sched.Gate (which
 // park the task and hand the baton back to the scheduler) and spawn
-// concurrent work with Scheduler.Spawn / Task.Join.
+// concurrent work with Scheduler.Spawn / Task.Join. Locks and atomics
+// are banned too: the scheduler runs one task at a time and every baton
+// hand-off is a happens-before edge, so they guard nothing and only
+// cost cache-line traffic on the hot path. Code that really is shared
+// across host threads states why on a //reprolint:ignore line.
 package schedonly
 
 import (
@@ -35,18 +39,20 @@ var ExemptPkgs = map[string]bool{
 }
 
 // exemptPrefixes extends the exemption to host-side tooling trees:
-// the analysis framework itself and the command mains, none of which
-// execute inside a simulated world.
+// the analysis framework itself, the command mains and the benchmark
+// harness that times whole simulations, none of which execute inside a
+// simulated world.
 var exemptPrefixes = []string{
 	"repro/internal/analysis",
 	"repro/cmd/",
+	"repro/benchmark",
 }
 
 var Analyzer = &analysis.Analyzer{
 	Name: "schedonly",
-	Doc: "forbid raw goroutines, channels, select and sync.WaitGroup in simulation " +
-		"packages; all blocking must go through internal/sched so the schedule " +
-		"stays a pure function of virtual time",
+	Doc: "forbid raw goroutines, channels, select, sync.WaitGroup, mutexes and " +
+		"sync/atomic in simulation packages; all blocking must go through " +
+		"internal/sched so the schedule stays a pure function of virtual time",
 	Run: run,
 }
 
@@ -79,15 +85,10 @@ func run(pass *analysis.Pass) (any, error) {
 			case *ast.SelectStmt:
 				node, msg = n, "select races goroutines against each other nondeterministically; sequence the cases as scheduler events instead"
 			case *ast.SelectorExpr:
-				ident, ok := n.X.(*ast.Ident)
-				if !ok || n.Sel.Name != "WaitGroup" {
+				if msg = selectorMsg(pass, n); msg == "" {
 					return true
 				}
-				pkg, ok := pass.TypesInfo.Uses[ident].(*types.PkgName)
-				if !ok || pkg.Imported().Path() != "sync" {
-					return true
-				}
-				node, msg = n, "sync.WaitGroup synchronises raw goroutines; use Task.Join (or a sched.Gate) to wait for scheduler tasks"
+				node = n
 			default:
 				return true
 			}
@@ -98,4 +99,28 @@ func run(pass *analysis.Pass) (any, error) {
 		})
 	}
 	return nil, nil
+}
+
+// selectorMsg returns the diagnostic for a banned sync or sync/atomic
+// selector, or "" if n is not one.
+func selectorMsg(pass *analysis.Pass, n *ast.SelectorExpr) string {
+	ident, ok := n.X.(*ast.Ident)
+	if !ok {
+		return ""
+	}
+	pkg, ok := pass.TypesInfo.Uses[ident].(*types.PkgName)
+	if !ok {
+		return ""
+	}
+	switch path := pkg.Imported().Path(); {
+	case path == "sync/atomic":
+		return "sync/atomic in simulation code guards nothing: the scheduler runs one task at a time and each baton hand-off is a happens-before edge"
+	case path != "sync":
+		return ""
+	case n.Sel.Name == "WaitGroup":
+		return "sync.WaitGroup synchronises raw goroutines; use Task.Join (or a sched.Gate) to wait for scheduler tasks"
+	case n.Sel.Name == "Mutex" || n.Sel.Name == "RWMutex":
+		return "sync." + n.Sel.Name + " in simulation code guards nothing: the scheduler runs one task at a time and each baton hand-off is a happens-before edge"
+	}
+	return ""
 }

@@ -3,7 +3,15 @@
 // these lines may produce a diagnostic.
 package host
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
+
+var registry struct {
+	mu   sync.Mutex
+	runs atomic.Int64
+}
 
 func fanOut(jobs []func()) {
 	var wg sync.WaitGroup

@@ -1,8 +1,12 @@
 // Package sim exercises the schedonly analyzer: raw goroutines,
-// channels, select and sync.WaitGroup are flagged in simulation code.
+// channels, select, sync.WaitGroup, mutexes and sync/atomic are flagged
+// in simulation code.
 package sim
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // mailbox demonstrates that channel types are flagged wherever they
 // appear, not just in make calls.
@@ -32,10 +36,21 @@ func pick(a chan int) int { // want `raw channel in simulation code`
 	}
 }
 
-func guarded() *sync.Mutex {
-	// Mutexes stay legal: cooperative tasks never contend, and host-side
-	// telemetry snapshots may still want one.
-	return new(sync.Mutex)
+func guarded() *sync.Mutex { // want `sync\.Mutex in simulation code guards nothing`
+	return new(sync.Mutex) // want `sync\.Mutex in simulation code guards nothing`
+}
+
+type table struct {
+	mu   sync.RWMutex // want `sync\.RWMutex in simulation code guards nothing`
+	hits atomic.Int64 // want `sync/atomic in simulation code guards nothing`
+}
+
+func bump(n *int64) {
+	atomic.AddInt64(n, 1) // want `sync/atomic in simulation code guards nothing`
+}
+
+type shared struct {
+	mu sync.Mutex //reprolint:ignore schedonly: fixture proving a justified lock may stay
 }
 
 func suppressed() {

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // Spec is one parsed fault-injection configuration. The zero value
@@ -217,7 +216,6 @@ type Injector struct {
 	spec *Spec
 	salt uint64
 
-	mu    sync.Mutex
 	hugeN uint64
 	attN  map[uint64]uint64 // per-translation access counters
 	wrN   [numWRStreams]uint64
@@ -264,8 +262,6 @@ func (in *Injector) HugeAllocFault() (fail bool, shrink int) {
 	if in == nil {
 		return false, 0
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	n := in.hugeN
 	in.hugeN++
 	if in.fire(in.spec.ShrinkPeriod, 0xA11C, n) {
@@ -286,8 +282,6 @@ func (in *Injector) WRError(stream WRStream) bool {
 	if in == nil {
 		return false
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	n := in.wrN[stream]
 	in.wrN[stream]++
 	if in.fire(in.spec.WRErrorPeriod, 0xE440+uint64(stream), n) {
@@ -303,9 +297,7 @@ func (in *Injector) RecordWRRetry() {
 	if in == nil {
 		return
 	}
-	in.mu.Lock()
 	in.st.WRRetries++
-	in.mu.Unlock()
 }
 
 // ATTEvict is consulted once per ATT access with a key identifying the
@@ -319,8 +311,6 @@ func (in *Injector) ATTEvict(key uint64) bool {
 	if in == nil {
 		return false
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	if in.attN == nil {
 		in.attN = make(map[uint64]uint64)
 	}
@@ -355,7 +345,5 @@ func (in *Injector) Stats() Stats {
 	if in == nil {
 		return Stats{}
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	return in.st
 }

@@ -24,7 +24,6 @@ package hca
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/bus"
 	"repro/internal/faults"
@@ -118,7 +117,6 @@ type HCA struct {
 	// under pressure). Nil = no faults.
 	inj *faults.Injector
 
-	mu  sync.Mutex
 	mrs map[uint32]*MR
 	// vaGen counts registrations per base address. Keys are derived
 	// from (base VA, generation), not from a global install counter:
@@ -135,9 +133,7 @@ type HCA struct {
 
 // SetFaults attaches a fault injector.
 func (h *HCA) SetFaults(inj *faults.Injector) {
-	h.mu.Lock()
 	h.inj = inj
-	h.mu.Unlock()
 }
 
 // New builds an adapter for a machine, attached to the node's physical
@@ -157,8 +153,7 @@ func New(m *machine.Machine, mem *phys.Memory) *HCA {
 // keyFor derives the lkey for the gen-th registration of base: a 31-bit
 // hash (bit 31 is the rkey tag) of the pair, so the key depends only on
 // what was registered, never on when relative to other buffers. Linear
-// probing resolves the (vanishingly rare) collisions with live keys;
-// callers hold h.mu.
+// probing resolves the (vanishingly rare) collisions with live keys.
 func (h *HCA) keyFor(base vm.VA, gen uint32) uint32 {
 	x := uint64(base)<<32 | uint64(gen)
 	x ^= x >> 30
@@ -206,20 +201,16 @@ func (h *HCA) InstallMR(base vm.VA, length uint64, pages []vm.Page, hugeATT bool
 			}
 		}
 	}
-	h.mu.Lock()
 	mr.LKey = h.keyFor(base, h.vaGen[base])
 	mr.RKey = mr.LKey | 0x8000_0000
 	h.vaGen[base]++
 	h.mrs[mr.LKey] = mr
 	h.stats.MTTEntries += int64(len(mr.entries))
-	h.mu.Unlock()
 	return mr, nil
 }
 
 // RemoveMR tears the MR's translations down.
 func (h *HCA) RemoveMR(lkey uint32) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	mr, ok := h.mrs[lkey]
 	if !ok {
 		return fmt.Errorf("%w: lkey %#x", ErrBadKey, lkey)
@@ -232,8 +223,6 @@ func (h *HCA) RemoveMR(lkey uint32) error {
 
 // lookup finds an MR by local key or by remote key.
 func (h *HCA) lookup(key uint32) (*MR, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if mr, ok := h.mrs[key]; ok {
 		return mr, nil
 	}
@@ -251,24 +240,19 @@ func (h *HCA) PostCost(nsge int) simtime.Ticks {
 	if nsge < 1 {
 		nsge = 1
 	}
-	h.mu.Lock()
 	h.stats.PostedWRs++
-	h.mu.Unlock()
 	p := h.mach.HCA
 	return p.DoorbellTicks + p.WQEBaseTicks + simtime.Ticks(nsge-1)*p.WQESGETicks
 }
 
 // PollCost is the consumer-side cost of reaping one completion entry.
 func (h *HCA) PollCost() simtime.Ticks {
-	h.mu.Lock()
 	h.stats.CQEs++
-	h.mu.Unlock()
 	return h.mach.HCA.CQETicks
 }
 
 // attAccess charges for one translation lookup and returns its cost.
 func (h *HCA) attAccess(lkey uint32, pageIdx int) simtime.Ticks {
-	h.mu.Lock()
 	if h.inj.ATTEvict(uint64(lkey)<<32 | uint64(uint32(pageIdx))) {
 		// Injected eviction: this access's cached translation (if any)
 		// is lost right before the lookup, forcing a refetch across the
@@ -279,16 +263,11 @@ func (h *HCA) attAccess(lkey uint32, pageIdx int) simtime.Ticks {
 			h.stats.ATTEvictions++
 		}
 	}
-	hit := h.att.access(lkey, pageIdx)
-	if hit {
+	if h.att.access(lkey, pageIdx) {
 		h.stats.ATTHits++
-	} else {
-		h.stats.ATTMisses++
-	}
-	h.mu.Unlock()
-	if hit {
 		return 0
 	}
+	h.stats.ATTMisses++
 	return h.mach.HCA.ATTMissTicks
 }
 
@@ -387,9 +366,7 @@ func (h *HCA) Gather(sges []SGE) ([]byte, simtime.Ticks, error) {
 		}
 		total += cost
 	}
-	h.mu.Lock()
 	h.stats.BytesGather += int64(len(data))
-	h.mu.Unlock()
 	return data, total, nil
 }
 
@@ -421,9 +398,7 @@ func (h *HCA) Scatter(sges []SGE, data []byte) (simtime.Ticks, error) {
 		}
 		total += cost
 	}
-	h.mu.Lock()
 	h.stats.BytesScatter += int64(len(data))
-	h.mu.Unlock()
 	return total, nil
 }
 
@@ -470,9 +445,7 @@ func (h *HCA) RDMAWrite(tc trace.Ctx, sges []SGE, dst *HCA, rkey uint32, va vm.V
 		}
 		total += cost
 	}
-	h.mu.Lock()
 	h.stats.BytesGather += int64(n)
-	h.mu.Unlock()
 	if tc.Enabled() {
 		h.traceDMA(tc, "dma.gather", total, n, len(sges), h0, m0, e0)
 	}
@@ -494,9 +467,7 @@ func (h *HCA) PlaceRDMA(tc trace.Ctx, rkey uint32, va vm.VA, n int) (simtime.Tic
 	if err != nil {
 		return 0, err
 	}
-	h.mu.Lock()
 	h.stats.BytesScatter += int64(n)
-	h.mu.Unlock()
 	if tc.Enabled() {
 		h.traceDMA(tc, "dma.scatter", cost, n, 1, h0, m0, e0)
 	}
@@ -508,8 +479,6 @@ func (h *HCA) PlaceRDMA(tc trace.Ctx, rkey uint32, va vm.VA, n int) (simtime.Tic
 // The caller must hold the adapter serialised across the operation (the
 // MPI layer's dma gate does) for the delta to be exact.
 func (h *HCA) attCounters() (hits, misses, evicts int64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.stats.ATTHits, h.stats.ATTMisses, h.stats.ATTEvictions
 }
 
@@ -536,16 +505,12 @@ func (h *HCA) WireCost(n int) simtime.Ticks {
 
 // Stats returns a snapshot of the counters.
 func (h *HCA) Stats() Stats {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.stats
 }
 
 // ResetATT flushes the translation cache and its counters (benchmarks use
 // this between configurations).
 func (h *HCA) ResetATT() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.att = newATTCache(h.mach.HCA.ATTEntries, h.mach.HCA.ATTWays)
 	h.stats.ATTHits = 0
 	h.stats.ATTMisses = 0

@@ -3,7 +3,6 @@ package hca
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/simtime"
 )
@@ -65,7 +64,6 @@ type CQE struct {
 // transition the CQ into overrun: a real adapter raises a fatal async
 // event, which the simulator reports as ErrCQOverflow on the next poll.
 type CQ struct {
-	mu      sync.Mutex
 	depth   int
 	entries []CQE
 	overrun bool
@@ -82,8 +80,6 @@ func NewCQ(depth int) *CQ {
 
 // push appends a completion, tracking overrun.
 func (cq *CQ) push(e CQE) {
-	cq.mu.Lock()
-	defer cq.mu.Unlock()
 	cq.armed++
 	if len(cq.entries) >= cq.depth {
 		cq.overrun = true
@@ -96,8 +92,6 @@ func (cq *CQ) push(e CQE) {
 // queue is empty. A previously overrun CQ returns ErrCQOverflow forever —
 // completions were lost, the consumer cannot recover them.
 func (cq *CQ) Poll() (CQE, bool, error) {
-	cq.mu.Lock()
-	defer cq.mu.Unlock()
 	if cq.overrun {
 		return CQE{}, false, ErrCQOverflow
 	}
@@ -111,8 +105,6 @@ func (cq *CQ) Poll() (CQE, bool, error) {
 
 // Len reports queued completions.
 func (cq *CQ) Len() int {
-	cq.mu.Lock()
-	defer cq.mu.Unlock()
 	return len(cq.entries)
 }
 
@@ -127,7 +119,6 @@ type QP struct {
 	Num uint32
 
 	hca *HCA
-	mu  sync.Mutex
 
 	state   QPState
 	peer    *QP // RC destination after Connect
@@ -148,10 +139,8 @@ func (h *HCA) CreateQP(sendCQ, recvCQ *CQ, sqDepth, rqDepth int) (*QP, error) {
 	if sqDepth < 1 || rqDepth < 1 {
 		return nil, errors.New("hca: queue depths must be positive")
 	}
-	h.mu.Lock()
 	num := h.nextQPNum
 	h.nextQPNum++
-	h.mu.Unlock()
 	return &QP{
 		Num: num, hca: h, state: QPInit,
 		sqDepth: sqDepth, rqDepth: rqDepth,
@@ -162,10 +151,6 @@ func (h *HCA) CreateQP(sendCQ, recvCQ *CQ, sqDepth, rqDepth int) (*QP, error) {
 // Connect moves both QPs through RTR/RTS against each other (the RC
 // connection handshake, collapsed).
 func Connect(a, b *QP) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if a.state != QPInit || b.state != QPInit {
 		return fmt.Errorf("%w: %s/%s (want INIT/INIT)", ErrQPState, a.state, b.state)
 	}
@@ -176,15 +161,11 @@ func Connect(a, b *QP) error {
 
 // State reports the current QP state.
 func (qp *QP) State() QPState {
-	qp.mu.Lock()
-	defer qp.mu.Unlock()
 	return qp.state
 }
 
 // PostRecv posts a receive WQE. Fails with ErrRQFull beyond the depth.
 func (qp *QP) PostRecv(wrid uint64, sges []SGE) (simtime.Ticks, error) {
-	qp.mu.Lock()
-	defer qp.mu.Unlock()
 	if qp.state == QPError || qp.state == QPReset {
 		return 0, fmt.Errorf("%w: %s", ErrQPState, qp.state)
 	}
@@ -197,8 +178,6 @@ func (qp *QP) PostRecv(wrid uint64, sges []SGE) (simtime.Ticks, error) {
 
 // RQLen reports posted receives.
 func (qp *QP) RQLen() int {
-	qp.mu.Lock()
-	defer qp.mu.Unlock()
 	return len(qp.rq)
 }
 
@@ -220,26 +199,18 @@ func (s SendResult) Complete() simtime.Ticks { return s.Gather + s.Wire + s.Scat
 // pipeline delay. Errors transition the QP to the error state, as RC
 // semantics demand.
 func (qp *QP) Send(now simtime.Ticks, wrid uint64, sges []SGE) (SendResult, error) {
-	qp.mu.Lock()
 	if qp.state != QPReadyToSend {
-		st := qp.state
-		qp.mu.Unlock()
-		return SendResult{}, fmt.Errorf("%w: %s", ErrQPState, st)
+		return SendResult{}, fmt.Errorf("%w: %s", ErrQPState, qp.state)
 	}
 	if qp.sqInUse >= qp.sqDepth {
-		qp.mu.Unlock()
 		return SendResult{}, ErrSQFull
 	}
 	qp.sqInUse++
 	peer := qp.peer
-	qp.mu.Unlock()
-
 	res := SendResult{Post: qp.hca.PostCost(len(sges))}
 	fail := func(err error) (SendResult, error) {
-		qp.mu.Lock()
 		qp.state = QPError
 		qp.sqInUse--
-		qp.mu.Unlock()
 		qp.SendCQ.push(CQE{QPNum: qp.Num, WRID: wrid, Time: now, SolErr: err})
 		return SendResult{}, err
 	}
@@ -253,15 +224,12 @@ func (qp *QP) Send(now simtime.Ticks, wrid uint64, sges []SGE) (SendResult, erro
 	res.Wire = qp.hca.WireCost(len(data))
 
 	// Consume the peer's receive WQE.
-	peer.mu.Lock()
 	if len(peer.rq) == 0 {
-		peer.mu.Unlock()
 		// Receiver-not-ready: RC retries exhaust and both sides error.
 		return fail(ErrRQEmpty)
 	}
 	wqe := peer.rq[0]
 	peer.rq = peer.rq[1:]
-	peer.mu.Unlock()
 
 	scatter, err := peer.hca.Scatter(wqe.sges, data)
 	if err != nil {
@@ -273,8 +241,6 @@ func (qp *QP) Send(now simtime.Ticks, wrid uint64, sges []SGE) (SendResult, erro
 	peer.RecvCQ.push(CQE{QPNum: peer.Num, WRID: wqe.wrid, Bytes: len(data), IsRecv: true, Time: done})
 	qp.SendCQ.push(CQE{QPNum: qp.Num, WRID: wrid, Bytes: len(data), Time: done + qp.hca.Machine().HCA.WireLatency})
 
-	qp.mu.Lock()
 	qp.sqInUse--
-	qp.mu.Unlock()
 	return res, nil
 }

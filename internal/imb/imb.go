@@ -54,6 +54,19 @@ func iterationsFor(bytes int) int {
 	}
 }
 
+// ramp returns n bytes with byte i equal to byte(i). The pattern repeats
+// every 256 bytes, so past the first 256 it doubles by copying.
+func ramp(n int) []byte {
+	b := make([]byte, n)
+	for i := range min(n, 256) {
+		b[i] = byte(i)
+	}
+	for k := 256; k < n; k *= 2 {
+		copy(b[k:], b[:k])
+	}
+	return b
+}
+
 // SendRecv runs the benchmark under one MPI configuration (Ranks 0 =
 // the paper's pair) and returns a row per message size, plus every
 // rank's end-of-run host telemetry (one node.Stats per rank) — the
@@ -85,11 +98,7 @@ func SendRecv(cfg mpi.Config, sizes []int) ([]SendRecvResult, []node.Stats, erro
 		if err != nil {
 			return err
 		}
-		fill := make([]byte, maxBytes)
-		for i := range fill {
-			fill[i] = byte(i)
-		}
-		if err := r.WriteBytes(sva, fill); err != nil {
+		if err := r.WriteBytes(sva, ramp(maxBytes)); err != nil {
 			return err
 		}
 		right := (r.ID() + 1) % r.Size()

@@ -1,6 +1,7 @@
 package imb
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -184,6 +185,18 @@ func TestFig5CurvesAreTheStrategyTable(t *testing.T) {
 		}
 		if !reflect.DeepEqual(curves[c.Label], want) {
 			t.Errorf("%s: Figure 5 curve %v != SendRecv under %s %v", c.Label, curves[c.Label], c.Strategy, want)
+		}
+	}
+}
+
+func TestRampMatchesNaiveFill(t *testing.T) {
+	for _, n := range []int{0, 1, 255, 256, 257, 4<<20 + 3} {
+		want := make([]byte, n)
+		for i := range want {
+			want[i] = byte(i)
+		}
+		if got := ramp(n); !bytes.Equal(got, want) {
+			t.Errorf("ramp(%d) differs from the byte(i) loop", n)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package phys
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/machine"
 )
@@ -14,28 +13,62 @@ import (
 
 type frameData = [machine.SmallPageSize]byte
 
-// dataStore is split out of Memory so the hot read/write path takes its
-// own lock and never contends with frame allocation.
+// chunkFrames is the number of frames one frameChunk covers: 128 frames,
+// 1 KiB of pointers. Against the map this table replaced (scale-1024
+// alloc_mb 687.9, paper-micro allocs_k 30.81 in benchmark/), 128 is the
+// one size measured that lowers both, to 684.5 and 30.80. Smaller chunks
+// add paper-micro objects (64: 30.99, 32: 31.38, 16: 32.16). Larger ones
+// add scale-1024 bytes (256: 687.9), because each of its 1024 nodes
+// writes a few frames per zone and pays for a chunk it barely uses.
+const chunkFrames = 128
+
+type frameChunk [chunkFrames]*frameData
+
+// frameTable indexes one zone's frame contents densely by frame number
+// within the zone. Chunks, and the table itself, grow on first write, so
+// a node pays only for the stretch of a zone it has written.
+type frameTable []*frameChunk
+
+// dataStore holds frame contents in two tables, one indexed from frame 0
+// for the small zone and one from hugeBase for the hugepage pool, so
+// neither table spans the gap between the two zones.
 type dataStore struct {
-	mu     sync.RWMutex
-	frames map[Frame]*frameData
+	small, huge frameTable
 }
 
-func (d *dataStore) frame(f Frame, create bool) *frameData {
-	d.mu.RLock()
-	fd := d.frames[f]
-	d.mu.RUnlock()
-	if fd != nil || !create {
-		return fd
+// table returns the table holding frame f and f's index within it.
+func (m *Memory) table(f Frame) (*frameTable, Frame) {
+	if f >= m.hugeBase {
+		return &m.data.huge, f - m.hugeBase
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.frames == nil {
-		d.frames = make(map[Frame]*frameData)
+	return &m.data.small, f
+}
+
+// frame returns f's contents, or nil if f was never written.
+func (m *Memory) frame(f Frame) *frameData {
+	t, i := m.table(f)
+	if c := i / chunkFrames; c < Frame(len(*t)) && (*t)[c] != nil {
+		return (*t)[c][i%chunkFrames]
 	}
-	if fd = d.frames[f]; fd == nil {
+	return nil
+}
+
+// backedFrame returns f's contents, allocating them (zeroed) on first use.
+func (m *Memory) backedFrame(f Frame) *frameData {
+	t, i := m.table(f)
+	c := int(i / chunkFrames)
+	if c >= len(*t) {
+		*t = append(*t, make(frameTable, c+1-len(*t))...)
+	}
+	ch := (*t)[c]
+	if ch == nil {
+		ch = new(frameChunk)
+		(*t)[c] = ch
+	}
+	fd := ch[i%chunkFrames]
+	if fd == nil {
 		fd = new(frameData)
-		d.frames[f] = fd
+		ch[i%chunkFrames] = fd
 	}
 	return fd
 }
@@ -44,14 +77,9 @@ func (d *dataStore) frame(f Frame, create bool) *frameData {
 // crossing frame boundaries as needed.
 func (m *Memory) WritePhys(pa Addr, p []byte) {
 	for len(p) > 0 {
-		f := Frame(pa / machine.SmallPageSize)
 		off := int(pa % machine.SmallPageSize)
-		n := machine.SmallPageSize - off
-		if n > len(p) {
-			n = len(p)
-		}
-		fd := m.data.frame(f, true)
-		copy(fd[off:off+n], p[:n])
+		n := min(len(p), machine.SmallPageSize-off)
+		copy(m.backedFrame(Frame(pa / machine.SmallPageSize))[off:off+n], p[:n])
 		pa += Addr(n)
 		p = p[n:]
 	}
@@ -60,18 +88,12 @@ func (m *Memory) WritePhys(pa Addr, p []byte) {
 // ReadPhys fills p from physical memory starting at address pa.
 func (m *Memory) ReadPhys(pa Addr, p []byte) {
 	for len(p) > 0 {
-		f := Frame(pa / machine.SmallPageSize)
 		off := int(pa % machine.SmallPageSize)
-		n := machine.SmallPageSize - off
-		if n > len(p) {
-			n = len(p)
-		}
-		if fd := m.data.frame(f, false); fd != nil {
+		n := min(len(p), machine.SmallPageSize-off)
+		if fd := m.frame(Frame(pa / machine.SmallPageSize)); fd != nil {
 			copy(p[:n], fd[off:off+n])
 		} else {
-			for i := 0; i < n; i++ {
-				p[i] = 0
-			}
+			clear(p[:n])
 		}
 		pa += Addr(n)
 		p = p[n:]
@@ -97,11 +119,11 @@ func Copy(dst *Memory, dstPA Addr, src *Memory, srcPA Addr, n int) {
 		soff := int(srcPA % machine.SmallPageSize)
 		doff := int(dstPA % machine.SmallPageSize)
 		c := min(n, machine.SmallPageSize-soff, machine.SmallPageSize-doff)
-		if sf := src.data.frame(Frame(srcPA/machine.SmallPageSize), false); sf != nil {
-			df := dst.data.frame(Frame(dstPA/machine.SmallPageSize), true)
-			copy(df[doff:doff+c], sf[soff:soff+c])
-		} else if df := dst.data.frame(Frame(dstPA/machine.SmallPageSize), false); df != nil {
-			clear(df[doff : doff+c])
+		df := Frame(dstPA / machine.SmallPageSize)
+		if sf := src.frame(Frame(srcPA / machine.SmallPageSize)); sf != nil {
+			copy(dst.backedFrame(df)[doff:doff+c], sf[soff:soff+c])
+		} else if fd := dst.frame(df); fd != nil {
+			clear(fd[doff : doff+c])
 		}
 		srcPA += Addr(c)
 		dstPA += Addr(c)

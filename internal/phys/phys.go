@@ -19,7 +19,6 @@ package phys
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/faults"
 	"repro/internal/machine"
@@ -42,11 +41,10 @@ var (
 	ErrBadReserve     = errors.New("phys: reserve exceeds hugepage pool")
 )
 
-// Memory is the physical memory of one node. It is safe for concurrent use
-// by multiple simulated processes.
+// Memory is the physical memory of one node. It takes no lock: the
+// simulated processes sharing it are tasks of one internal/sched
+// scheduler, which runs exactly one of them at a time.
 type Memory struct {
-	mu sync.Mutex
-
 	totalFrames int64
 	// next is the bump pointer for never-used frames.
 	next Frame
@@ -123,8 +121,6 @@ func NewMemory(m *machine.Machine) *Memory {
 
 // AllocFrame hands out one small frame.
 func (m *Memory) AllocFrame() (Frame, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	var f Frame
 	switch {
 	case len(m.free) > 0:
@@ -148,8 +144,6 @@ func (m *Memory) AllocFrame() (Frame, error) {
 
 // FreeFrame returns one small frame to the pool.
 func (m *Memory) FreeFrame(f Frame) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if f >= m.hugeBase {
 		return fmt.Errorf("phys: frame %d belongs to the hugepage zone", f)
 	}
@@ -165,11 +159,9 @@ func (m *Memory) FreeFrame(f Frame) error {
 // immediately trims the free list to the cap, modeling a host whose
 // hugetlbfs pool is smaller than the machine description promises.
 func (m *Memory) SetFaults(inj *faults.Injector) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.inj = inj
 	if cap := inj.HugePoolCap(); cap > 0 && len(m.hugeFree) > cap {
-		m.removeFreeLocked(len(m.hugeFree) - cap)
+		m.removeFree(len(m.hugeFree) - cap)
 	}
 }
 
@@ -177,17 +169,15 @@ func (m *Memory) SetFaults(inj *faults.Injector) {
 // current position (the owning rank moves the cursor at its entry points,
 // the same way the address space is traced).
 func (m *Memory) SetTrace(cur *trace.Cursor) {
-	m.mu.Lock()
 	m.cur = cur
-	m.mu.Unlock()
 }
 
-// removeFreeLocked permanently drops up to n free hugepages from the
+// removeFree permanently drops up to n free hugepages from the
 // pool (the pages that would have been handed out last, keeping the
 // imminent allocation order stable). Slicing them off the bottom of the
 // stack shrinks its capacity by as many pages as leave the pool, so
 // FreeHuge's append never outgrows the array NewMemory sized.
-func (m *Memory) removeFreeLocked(n int) {
+func (m *Memory) removeFree(n int) {
 	if n > len(m.hugeFree) {
 		n = len(m.hugeFree)
 	}
@@ -199,11 +189,9 @@ func (m *Memory) removeFreeLocked(n int) {
 // returned extent of machine.SmallPerHuge frames is physically contiguous.
 // It fails with ErrReserveHeld if only reserved pages remain.
 func (m *Memory) AllocHuge() (Frame, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if fail, shrink := m.inj.HugeAllocFault(); fail || shrink > 0 {
 		if shrink > 0 {
-			m.removeFreeLocked(shrink)
+			m.removeFree(shrink)
 			if m.cur.Enabled() {
 				m.cur.Event(trace.LPhys, "hugepool.shrink",
 					trace.I64("pages", int64(shrink)), trace.I64("free", int64(len(m.hugeFree))))
@@ -245,8 +233,6 @@ func (m *Memory) AllocHuge() (Frame, error) {
 
 // FreeHuge returns a hugepage (identified by its first frame) to the pool.
 func (m *Memory) FreeHuge(f Frame) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if f < m.hugeBase || (f-m.hugeBase)%machine.SmallPerHuge != 0 {
 		return fmt.Errorf("phys: frame %d is not a hugepage base", f)
 	}
@@ -266,8 +252,6 @@ func (m *Memory) FreeHuge(f Frame) error {
 // injected spurious failures for the same reason (though a fault-shrunk
 // pool can still genuinely run dry underneath it).
 func (m *Memory) AllocHugeCoW() (Frame, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if len(m.hugeFree) == 0 {
 		m.stats.HugeFailures++
 		return 0, ErrOutOfHugepages
@@ -294,8 +278,6 @@ func (m *Memory) Reserve(n int) error {
 	if n < 0 {
 		return fmt.Errorf("%w: negative reserve %d", ErrBadReserve, n)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.hugeReserved+n > m.hugeTotal {
 		return fmt.Errorf("%w: %d already held + %d requested > pool of %d",
 			ErrBadReserve, m.hugeReserved, n, m.hugeTotal)
@@ -309,8 +291,6 @@ func (m *Memory) Unreserve(n int) error {
 	if n < 0 {
 		return fmt.Errorf("%w: negative unreserve %d", ErrBadReserve, n)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if n > m.hugeReserved {
 		return fmt.Errorf("%w: releasing %d but only %d held", ErrBadReserve, n, m.hugeReserved)
 	}
@@ -320,16 +300,12 @@ func (m *Memory) Unreserve(n int) error {
 
 // Reserved reports the combined fork/CoW hold.
 func (m *Memory) Reserved() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.hugeReserved
 }
 
 // HugeAvailable reports how many hugepages AllocHuge could currently
 // satisfy (free minus reserve).
 func (m *Memory) HugeAvailable() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	n := len(m.hugeFree) - m.hugeReserved
 	if n < 0 {
 		n = 0
@@ -342,8 +318,6 @@ func (m *Memory) HugeTotal() int { return m.hugeTotal }
 
 // Stats returns a snapshot of allocator statistics.
 func (m *Memory) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.stats
 }
 
@@ -361,13 +335,11 @@ func (m *Memory) Stats() Stats {
 //
 // When the free stack is empty the frames taken are a block of
 // never-used ones, and the warm-up is recorded as a scrambledRun in O(1)
-// space; otherwise the stack is built in one pass under one lock.
+// space; otherwise the stack is built in one pass.
 func (m *Memory) Scramble(n int) {
 	if n <= 0 {
 		return
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if len(m.free) == 0 && m.run.left == 0 {
 		taken := int(min(Frame(n), m.hugeBase-m.next))
 		m.run = scrambledRun{base: m.next, count: taken, left: taken}
@@ -375,7 +347,7 @@ func (m *Memory) Scramble(n int) {
 		m.stats.SmallPeak = max(m.stats.SmallPeak, m.stats.SmallAllocated+int64(taken))
 		return
 	}
-	m.spillRunLocked()
+	m.spillRun()
 	// The frames AllocFrame would hand out: the top of the free list
 	// first, then never-used frames from the bump pointer.
 	popped := min(n, len(m.free))
@@ -419,10 +391,10 @@ func (r scrambledRun) at(k int) Frame {
 	return r.base + Frame(2*(k-evens)+1)
 }
 
-// spillRunLocked writes what is left of the scrambled run into the free
+// spillRun writes what is left of the scrambled run into the free
 // list, below the frames freed on top of it, so the list alone holds the
 // whole free stack.
-func (m *Memory) spillRunLocked() {
+func (m *Memory) spillRun() {
 	if m.run.left == 0 {
 		return
 	}

@@ -215,6 +215,74 @@ func TestCopyBetweenMemories(t *testing.T) {
 	}
 }
 
+// TestFrameStoreZoneEdges writes, reads back and copies the first and
+// last frame of each zone, the two frames on either side of the gap
+// between the small-frame and hugepage tables included.
+func TestFrameStoreZoneEdges(t *testing.T) {
+	a, b := testMem(t), testMem(t)
+	edges := []Frame{0, a.hugeBase - 1, a.hugeBase, Frame(a.totalFrames - 1)}
+	page := func(k int) []byte {
+		p := make([]byte, machine.SmallPageSize)
+		for i := range p {
+			p[i] = byte(i*7 + k*61 + 1)
+		}
+		return p
+	}
+	pa := func(f Frame) Addr { return Addr(f) * machine.SmallPageSize }
+	for k, f := range edges {
+		a.WritePhys(pa(f), page(k))
+	}
+	out := make([]byte, machine.SmallPageSize)
+	for k, f := range edges {
+		a.ReadPhys(pa(f), out)
+		if !bytes.Equal(out, page(k)) {
+			t.Fatalf("frame %d does not read back what was written", f)
+		}
+	}
+	// Copy each edge frame of a to the next edge frame of b.
+	for k, f := range edges {
+		Copy(b, pa(edges[(k+1)%len(edges)]), a, pa(f), machine.SmallPageSize)
+	}
+	for k, f := range edges {
+		b.ReadPhys(pa(edges[(k+1)%len(edges)]), out)
+		if !bytes.Equal(out, page(k)) {
+			t.Fatalf("copy of frame %d arrived corrupted", f)
+		}
+	}
+}
+
+// TestReadUnwrittenFrameDoesNotAllocate pins the lazy store: reading a
+// never-written frame returns zeros without allocating, whether its
+// chunk exists or not.
+func TestReadUnwrittenFrameDoesNotAllocate(t *testing.T) {
+	m := testMem(t)
+	m.WritePhys(0, []byte{1})
+	m.WritePhys(Addr(m.hugeBase)*machine.SmallPageSize, []byte{1})
+	buf := make([]byte, machine.SmallPageSize)
+	for _, f := range []Frame{1, 1 << 16, m.hugeBase + 1, Frame(m.totalFrames - 1)} {
+		pa := Addr(f) * machine.SmallPageSize
+		if n := testing.AllocsPerRun(100, func() { m.ReadPhys(pa, buf) }); n != 0 {
+			t.Errorf("reading never-written frame %d made %v allocations", f, n)
+		}
+		if !bytes.Equal(buf, make([]byte, len(buf))) {
+			t.Errorf("never-written frame %d does not read as zeros", f)
+		}
+	}
+}
+
+// TestCopyUnbackedStaysUnbacked copies a never-written source into a
+// never-written destination: the destination stays unbacked.
+func TestCopyUnbackedStaysUnbacked(t *testing.T) {
+	a, b := testMem(t), testMem(t)
+	b.WritePhys(0, []byte{1}) // frame 1 shares frame 0's chunk
+	for _, dst := range []Frame{1, 1 << 16, b.hugeBase + 3} {
+		Copy(b, Addr(dst)*machine.SmallPageSize, a, 5*machine.SmallPageSize, machine.SmallPageSize)
+		if b.frame(dst) != nil {
+			t.Errorf("copying zeros backed destination frame %d", dst)
+		}
+	}
+}
+
 // Property: any interleaving of allocs and frees never hands out a frame
 // that is still live, and never exceeds the hugepage zone base.
 func TestQuickFrameUniqueness(t *testing.T) {

@@ -12,7 +12,6 @@ import (
 	"container/list"
 	"errors"
 	"sort"
-	"sync"
 
 	"repro/internal/simtime"
 	"repro/internal/trace"
@@ -85,7 +84,6 @@ type Cache struct {
 	// once at node construction, before any traffic.
 	pol Decider
 
-	mu      sync.Mutex
 	entries map[vm.VA]*entry     // keyed by region base
 	byMR    map[*verbs.MR]*entry // every live entry, incl. zombies
 	lru     *list.List           // front = most recent; values are vm.VA
@@ -144,30 +142,23 @@ func (c *Cache) AcquireT(tc trace.Ctx, va vm.VA, length uint64) (*verbs.MR, simt
 	}
 	lazy := c.Lazy
 	if c.pol != nil {
-		c.mu.Lock()
-		pinned := c.stats.PinnedBytes
-		c.mu.Unlock()
-		lazy = c.pol.DecideLazy(va, length, c.Lazy, c.MaxPinned, pinned)
+		lazy = c.pol.DecideLazy(va, length, c.Lazy, c.MaxPinned, c.stats.PinnedBytes)
 	}
 	if !lazy {
 		mr, cost, err := c.ctx.RegMRT(tc, va, length)
 		if err != nil {
 			return nil, 0, err
 		}
-		c.mu.Lock()
 		c.stats.Misses++
 		c.stats.RegTicks += cost
-		c.mu.Unlock()
 		return mr, cost, nil
 	}
-	c.mu.Lock()
 	cost := lookupTicks
 	// Exact-base fast path, then containment scan.
 	if e, ok := c.entries[va]; ok && e.mr.Length >= length {
 		c.lru.MoveToFront(e.ele)
 		e.refs++
 		c.stats.Hits++
-		c.mu.Unlock()
 		if tc.Enabled() {
 			tc.SpanAt(trace.LRegcache, "acquire", tc.Now(), cost,
 				trace.I64("bytes", int64(length)), trace.I64("hit", 1))
@@ -192,7 +183,6 @@ func (c *Cache) AcquireT(tc trace.Ctx, va vm.VA, length uint64) (*verbs.MR, simt
 		c.lru.MoveToFront(best.ele)
 		best.refs++
 		c.stats.Hits++
-		c.mu.Unlock()
 		if tc.Enabled() {
 			tc.SpanAt(trace.LRegcache, "acquire", tc.Now(), cost,
 				trace.I64("bytes", int64(length)), trace.I64("hit", 1))
@@ -200,7 +190,6 @@ func (c *Cache) AcquireT(tc trace.Ctx, va vm.VA, length uint64) (*verbs.MR, simt
 		return best.mr, cost, nil
 	}
 	c.stats.Misses++
-	c.mu.Unlock()
 
 	mr, regCost, err := c.regWithEvict(tc.Advance(lookupTicks), va, length)
 	if err != nil {
@@ -211,7 +200,6 @@ func (c *Cache) AcquireT(tc trace.Ctx, va vm.VA, length uint64) (*verbs.MR, simt
 		tc.SpanAt(trace.LRegcache, "acquire", tc.Now(), cost,
 			trace.I64("bytes", int64(length)), trace.I64("hit", 0))
 	}
-	c.mu.Lock()
 	c.stats.RegTicks += regCost
 	// A re-registration at the same base (e.g. a longer slice of the
 	// same buffer) supersedes the old entry; the old registration is
@@ -219,7 +207,7 @@ func (c *Cache) AcquireT(tc trace.Ctx, va vm.VA, length uint64) (*verbs.MR, simt
 	// pins and pinned-byte accounting cannot leak.
 	var stale []*verbs.MR
 	if old, ok := c.entries[va]; ok {
-		stale = append(stale, c.retireLocked(old)...)
+		stale = append(stale, c.retire(old)...)
 	}
 	e := &entry{mr: mr, refs: 1}
 	e.ele = c.lru.PushFront(mr.VA)
@@ -229,8 +217,7 @@ func (c *Cache) AcquireT(tc trace.Ctx, va vm.VA, length uint64) (*verbs.MR, simt
 	if c.stats.PinnedBytes > c.stats.PeakPinned {
 		c.stats.PeakPinned = c.stats.PinnedBytes
 	}
-	stale = append(stale, c.evictLocked()...)
-	c.mu.Unlock()
+	stale = append(stale, c.evict()...)
 	// Deregistration of superseded/evicted regions happens off the
 	// critical path (MVAPICH2 defers it to a garbage list), so no time
 	// is charged to this Acquire — the trace records them as instant
@@ -259,9 +246,7 @@ func (c *Cache) regWithEvict(tc trace.Ctx, va vm.VA, length uint64) (*verbs.MR, 
 	mr, cost, err := c.ctx.RegMRT(tc, va, length)
 	tc = tc.Advance(cost)
 	for attempt := 0; err != nil && errors.Is(err, verbs.ErrMemlockExceeded) && attempt < memlockRetryLimit; attempt++ {
-		c.mu.Lock()
-		victims := c.evictForMemlockLocked(int64(length))
-		c.mu.Unlock()
+		victims := c.evictForMemlock(int64(length))
 		if len(victims) == 0 {
 			break // everything pinned is in use; the ceiling is real
 		}
@@ -273,9 +258,7 @@ func (c *Cache) regWithEvict(tc trace.Ctx, va vm.VA, length uint64) (*verbs.MR, 
 			cost += d
 			tc = tc.Advance(d)
 		}
-		c.mu.Lock()
 		c.stats.MemlockRetries++
-		c.mu.Unlock()
 		var rc simtime.Ticks
 		mr, rc, err = c.ctx.RegMRT(tc, va, length)
 		cost += rc
@@ -287,10 +270,9 @@ func (c *Cache) regWithEvict(tc trace.Ctx, va vm.VA, length uint64) (*verbs.MR, 
 	return mr, cost, nil
 }
 
-// evictForMemlockLocked picks idle LRU entries covering at least `need`
-// bytes and retires them. Callers hold the lock and deregister the
-// returned MRs.
-func (c *Cache) evictForMemlockLocked(need int64) []*verbs.MR {
+// evictForMemlock picks idle LRU entries covering at least `need`
+// bytes and retires them. Callers deregister the returned MRs.
+func (c *Cache) evictForMemlock(need int64) []*verbs.MR {
 	var victims []*verbs.MR
 	freed := int64(0)
 	for ele := c.lru.Back(); ele != nil && freed < need; {
@@ -299,17 +281,17 @@ func (c *Cache) evictForMemlockLocked(need int64) []*verbs.MR {
 			freed += int64(e.mr.Length)
 			c.stats.Evictions++
 			c.stats.MemlockEvictions++
-			victims = append(victims, c.retireLocked(e)...)
+			victims = append(victims, c.retire(e)...)
 		}
 		ele = prev
 	}
 	return victims
 }
 
-// retireLocked removes an entry from the cache index. It returns the MR
+// retire removes an entry from the cache index. It returns the MR
 // to deregister now if the entry is idle; an in-use entry becomes a
-// zombie deregistered on final Release. Callers hold the lock.
-func (c *Cache) retireLocked(e *entry) []*verbs.MR {
+// zombie deregistered on final Release.
+func (c *Cache) retire(e *entry) []*verbs.MR {
 	c.lru.Remove(e.ele)
 	delete(c.entries, e.mr.VA)
 	c.stats.PinnedBytes -= int64(e.mr.Length)
@@ -321,10 +303,9 @@ func (c *Cache) retireLocked(e *entry) []*verbs.MR {
 	return []*verbs.MR{e.mr}
 }
 
-// evictLocked enforces MaxPinned and returns the victims to deregister.
+// evict enforces MaxPinned and returns the victims to deregister.
 // In-use entries are skipped (their pins cannot be dropped mid-transfer).
-// Callers hold the lock.
-func (c *Cache) evictLocked() []*verbs.MR {
+func (c *Cache) evict() []*verbs.MR {
 	if c.MaxPinned <= 0 {
 		return nil
 	}
@@ -335,7 +316,7 @@ func (c *Cache) evictLocked() []*verbs.MR {
 		e := c.entries[ele.Value.(vm.VA)]
 		if e != nil && e.refs == 0 {
 			c.stats.Evictions++
-			victims = append(victims, c.retireLocked(e)...)
+			victims = append(victims, c.retire(e)...)
 		}
 		ele = prev
 	}
@@ -356,25 +337,16 @@ func (c *Cache) ReleaseT(tc trace.Ctx, mr *verbs.MR) (simtime.Ticks, error) {
 	// Cache membership, not the configured mode, decides the path: a
 	// policy can register eagerly inside a lazy cache, and that MR was
 	// never inserted — it must be deregistered here or its pins leak.
-	c.mu.Lock()
-	e, cached := c.byMR[mr]
-	var dead *verbs.MR
-	if cached && e != nil {
+	if e, cached := c.byMR[mr]; cached {
 		if e.refs > 0 {
 			e.refs--
 		}
 		if e.zombie && e.refs == 0 {
 			delete(c.byMR, mr)
-			dead = mr
-		}
-	}
-	c.mu.Unlock()
-	if cached {
-		if dead != nil {
 			if tc.Enabled() {
 				tc.Event(trace.LRegcache, "zombie.dereg", trace.I64("bytes", int64(mr.Length)))
 			}
-			if _, err := c.ctx.DeregMR(dead); err != nil {
+			if _, err := c.ctx.DeregMR(mr); err != nil {
 				return 0, err
 			}
 		}
@@ -384,9 +356,7 @@ func (c *Cache) ReleaseT(tc trace.Ctx, mr *verbs.MR) (simtime.Ticks, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.mu.Lock()
 	c.stats.DeregTicks += cost
-	c.mu.Unlock()
 	return cost, nil
 }
 
@@ -395,14 +365,12 @@ func (c *Cache) ReleaseT(tc trace.Ctx, mr *verbs.MR) (simtime.Ticks, error) {
 // otherwise the cache would hand out stale translations. Regions still in
 // use become zombies and are torn down on final Release.
 func (c *Cache) Invalidate(va vm.VA, length uint64) (simtime.Ticks, error) {
-	c.mu.Lock()
 	var victims []*verbs.MR
 	for _, e := range c.entries {
 		if va < e.mr.VA+vm.VA(e.mr.Length) && e.mr.VA < va+vm.VA(length) {
-			victims = append(victims, c.retireLocked(e)...)
+			victims = append(victims, c.retire(e)...)
 		}
 	}
-	c.mu.Unlock()
 	sortMRs(victims)
 	var cost simtime.Ticks
 	for _, mr := range victims {
@@ -418,7 +386,6 @@ func (c *Cache) Invalidate(va vm.VA, length uint64) (simtime.Ticks, error) {
 // Flush deregisters everything, including zombies (rank teardown; no
 // transfers may be in flight).
 func (c *Cache) Flush() error {
-	c.mu.Lock()
 	var all []*verbs.MR
 	for mr := range c.byMR {
 		all = append(all, mr)
@@ -427,7 +394,6 @@ func (c *Cache) Flush() error {
 	c.byMR = make(map[*verbs.MR]*entry)
 	c.lru.Init()
 	c.stats.PinnedBytes = 0
-	c.mu.Unlock()
 	sortMRs(all)
 	for _, mr := range all {
 		if _, err := c.ctx.DeregMR(mr); err != nil {
@@ -439,14 +405,10 @@ func (c *Cache) Flush() error {
 
 // Stats returns a snapshot.
 func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.stats
 }
 
 // Len reports the number of cached registrations.
 func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return len(c.entries)
 }

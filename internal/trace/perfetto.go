@@ -30,13 +30,11 @@ func (c *Collector) WritePerfetto(w io.Writer) error {
 		_, err := io.WriteString(w, `{"displayTimeUnit":"ns","otherData":{"tickHz":`+tickHzStr+`},"traceEvents":[]}`+"\n")
 		return err
 	}
-	c.mu.Lock()
 	procs := append([]procMeta(nil), c.procs...)
 	spans := append([]span(nil), c.spans...)
 	events := append([]event(nil), c.events...)
 	flows := append([]flow(nil), c.flows...)
 	metaS := append([][2]string(nil), c.metaS...)
-	c.mu.Unlock()
 
 	sort.SliceStable(spans, func(i, j int) bool { return spanLess(spans[i], spans[j]) })
 	sort.SliceStable(events, func(i, j int) bool { return eventLess(events[i], events[j]) })

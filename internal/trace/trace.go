@@ -24,8 +24,6 @@
 package trace
 
 import (
-	"sync"
-
 	"repro/internal/simtime"
 )
 
@@ -112,7 +110,6 @@ type flow struct {
 //
 //reprolint:nilsafe
 type Collector struct {
-	mu     sync.Mutex
 	procs  []procMeta
 	spans  []span
 	events []event
@@ -134,8 +131,6 @@ func (c *Collector) SetMeta(key, val string) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for i := range c.metaS {
 		if c.metaS[i][0] == key {
 			c.metaS[i][1] = val
@@ -154,8 +149,6 @@ func (c *Collector) Tracer(name string) *Tracer {
 	if c == nil {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	pid := int32(len(c.procs))
 	c.procs = append(c.procs, procMeta{pid: pid, name: name})
 	return &Tracer{col: c, pid: pid}
@@ -166,8 +159,6 @@ func (c *Collector) Empty() bool {
 	if c == nil {
 		return true
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return len(c.procs) == 0
 }
 
@@ -214,10 +205,7 @@ func (t *Tracer) span(tid int32, layer Layer, name string, start, dur simtime.Ti
 	if t == nil {
 		return
 	}
-	c := t.col
-	c.mu.Lock()
-	c.spans = append(c.spans, span{pid: t.pid, tid: tid, layer: layer, name: name, start: start, dur: dur, args: args})
-	c.mu.Unlock()
+	t.col.spans = append(t.col.spans, span{pid: t.pid, tid: tid, layer: layer, name: name, start: start, dur: dur, args: args})
 }
 
 // event records one instant marker.
@@ -225,10 +213,7 @@ func (t *Tracer) event(tid int32, layer Layer, name string, at simtime.Ticks, ar
 	if t == nil {
 		return
 	}
-	c := t.col
-	c.mu.Lock()
-	c.events = append(c.events, event{pid: t.pid, tid: tid, layer: layer, name: name, at: at, args: args})
-	c.mu.Unlock()
+	t.col.events = append(t.col.events, event{pid: t.pid, tid: tid, layer: layer, name: name, at: at, args: args})
 }
 
 // flowPoint records one flow endpoint.
@@ -236,10 +221,7 @@ func (t *Tracer) flowPoint(tid int32, id uint64, at simtime.Ticks, begin bool) {
 	if t == nil {
 		return
 	}
-	c := t.col
-	c.mu.Lock()
-	c.flows = append(c.flows, flow{pid: t.pid, tid: tid, id: id, at: at, begin: begin})
-	c.mu.Unlock()
+	t.col.flows = append(t.col.flows, flow{pid: t.pid, tid: tid, id: id, at: at, begin: begin})
 }
 
 // Ctx is one immutable timeline position: a tracer, a track, and the
@@ -321,16 +303,15 @@ func (c Ctx) FlowEnd(id uint64) {
 // address space, physical memory). The owning rank calls Set at its
 // entry points (Malloc, Free, trace replay steps); the layer stamps
 // instant events wherever the cursor currently stands. All methods are
-// nil-safe; the mutex keeps -race clean if an event fires off the main
-// goroutine (timestamp content stays deterministic because only the
-// owner's single-threaded entry points move the cursor).
+// nil-safe. The cursor takes no lock: like every layer above
+// internal/sched, it is only touched by the one task that holds the
+// baton, so timestamps stay deterministic.
 //
 //reprolint:nilsafe
 type Cursor struct {
 	tr  *Tracer
 	tid int32
 
-	mu  sync.Mutex
 	now simtime.Ticks
 }
 
@@ -339,9 +320,7 @@ func (c *Cursor) Set(now simtime.Ticks) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
 	c.now = now
-	c.mu.Unlock()
 }
 
 // Event stamps an instant marker at the cursor's position.
@@ -349,10 +328,7 @@ func (c *Cursor) Event(layer Layer, name string, args ...Arg) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	at := c.now
-	c.mu.Unlock()
-	c.tr.event(c.tid, layer, name, at, args)
+	c.tr.event(c.tid, layer, name, c.now, args)
 }
 
 // Enabled reports whether events stamp anywhere.

@@ -23,7 +23,6 @@ package verbs
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/hca"
 	"repro/internal/machine"
@@ -83,7 +82,6 @@ type Context struct {
 
 	mach *machine.Machine
 
-	mu    sync.Mutex
 	stats Stats
 }
 
@@ -120,17 +118,14 @@ func (c *Context) RegMRT(tc trace.Ctx, va vm.VA, length uint64) (*MR, simtime.Ti
 	cost += simtime.Ticks(len(pages)) * (c.mach.Mem.PinTicks + c.mach.Mem.TranslateTicks)
 
 	// RLIMIT_MEMLOCK: the page-rounded footprint is what the kernel
-	// charges; reserve it atomically so concurrent registrations can't
-	// jointly slip past the ceiling.
+	// charges.
 	var pinned int64
 	for _, p := range pages {
 		pinned += int64(p.Class.Size())
 	}
-	c.mu.Lock()
 	if c.MemlockLimit > 0 && c.stats.PinnedBytes+pinned > c.MemlockLimit {
 		held := c.stats.PinnedBytes
 		c.stats.MemlockRejections++
-		c.mu.Unlock()
 		_ = c.AS.Unpin(va, length)
 		if tc.Enabled() {
 			tc.Event(trace.LVerbs, "memlock.reject",
@@ -140,13 +135,10 @@ func (c *Context) RegMRT(tc trace.Ctx, va vm.VA, length uint64) (*MR, simtime.Ti
 			held, pinned, c.MemlockLimit, ErrMemlockExceeded)
 	}
 	c.stats.PinnedBytes += pinned
-	c.mu.Unlock()
 
 	hw, err := c.HW.InstallMR(va, length, pages, c.HugeATT)
 	if err != nil {
-		c.mu.Lock()
 		c.stats.PinnedBytes -= pinned
-		c.mu.Unlock()
 		_ = c.AS.Unpin(va, length)
 		return nil, 0, fmt.Errorf("verbs: install: %w", err)
 	}
@@ -179,11 +171,9 @@ func (c *Context) RegMRT(tc trace.Ctx, va vm.VA, length uint64) (*MR, simtime.Ti
 		pinnedBytes: pinned,
 		pinnedPages: int64(len(pages)),
 	}
-	c.mu.Lock()
 	c.stats.Registrations++
 	c.stats.RegTicks += cost
 	c.stats.PagesPinned += int64(len(pages))
-	c.mu.Unlock()
 	return mr, cost, nil
 }
 
@@ -215,12 +205,10 @@ func (c *Context) DeregMRT(tc trace.Ctx, mr *MR) (simtime.Ticks, error) {
 		pages = int64(mr.Length+machine.HugePageSize-1) / machine.HugePageSize
 	}
 	cost += simtime.Ticks(pages) * c.mach.Mem.PinTicks / 2
-	c.mu.Lock()
 	c.stats.Deregistrations++
 	c.stats.DeregTicks += cost
 	c.stats.PinnedBytes -= mr.pinnedBytes
 	c.stats.PagesPinned -= mr.pinnedPages
-	c.mu.Unlock()
 	if tc.Enabled() {
 		tc.SpanAt(trace.LVerbs, "DeregMR", tc.Now(), cost,
 			trace.I64("bytes", int64(mr.Length)), trace.I64("pages", mr.pinnedPages))
@@ -275,8 +263,6 @@ func (c *Context) PollCQT(tc trace.Ctx) simtime.Ticks {
 
 // Stats returns a snapshot.
 func (c *Context) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.stats
 }
 
@@ -284,12 +270,10 @@ func (c *Context) Stats() Stats {
 // phases). PinnedBytes and PagesPinned are live gauges backing the
 // memlock budget, not phase counters — they survive the reset.
 func (c *Context) ResetStats() {
-	c.mu.Lock()
 	c.stats = Stats{
 		PinnedBytes: c.stats.PinnedBytes,
 		PagesPinned: c.stats.PagesPinned,
 	}
-	c.mu.Unlock()
 }
 
 // Machine exposes the context's machine description.

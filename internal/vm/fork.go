@@ -21,8 +21,6 @@ import (
 // memory cannot fault, exactly like get_user_pages pages on Linux).
 // Pin state itself does not transfer: the child holds no registrations.
 func (as *AddressSpace) Fork() (*AddressSpace, error) {
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	child := &AddressSpace{
 		mem:      as.mem,
 		brk:      as.brk,
@@ -94,7 +92,7 @@ func (as *AddressSpace) Fork() (*AddressSpace, error) {
 }
 
 // breakCoW gives the entry, a page of the given class, a private copy of
-// its page. Callers hold as.mu.
+// its page.
 func (as *AddressSpace) breakCoW(p *pte, class PageClass) error {
 	var f phys.Frame
 	var err error

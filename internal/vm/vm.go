@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/machine"
 	"repro/internal/phys"
@@ -98,11 +97,10 @@ const (
 	hugeLimit VA = 0x7FFF_F000_0000
 )
 
-// AddressSpace is one simulated process image. It is safe for concurrent
-// use; the MPI runtime may touch it from the progress goroutine while the
-// rank computes.
+// AddressSpace is one simulated process image. It takes no lock: every
+// caller is a task of one internal/sched scheduler, which runs exactly
+// one task at a time.
 type AddressSpace struct {
-	mu  sync.Mutex
 	mem *phys.Memory
 
 	brk      VA
@@ -154,16 +152,14 @@ func (as *AddressSpace) Mem() *phys.Memory { return as.mem }
 // space has no clock of its own, so the owner moves the cursor at its
 // entry points.
 func (as *AddressSpace) SetTrace(cur *trace.Cursor) {
-	as.mu.Lock()
 	as.cur = cur
-	as.mu.Unlock()
 }
 
 func roundUp(n, to uint64) uint64 { return (n + to - 1) / to * to }
 
-// mapSmallLocked allocates frames for the small pages of [va, va+size)
+// mapSmall allocates frames for the small pages of [va, va+size)
 // and returns their entries. On failure every frame it took goes back.
-func (as *AddressSpace) mapSmallLocked(va VA, size uint64) ([]pte, error) {
+func (as *AddressSpace) mapSmall(va VA, size uint64) ([]pte, error) {
 	if uint64(va)%machine.SmallPageSize != 0 {
 		return nil, fmt.Errorf("vm: unaligned small mapping at %#x", va)
 	}
@@ -183,9 +179,9 @@ func (as *AddressSpace) mapSmallLocked(va VA, size uint64) ([]pte, error) {
 	return ptes, nil
 }
 
-// addRegionLocked inserts r into the sorted region table, after any
+// addRegion inserts r into the sorted region table, after any
 // region starting at the same address.
-func (as *AddressSpace) addRegionLocked(r region) {
+func (as *AddressSpace) addRegion(r region) {
 	i := sort.Search(len(as.regions), func(i int) bool { return as.regions[i].start > r.start })
 	as.regions = slices.Insert(as.regions, i, r)
 }
@@ -194,19 +190,17 @@ func (as *AddressSpace) addRegionLocked(r region) {
 // returns the address of the new block, like the classic Unix sbrk. The
 // libc-model allocator draws its arena from here.
 func (as *AddressSpace) Sbrk(size uint64) (VA, error) {
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	start := as.brk
 	grown := roundUp(size, machine.SmallPageSize)
 	if start+VA(grown) > brkLimit {
 		return 0, phys.ErrOutOfMemory
 	}
-	ptes, err := as.mapSmallLocked(start, grown)
+	ptes, err := as.mapSmall(start, grown)
 	if err != nil {
 		return 0, err
 	}
 	as.brk += VA(grown)
-	as.addRegionLocked(region{start, grown, Small, ptes})
+	as.addRegion(region{start, grown, Small, ptes})
 	if as.cur.Enabled() {
 		as.cur.Event(trace.LVM, "sbrk", trace.I64("bytes", int64(grown)))
 	}
@@ -216,19 +210,17 @@ func (as *AddressSpace) Sbrk(size uint64) (VA, error) {
 // MapSmall creates an anonymous small-page mapping of the given size and
 // returns its base address (the mmap path).
 func (as *AddressSpace) MapSmall(size uint64) (VA, error) {
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	sz := roundUp(size, machine.SmallPageSize)
 	start := as.mmapNext
 	if start+VA(sz) > mmapLimit {
 		return 0, phys.ErrOutOfMemory
 	}
-	ptes, err := as.mapSmallLocked(start, sz)
+	ptes, err := as.mapSmall(start, sz)
 	if err != nil {
 		return 0, err
 	}
 	as.mmapNext += VA(sz)
-	as.addRegionLocked(region{start, sz, Small, ptes})
+	as.addRegion(region{start, sz, Small, ptes})
 	if as.cur.Enabled() {
 		as.cur.Event(trace.LVM, "map.small", trace.I64("bytes", int64(sz)))
 	}
@@ -240,12 +232,6 @@ func (as *AddressSpace) MapSmall(size uint64) (VA, error) {
 // the hugepage pool cannot supply the pages; callers that want the paper's
 // graceful degradation use MapHugeOrSmall.
 func (as *AddressSpace) MapHuge(size uint64) (VA, error) {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	return as.mapHugeLocked(size)
-}
-
-func (as *AddressSpace) mapHugeLocked(size uint64) (VA, error) {
 	sz := roundUp(size, machine.HugePageSize)
 	n := sz / machine.HugePageSize
 	start := as.hugeNext
@@ -265,7 +251,7 @@ func (as *AddressSpace) mapHugeLocked(size uint64) (VA, error) {
 	}
 	as.stats.MappedHuge += int64(n)
 	as.hugeNext += VA(sz)
-	as.addRegionLocked(region{start, sz, Huge, ptes})
+	as.addRegion(region{start, sz, Huge, ptes})
 	if as.cur.Enabled() {
 		as.cur.Event(trace.LVM, "map.huge",
 			trace.I64("bytes", int64(sz)), trace.I64("pages", int64(n)))
@@ -278,9 +264,7 @@ func (as *AddressSpace) mapHugeLocked(size uint64) (VA, error) {
 // redirects to libc when "enough hugepages available?" is no). The bool
 // result reports whether hugepages were used.
 func (as *AddressSpace) MapHugeOrSmall(size uint64) (VA, bool, error) {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	va, err := as.mapHugeLocked(size)
+	va, err := as.MapHuge(size)
 	if err == nil {
 		return va, true, nil
 	}
@@ -293,12 +277,12 @@ func (as *AddressSpace) MapHugeOrSmall(size uint64) (VA, bool, error) {
 	if start+VA(sz) > mmapLimit {
 		return 0, false, phys.ErrOutOfMemory
 	}
-	ptes, err := as.mapSmallLocked(start, sz)
+	ptes, err := as.mapSmall(start, sz)
 	if err != nil {
 		return 0, false, err
 	}
 	as.mmapNext += VA(sz)
-	as.addRegionLocked(region{start, sz, Small, ptes})
+	as.addRegion(region{start, sz, Small, ptes})
 	as.stats.HugeFallbackBytes += int64(sz)
 	if as.cur.Enabled() {
 		as.cur.Event(trace.LVM, "map.fallback", trace.I64("bytes", int64(sz)))
@@ -312,21 +296,19 @@ func (as *AddressSpace) MapHugeOrSmall(size uint64) (VA, bool, error) {
 // carved into pieces still unmaps as the original (start,size) whole.
 // Pinned pages refuse to unmap.
 func (as *AddressSpace) Unmap(start VA, size uint64) error {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	lo, n := as.unmapRunLocked(start, size)
+	lo, n := as.unmapRun(start, size)
 	if n == 0 {
 		return ErrBadUnmap
 	}
 	// Refuse if any page of any piece is pinned, before touching anything.
 	for _, r := range as.regions[lo : lo+n] {
-		if as.regionPinnedLocked(r) {
+		if r.pinned() {
 			return ErrPinnedUnmap
 		}
 	}
 	var total uint64
 	for _, r := range as.regions[lo : lo+n] {
-		as.freeRegionLocked(r)
+		as.freeRegion(r)
 		total += r.size
 	}
 	as.regions = slices.Delete(as.regions, lo, lo+n)
@@ -336,11 +318,11 @@ func (as *AddressSpace) Unmap(start VA, size uint64) error {
 	return nil
 }
 
-// unmapRunLocked resolves an unmap request to the run of regions
+// unmapRun resolves an unmap request to the run of regions
 // [lo, lo+n) it covers: the single exact-match region, or — for a
 // demoted hugepage mapping — the address-contiguous run of split pieces
 // partitioning the original extent. n = 0 means no match.
-func (as *AddressSpace) unmapRunLocked(start VA, size uint64) (lo, n int) {
+func (as *AddressSpace) unmapRun(start VA, size uint64) (lo, n int) {
 	for i, r := range as.regions {
 		if r.start == start && (r.size == roundUp(size, r.class.Size()) || size == r.size) {
 			return i, 1
@@ -372,8 +354,8 @@ func (as *AddressSpace) unmapRunLocked(start VA, size uint64) (lo, n int) {
 	return 0, 0
 }
 
-// regionPinnedLocked reports whether any page of r is pinned.
-func (as *AddressSpace) regionPinnedLocked(r region) bool {
+// pinned reports whether any page of r is pinned.
+func (r region) pinned() bool {
 	for _, p := range r.ptes {
 		if p.pins > 0 {
 			return true
@@ -382,8 +364,8 @@ func (as *AddressSpace) regionPinnedLocked(r region) bool {
 	return false
 }
 
-// freeRegionLocked releases r's frames.
-func (as *AddressSpace) freeRegionLocked(r region) {
+// freeRegion releases r's frames.
+func (as *AddressSpace) freeRegion(r region) {
 	if r.class == Huge {
 		for _, p := range r.ptes {
 			_ = as.mem.FreeHuge(p.frame)
@@ -412,8 +394,6 @@ func (as *AddressSpace) freeRegionLocked(r region) {
 // memory must keep its translations stable. It returns the number of
 // hugepages demoted. Callers own the TLB shootdown for the split range.
 func (as *AddressSpace) Demote(va VA, size uint64) (int, error) {
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	lo := VA(roundUp(uint64(va), machine.HugePageSize))
 	hi := VA((uint64(va) + size) / machine.HugePageSize * machine.HugePageSize)
 	if !IsHugeVA(lo) || hi <= lo {
@@ -435,7 +415,7 @@ func (as *AddressSpace) Demote(va VA, size uint64) (int, error) {
 		for j := range split {
 			split[j] = pte{frame: p.frame + phys.Frame(j), split: true}
 		}
-		as.splitRegionLocked(i, k, split)
+		as.splitRegion(i, k, split)
 		as.stats.MappedHuge--
 		as.stats.MappedSmall += subpages
 		as.stats.Demotions++
@@ -450,12 +430,11 @@ func (as *AddressSpace) Demote(va VA, size uint64) (int, error) {
 	return demoted, nil
 }
 
-// splitRegionLocked replaces hugepage k of the Huge region at index i
+// splitRegion replaces hugepage k of the Huge region at index i
 // with a standalone Small region holding the split entries, so unmap
 // bookkeeping keeps matching page classes after a demotion. The pieces
-// before and after keep their entries in the original array. Callers
-// hold as.mu.
-func (as *AddressSpace) splitRegionLocked(i, k int, split []pte) {
+// before and after keep their entries in the original array.
+func (as *AddressSpace) splitRegion(i, k int, split []pte) {
 	r := as.regions[i]
 	h := r.start + VA(uint64(k)*machine.HugePageSize)
 	repl := make([]region, 0, 3)
@@ -469,8 +448,7 @@ func (as *AddressSpace) splitRegionLocked(i, k int, split []pte) {
 	as.regions = slices.Replace(as.regions, i, i+1, repl...)
 }
 
-// find returns the index of the region containing va, or -1. Callers
-// hold as.mu.
+// find returns the index of the region containing va, or -1.
 func (as *AddressSpace) find(va VA) int {
 	if as.last < len(as.regions) && as.regions[as.last].contains(va) {
 		return as.last
@@ -485,8 +463,8 @@ func (as *AddressSpace) find(va VA) int {
 }
 
 // lookup finds the entry covering va and its page class. The pointer
-// indexes the region's entry slice: callers hold as.mu and drop it
-// before the region table next changes.
+// indexes the region's entry slice: callers drop it before the region
+// table next changes.
 func (as *AddressSpace) lookup(va VA) (*pte, PageClass, error) {
 	i := as.find(va)
 	if i < 0 {
@@ -498,15 +476,11 @@ func (as *AddressSpace) lookup(va VA) (*pte, PageClass, error) {
 
 // Translate resolves a virtual address to (physical address, page class).
 func (as *AddressSpace) Translate(va VA) (phys.Addr, PageClass, error) {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	p, class, err := as.lookup(va)
-	if err != nil {
-		return 0, Small, fmt.Errorf("%w: %#x", err, uint64(va))
+	pa, class, err := as.translateQuiet(va)
+	if err == nil {
+		as.stats.Translations++
 	}
-	as.stats.Translations++
-	off := uint64(va) % class.Size()
-	return phys.Addr(uint64(p.frame)*machine.SmallPageSize + off), class, nil
+	return pa, class, err
 }
 
 // Page describes one page of a translated range.
@@ -516,12 +490,12 @@ type Page struct {
 	Class PageClass
 }
 
-// walkLocked calls fn, in address order, for every page covering
+// walk calls fn, in address order, for every page covering
 // [va, va+length) with length > 0, and returns their class. It stops at
 // the first page that is unmapped (ErrUnmapped) or of another class than
 // the first (ErrMixedClasses), or at fn's first error. A nil fn only
-// checks the range. Callers hold as.mu.
-func (as *AddressSpace) walkLocked(va VA, length uint64, fn func(a VA, p *pte) error) (PageClass, error) {
+// checks the range.
+func (as *AddressSpace) walk(va VA, length uint64, fn func(a VA, p *pte) error) (PageClass, error) {
 	i := as.find(va)
 	if i < 0 {
 		return Small, fmt.Errorf("%w: %#x", ErrUnmapped, uint64(va))
@@ -557,16 +531,14 @@ func (as *AddressSpace) Pages(va VA, length uint64) ([]Page, error) {
 	if length == 0 {
 		return nil, nil
 	}
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	class, err := as.walkLocked(va, length, nil)
+	class, err := as.walk(va, length, nil)
 	if err != nil {
 		return nil, err
 	}
 	pages := make([]Page, 0, pageCount(va, length, class))
 	// The range was checked above and fn never fails, so neither can
 	// this walk.
-	_, _ = as.walkLocked(va, length, func(a VA, p *pte) error {
+	_, _ = as.walk(va, length, func(a VA, p *pte) error {
 		pages = append(pages, Page{VA: a, PA: phys.Addr(uint64(p.frame) * machine.SmallPageSize), Class: class})
 		return nil
 	})
@@ -586,15 +558,13 @@ func (as *AddressSpace) Pin(va VA, length uint64) ([]Page, error) {
 	if length == 0 {
 		return nil, nil
 	}
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	// Check the whole range before pinning any of it.
-	class, err := as.walkLocked(va, length, nil)
+	class, err := as.walk(va, length, nil)
 	if err != nil {
 		return nil, err
 	}
 	pages := make([]Page, 0, pageCount(va, length, class))
-	_, err = as.walkLocked(va, length, func(a VA, p *pte) error {
+	_, err = as.walk(va, length, func(a VA, p *pte) error {
 		if p.cow {
 			// DMA needs a stable private page: break the sharing now.
 			if err := as.breakCoW(p, class); err != nil {
@@ -617,13 +587,11 @@ func (as *AddressSpace) Unpin(va VA, length uint64) error {
 	if length == 0 {
 		return nil
 	}
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	// Check the whole range before unpinning any of it.
-	if _, err := as.walkLocked(va, length, nil); err != nil {
+	if _, err := as.walk(va, length, nil); err != nil {
 		return err
 	}
-	_, err := as.walkLocked(va, length, func(a VA, p *pte) error {
+	_, err := as.walk(va, length, func(a VA, p *pte) error {
 		if p.pins == 0 {
 			return fmt.Errorf("%w: %#x", ErrNotPinned, uint64(a))
 		}
@@ -678,8 +646,6 @@ func (as *AddressSpace) Read(va VA, p []byte) error {
 // writable breaks copy-on-write sharing for the page covering va and
 // translates va, without the statistics bump.
 func (as *AddressSpace) writable(va VA) (phys.Addr, PageClass, error) {
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	p, class, err := as.lookup(va)
 	if err != nil {
 		return 0, Small, fmt.Errorf("%w: %#x", err, uint64(va))
@@ -695,8 +661,6 @@ func (as *AddressSpace) writable(va VA) (phys.Addr, PageClass, error) {
 
 // translateQuiet is Translate without the statistics bump, for bulk IO.
 func (as *AddressSpace) translateQuiet(va VA) (phys.Addr, PageClass, error) {
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	p, class, err := as.lookup(va)
 	if err != nil {
 		return 0, Small, fmt.Errorf("%w: %#x", err, uint64(va))
@@ -707,8 +671,6 @@ func (as *AddressSpace) translateQuiet(va VA) (phys.Addr, PageClass, error) {
 
 // Stats returns a snapshot of the counters.
 func (as *AddressSpace) Stats() Stats {
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	return as.stats
 }
 
@@ -719,8 +681,6 @@ func (as *AddressSpace) Regions() []struct {
 	Size  uint64
 	Class PageClass
 } {
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	out := make([]struct {
 		Start VA
 		Size  uint64
