@@ -14,15 +14,16 @@ test:
 	$(GO) test ./...
 
 # race: the host-concurrent code under the race detector — the runtime,
-# NAS, scheduler, frame pool, page tables (value entries mutated in
-# place with no lock, by whichever task holds the scheduler's baton),
-# TLB, adapter (an RDMA write copies frame to frame across two adapters'
-# memories), the sweep engine's worker pool and the hugepage library
-# (real goroutines share one address space through its lock; ten runs,
-# since a race between its hugepage and libc paths needs the right
+# NAS, the modern workloads (per-rank host buffers reused across a rank
+# body's iterations), scheduler, frame pool, page tables (value entries
+# mutated in place with no lock, by whichever task holds the scheduler's
+# baton), TLB, adapter (an RDMA write copies frame to frame across two
+# adapters' memories), the sweep engine's worker pool and the hugepage
+# library (real goroutines share one address space through its lock; ten
+# runs, since a race between its hugepage and libc paths needs the right
 # interleaving to show).
 race:
-	$(GO) test -race ./internal/mpi/... ./internal/nas/... ./internal/sched/... ./internal/phys/... ./internal/vm/... ./internal/tlb/... ./internal/hca/... ./internal/sweep/...
+	$(GO) test -race ./internal/mpi/... ./internal/nas/... ./internal/workload/... ./internal/sched/... ./internal/phys/... ./internal/vm/... ./internal/tlb/... ./internal/hca/... ./internal/sweep/...
 	$(GO) test -race -count=10 ./internal/alloc/...
 
 # lint: gofmt, go vet, and the repo's own eight-analyzer reprolint v2

@@ -182,9 +182,13 @@ func (r *Rank) reduceTreeF64(root int, va vm.VA, count int, op ReduceOp) error {
 }
 
 // combineF64 applies va[i] = op(va[i], tmp[i]) including the CPU cost of
-// streaming both arrays.
+// streaming both arrays. The operands are decoded into the rank's host
+// scratch, grown to the largest count it has reduced.
 func (r *Rank) combineF64(va, tmp vm.VA, count int, op ReduceOp) error {
-	a, b := make([]float64, count), make([]float64, count)
+	if cap(r.combineA) < count {
+		r.combineA, r.combineB = make([]float64, count), make([]float64, count)
+	}
+	a, b := r.combineA[:count], r.combineB[:count]
 	if err := r.ReadF64(va, a); err != nil {
 		return err
 	}

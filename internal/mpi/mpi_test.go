@@ -355,6 +355,71 @@ func TestAllreduceSumAndMax(t *testing.T) {
 	}
 }
 
+// TestAllreduceCombineReusesScratch checks AllreduceF64 against the
+// host-computed sum around the 512-float64 encoding chunk, by recursive
+// doubling (4 ranks) and by tree reduce then Bcast (3 ranks), and that
+// a repeated reduction of the same count reuses the rank's combine
+// scratch. Every value is a multiple of 1/4 well inside float64's exact
+// range, so the sum is exact in any order.
+func TestAllreduceCombineReusesScratch(t *testing.T) {
+	counts := []int{1, 511, 512, 513, 4096}
+	for _, p := range []int{3, 4} {
+		w := mustWorld(t, defaultCfg(p))
+		for i := 0; i < p; i++ {
+			if r := w.Rank(i); r.combineA != nil || r.combineB != nil {
+				t.Fatalf("p=%d: a fresh world's rank %d holds combine scratch", p, i)
+			}
+		}
+		err := w.Run(func(r *Rank) error {
+			va, err := r.Malloc(8 * 4096)
+			if err != nil {
+				return err
+			}
+			for _, count := range counts {
+				xs := make([]float64, count)
+				got := make([]float64, count)
+				var grown []float64
+				for pass := 0; pass < 2; pass++ {
+					for i := range xs {
+						xs[i] = float64(r.ID()*count+i+pass) * 0.25
+					}
+					if err := r.WriteF64(va, xs); err != nil {
+						return err
+					}
+					if err := r.AllreduceF64(va, count, Sum); err != nil {
+						return err
+					}
+					if err := r.ReadF64(va, got); err != nil {
+						return err
+					}
+					for i := range got {
+						var want float64
+						for src := 0; src < p; src++ {
+							want += float64(src*count+i+pass) * 0.25
+						}
+						if got[i] != want {
+							return fmt.Errorf("count %d pass %d rank %d elem %d: got %g want %g",
+								count, pass, r.ID(), i, got[i], want)
+						}
+					}
+					if pass == 0 {
+						grown = r.combineA
+						continue
+					}
+					if len(grown) > 0 && (cap(r.combineA) != cap(grown) || &r.combineA[:1][0] != &grown[:1][0]) {
+						return fmt.Errorf("count %d rank %d: a repeated reduction regrew the combine scratch (cap %d -> %d)",
+							count, r.ID(), cap(grown), cap(r.combineA))
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+	}
+}
+
 // TestF64RoundTripAcrossChunksAndPages writes and reads back more than one
 // 4 KiB encoding chunk of float64s from an unaligned address on base
 // pages, and checks that a range with an unmapped tail still fails with

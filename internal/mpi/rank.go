@@ -64,6 +64,10 @@ type Rank struct {
 	// allocation library, so it follows the placement policy).
 	scratchVA   vm.VA
 	scratchSize uint64
+	// combineA and combineB hold combineF64's decoded operands on the
+	// host, allocated on the first reduction and grown to the largest
+	// count since.
+	combineA, combineB []float64
 
 	// mpiDepth tracks nesting of profiled MPI entry points so that a
 	// collective's internal point-to-point calls are not double-counted

@@ -108,6 +108,8 @@ func RunHalo(cfg mpi.Config, p HaloParams) (*HaloResult, error) {
 			tagCol = 2 << 16
 		)
 		rowBytes := stride * cell
+		// The sweep streams the field into buf and reads nothing back.
+		buf := make([]byte, bytes)
 		for it := 0; it < p.Iters; it++ {
 			t0 := r.Now()
 			// Row exchange (contiguous): top boundary north, bottom south.
@@ -143,7 +145,6 @@ func RunHalo(cfg mpi.Config, p HaloParams) (*HaloResult, error) {
 			halo[r.ID()] += r.Now() - t0
 			// Stencil sweep: stream the field, charge the FLOPs.
 			t0 = r.Now()
-			buf := make([]byte, bytes)
 			if err := r.ReadBytes(fieldVA, buf); err != nil {
 				return err
 			}

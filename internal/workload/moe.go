@@ -13,6 +13,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/mpi"
 	"repro/internal/simtime"
@@ -124,14 +125,16 @@ func RunMoE(cfg mpi.Config, p MoEParams) (*MoEResult, error) {
 		if err != nil {
 			return err
 		}
-		row := make([]byte, p.Hidden)
+		// Token t's activation row is byte(r.ID()*131 + t*17 + it + i),
+		// a view of one ramp.
+		pat := vm.Ramp(p.Hidden + 255)
+		// buf receives the expert input and the returned rows, whose
+		// contents nothing reads; it grows to the largest chunk.
+		var buf []byte
 		for it := 0; it < p.Iters; it++ {
 			// Fresh activations (new layer input each iteration).
 			for t := 0; t < p.Tokens; t++ {
-				for i := range row {
-					row[i] = byte(r.ID()*131 + t*17 + i + it)
-				}
-				if err := r.WriteBytes(tokVA+vm.VA(t*p.Hidden), row); err != nil {
+				if err := r.WriteBytes(tokVA+vm.VA(t*p.Hidden), vm.RampView(pat, r.ID()*131+t*17+it, p.Hidden)); err != nil {
 					return err
 				}
 			}
@@ -142,8 +145,12 @@ func RunMoE(cfg mpi.Config, p MoEParams) (*MoEResult, error) {
 				rc := make([]int, ranks)
 				rd := make([]int, ranks)
 				lo, _ := chunkRange(p.Tokens, p.Chunks, c)
+				var own [][]int
 				for src := 0; src < ranks; src++ {
 					routing := moeRouting(p, ranks, it, c, src)
+					if src == r.ID() {
+						own = routing
+					}
 					for t, dsts := range routing {
 						for _, d := range dsts {
 							if src == r.ID() {
@@ -173,7 +180,7 @@ func RunMoE(cfg mpi.Config, p MoEParams) (*MoEResult, error) {
 				// Expert compute streams the received rows.
 				t0 = r.Now()
 				if recvTotal > 0 {
-					buf := make([]byte, recvTotal)
+					buf = slices.Grow(buf[:0], recvTotal)[:recvTotal]
 					if err := r.ReadBytes(expVA, buf); err != nil {
 						return err
 					}
@@ -189,7 +196,6 @@ func RunMoE(cfg mpi.Config, p MoEParams) (*MoEResult, error) {
 				rc2 := make([]int, ranks)
 				rd2 := make([]int, ranks)
 				retTotal := 0
-				own := moeRouting(p, ranks, it, c, r.ID())
 				for _, dsts := range own {
 					for _, d := range dsts {
 						rc2[d] += p.Hidden
@@ -207,7 +213,7 @@ func RunMoE(cfg mpi.Config, p MoEParams) (*MoEResult, error) {
 				// Scatter-add the returned rows into the activations.
 				t0 = r.Now()
 				if retTotal > 0 {
-					buf := make([]byte, retTotal)
+					buf = slices.Grow(buf[:0], retTotal)[:retTotal]
 					if err := r.ReadBytes(retVA, buf); err != nil {
 						return err
 					}

@@ -55,6 +55,9 @@ type rig struct {
 	// measured durations are strung end to end along one timeline.
 	tr  *trace.Tracer
 	now simtime.Ticks
+	// pat is the ramp the payloads are views of, grown to the largest
+	// SGE size measured so far.
+	pat []byte
 }
 
 // newRig builds sender and receiver from cfg with registered buffers
@@ -153,11 +156,12 @@ func (rg *rig) measure(sges, sgeSize, offset int) (Result, error) {
 	sgl := rg.sgeList(rg.sendBuf, rg.sendMR.LKey, sges, sgeSize, offset)
 	rgl := rg.sgeList(rg.recvBuf, rg.recvMR.LKey, sges, sgeSize, offset)
 
-	// Fill the payload so the transfer moves real bytes.
-	fill := make([]byte, sgeSize)
-	for i := range fill {
-		fill[i] = byte(i + sges)
+	// Fill the payload so the transfer moves real bytes: byte(sges + i),
+	// a view of one ramp.
+	if len(rg.pat) < sgeSize+255 {
+		rg.pat = vm.Ramp(sgeSize + 255)
 	}
+	fill := vm.RampView(rg.pat, sges, sgeSize)
 	for _, s := range sgl {
 		if err := rg.send.AS.Write(s.Addr, fill); err != nil {
 			return Result{}, err
