@@ -29,22 +29,13 @@ race:
 # lint: gofmt, go vet, and the repo's own eight-analyzer reprolint v2
 # suite (determinism, maporder, nilspec, parkflow, schedonly,
 # statspairing, tickunits, timeflow — see DESIGN.md §7), plus the
-# analyzers' own fixture tests so the suite can't rot. The SARIF leg
-# holds the serializer to the same standard as the BENCH documents:
-# the artifact must validate (sarifcheck) and two back-to-back runs
-# must render byte-identical bytes. CI uploads /tmp/reprolint.sarif to
-# code scanning. reprolint exits 1 on findings, so the SARIF runs only
-# assert determinism and validity on a tree the text run already
-# proved clean.
+# analyzers' own fixture tests so the suite can't rot. reprolint runs
+# once, over the whole tree, and exits 1 on any finding.
 lint: lint-analyzers baselines
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/reprolint ./...
-	$(GO) run ./cmd/reprolint -format sarif ./... > /tmp/reprolint.sarif
-	$(GO) run ./cmd/reprolint -format sarif ./... > /tmp/reprolint.run2.sarif
-	cmp /tmp/reprolint.sarif /tmp/reprolint.run2.sarif
-	$(GO) run ./internal/tools/sarifcheck /tmp/reprolint.sarif
 
 # lint-fix: apply every machine-applicable suggested fix (maporder's
 # missing sort, nilspec's missing nil guard, determinism's clock/rng
@@ -64,13 +55,9 @@ baselines:
 	done
 
 # lint-analyzers: run reprolint's analyzers over their own testdata in
-# analysistest mode (every // want expectation must fire, nothing else),
-# then over the sweep engine explicitly — the one package whose output
-# contract (byte-identical BENCH documents) dies instantly on any
-# wall-clock or map-order leak.
+# analysistest mode (every // want expectation must fire, nothing else).
 lint-analyzers:
 	$(GO) test ./internal/analysis/...
-	$(GO) run ./cmd/reprolint ./internal/sweep/...
 
 # bench: the sweep engine's end-to-end gate. The smoke grid must render
 # byte-identical BENCH documents at pool widths 1 and 4, both documents

@@ -13,7 +13,8 @@
 //	maporder      no map-iteration-ordered output in report paths
 //	statspairing  gauge counters have paired inc/dec accounting
 //	nilspec       nil-safe types guard every exported pointer method
-//	schedonly     no raw goroutines/channels/WaitGroups in simulation
+//	schedonly     no raw goroutines, channels, select, WaitGroups,
+//	              sync.Mutex/RWMutex or sync/atomic in simulation
 //	              packages; blocking goes through internal/sched
 //	timeflow      interprocedural taint: wall-clock/entropy values must
 //	              not flow into trace spans or benchmark reports
@@ -22,19 +23,17 @@
 //	parkflow      park-capable sched calls only from task context;
 //	              gate acquisition order is globally consistent
 //
+// Package patterns narrow which packages are reported on, never what
+// the interprocedural analyzers see: the whole module is loaded and
+// handed to them, so `reprolint ./internal/sweep/...` still catches a
+// wall-clock value laundered into the sweep engine from elsewhere.
+//
 // Flags:
 //
-//	-list              print the analyzers and exit
-//	-tests=false       skip _test.go files
-//	-only=a,b          run only the named analyzers
-//	-format=text|sarif diagnostic output format (sarif is SARIF 2.1.0,
-//	                   byte-identical across runs, for code scanning)
-//	-fix               apply suggested fixes to the source tree; only
-//	                   findings without a machine fix still fail the run
-//	-baseline=f        report only findings not suppressed by baseline
-//	                   file f (diff-aware mode)
-//	-write-baseline=f  write the current findings to baseline file f
-//	                   and exit 0
+//	-list      print the analyzers and exit
+//	-only=a,b  run only the named analyzers
+//	-fix       apply suggested fixes to the source tree; only findings
+//	           without a machine fix still fail the run
 package main
 
 import (
@@ -69,17 +68,9 @@ var suite = []*analysis.Analyzer{
 
 func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
-	tests := flag.Bool("tests", true, "also analyze _test.go files")
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-	format := flag.String("format", "text", "output format: text or sarif")
 	fix := flag.Bool("fix", false, "apply suggested fixes to the source tree")
-	baselinePath := flag.String("baseline", "", "suppress findings recorded in this baseline file")
-	writeBaseline := flag.String("write-baseline", "", "write current findings to this baseline file and exit")
 	flag.Parse()
-	if *format != "text" && *format != "sarif" {
-		fmt.Fprintf(os.Stderr, "reprolint: unknown -format %q (valid: text, sarif)\n", *format)
-		os.Exit(2)
-	}
 	if *list {
 		for _, a := range suite {
 			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
@@ -88,86 +79,49 @@ func main() {
 	}
 	analyzers, err := selectAnalyzers(*only)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "reprolint:", err)
-		os.Exit(2)
+		fail(err)
 	}
 	root, modulePath, err := findModule()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "reprolint:", err)
-		os.Exit(2)
+		fail(err)
 	}
-	pkgs, err := analysis.NewLoader(root, modulePath, *tests).Load()
+	all, err := analysis.NewLoader(root, modulePath).Load()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "reprolint:", err)
-		os.Exit(2)
+		fail(err)
 	}
-	pkgs, err = filterPackages(pkgs, root, modulePath, flag.Args())
+	pkgs, err := filterPackages(all, root, flag.Args())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "reprolint:", err)
-		os.Exit(2)
+		fail(err)
 	}
-	findings, err := analysis.Run(pkgs, analyzers)
+	findings, err := analysis.Run(all, pkgs, analyzers)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "reprolint:", err)
-		os.Exit(2)
+		fail(err)
 	}
 	if *fix {
 		findings, err = applyFixes(findings)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "reprolint:", err)
-			os.Exit(2)
+			fail(err)
 		}
 	}
-	// Everything downstream — text lines, SARIF URIs, baseline keys —
-	// speaks module-relative paths, so baselines and SARIF artifacts
-	// stay portable across checkouts.
-	for i := range findings {
-		if rel, err := filepath.Rel(root, findings[i].Pos.Filename); err == nil {
-			findings[i].Pos.Filename = rel
+	// Findings print with module-relative paths, the same from any
+	// checkout or working directory.
+	for _, f := range findings {
+		if rel, err := filepath.Rel(root, f.Pos.Filename); err == nil {
+			f.Pos.Filename = rel
 		}
-	}
-	if *writeBaseline != "" {
-		data, err := analysis.NewBaseline(findings).Encode()
-		if err == nil {
-			err = os.WriteFile(*writeBaseline, data, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "reprolint:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "reprolint: wrote %d suppression(s) to %s\n", len(findings), *writeBaseline)
-		return
-	}
-	if *baselinePath != "" {
-		data, err := os.ReadFile(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "reprolint:", err)
-			os.Exit(2)
-		}
-		baseline, err := analysis.DecodeBaseline(data)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "reprolint:", err)
-			os.Exit(2)
-		}
-		findings = baseline.Filter(findings)
-	}
-	switch *format {
-	case "sarif":
-		out, err := analysis.SARIF(analyzers, findings)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "reprolint:", err)
-			os.Exit(2)
-		}
-		os.Stdout.Write(out)
-	default:
-		for _, f := range findings {
-			fmt.Println(f)
-		}
+		fmt.Println(f)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "reprolint: %d diagnostic(s)\n", len(findings))
 		os.Exit(1)
 	}
+}
+
+// fail reports an error that kept the suite from running (exit 2, as
+// distinct from exit 1 for findings).
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "reprolint:", err)
+	os.Exit(2)
 }
 
 // applyFixes writes every suggested fix back to the source tree and
@@ -251,7 +205,7 @@ func findModule() (root, modulePath string, err error) {
 // subtree; "./dir" keeps one directory. Patterns resolve relative to
 // the working directory, so reprolint behaves like go vet from any
 // directory in the module.
-func filterPackages(pkgs []*analysis.Package, root, modulePath string, patterns []string) ([]*analysis.Package, error) {
+func filterPackages(pkgs []*analysis.Package, root string, patterns []string) ([]*analysis.Package, error) {
 	if len(patterns) == 0 {
 		return pkgs, nil
 	}

@@ -16,7 +16,18 @@
 //   - statspairing: gauge-style counters must have matching
 //     increment/decrement paths.
 //   - nilspec: nil-safe types must guard every exported pointer method.
+//   - schedonly: simulation packages use no goroutines, channels,
+//     select, WaitGroups, locks or atomics; internal/sched owns
+//     concurrency.
+//   - tickunits: simtime.Ticks and nanoseconds convert only through the
+//     sanctioned bridges, and no Ticks constant truncates to zero.
+//   - timeflow: wall-clock and entropy values must not flow, through
+//     any chain of helpers, into trace records or BENCH reports.
+//   - parkflow: functions that can park only run in task context, and
+//     gates are acquired in one global order.
 //
+// The last two are interprocedural: they share the whole-module call
+// graph (callgraph) and taint engine (taint) through Pass.Module.
 // cmd/reprolint is the multichecker driver; analysistest runs analyzers
 // over testdata fixtures with // want expectations.
 package analysis
@@ -65,11 +76,6 @@ type Module struct {
 	cache map[string]any
 }
 
-// NewModule wraps a loaded package list for analysis.
-func NewModule(pkgs []*Package) *Module {
-	return &Module{Pkgs: pkgs, cache: make(map[string]any)}
-}
-
 // Cache memoises a module-wide computation under key. The first caller
 // builds; everyone after gets the same value. Run is single-threaded,
 // so no locking is needed.
@@ -80,17 +86,6 @@ func (m *Module) Cache(key string, build func() any) any {
 	v := build()
 	m.cache[key] = v
 	return v
-}
-
-// PackageOf returns the module package whose file set contains pos's
-// file, or nil.
-func (m *Module) PackageOf(path string) *Package {
-	for _, p := range m.Pkgs {
-		if p.PkgPath == path {
-			return p
-		}
-	}
-	return nil
 }
 
 // TextEdit is one replacement of the source range [Pos, End) by NewText.
@@ -157,21 +152,18 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s: %s", f.Pos, f.Analyzer, f.Message)
 }
 
-// Run applies every analyzer to every package and returns the combined
-// findings in a deterministic order (by file, line, column, analyzer) —
-// reprolint's own output must not depend on map iteration or scheduling.
-func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
-	return RunModule(NewModule(pkgs), pkgs, analyzers)
-}
-
-// RunModule is Run with an explicit module context: pkgs (the packages
-// to report on) may be a subset of module.Pkgs (the packages
-// interprocedural analyzers see). cmd/reprolint passes the whole loaded
-// tree as the module and the pattern-filtered packages as pkgs, so
-// cross-package flows stay visible even on a narrowed run.
-func RunModule(module *Module, pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
+// Run applies every analyzer to every package in report and returns
+// the combined findings in a deterministic order (by file, line,
+// column, analyzer, message) — reprolint's own output must not depend
+// on map iteration, scheduling or the order packages were named in.
+// all is the whole loaded tree: interprocedural analyzers build their
+// module-wide structures from it, so a cross-package flow into a
+// reported package stays visible however narrow report is. Both
+// cmd/reprolint and analysistest pass everything they loaded as all.
+func Run(all, report []*Package, analyzers []*Analyzer) ([]Finding, error) {
+	module := &Module{Pkgs: all, cache: make(map[string]any)}
 	var findings []Finding
-	for _, pkg := range pkgs {
+	for _, pkg := range report {
 		for _, a := range analyzers {
 			pass := &Pass{
 				Analyzer:  a,

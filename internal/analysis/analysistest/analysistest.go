@@ -29,6 +29,9 @@ import (
 
 // Run loads testdata/src, analyzes the named fixture packages (import
 // paths relative to src, e.g. "a"), and reports mismatches through t.
+// Interprocedural analyzers see the whole fixture tree as their module,
+// exactly as reprolint hands them the whole loaded tree, so a flow that
+// starts in a helper package is visible in the package under test.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	run(t, testdata, a, false, pkgPaths)
@@ -48,8 +51,7 @@ func RunWithSuggestedFixes(t *testing.T, testdata string, a *analysis.Analyzer, 
 
 func run(t *testing.T, testdata string, a *analysis.Analyzer, checkFixes bool, pkgPaths []string) {
 	t.Helper()
-	loader := analysis.NewLoader(testdata+"/src", "", true)
-	pkgs, err := loader.Load()
+	pkgs, err := analysis.NewLoader(testdata+"/src", "").Load()
 	if err != nil {
 		t.Fatalf("loading fixtures: %v", err)
 	}
@@ -65,7 +67,7 @@ func run(t *testing.T, testdata string, a *analysis.Analyzer, checkFixes bool, p
 			t.Errorf("fixture package %q not found under %s/src", want, testdata)
 			continue
 		}
-		findings := runPackage(t, a, pkg)
+		findings := runPackage(t, a, pkgs, pkg)
 		if checkFixes {
 			verifyFixes(t, pkg.PkgPath, findings)
 		}
@@ -115,13 +117,13 @@ type expectation struct {
 	matched bool
 }
 
-func runPackage(t *testing.T, a *analysis.Analyzer, pkg *analysis.Package) []analysis.Finding {
+func runPackage(t *testing.T, a *analysis.Analyzer, all []*analysis.Package, pkg *analysis.Package) []analysis.Finding {
 	t.Helper()
 	expectations, err := parseWants(pkg)
 	if err != nil {
 		t.Fatalf("%s: %v", pkg.PkgPath, err)
 	}
-	findings, err := analysis.Run([]*analysis.Package{pkg}, []*analysis.Analyzer{a})
+	findings, err := analysis.Run(all, []*analysis.Package{pkg}, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("running %s on %s: %v", a.Name, pkg.PkgPath, err)
 	}

@@ -1,8 +1,6 @@
 package callgraph_test
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -12,7 +10,7 @@ import (
 
 func loadFixture(t *testing.T) []*analysis.Package {
 	t.Helper()
-	pkgs, err := analysis.NewLoader("testdata/src", "", true).Load()
+	pkgs, err := analysis.NewLoader("testdata/src", "").Load()
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
@@ -31,50 +29,6 @@ func TestDeterministicEdgeList(t *testing.T) {
 	}
 	if a == "" {
 		t.Fatal("empty edge list: fixture not loaded")
-	}
-}
-
-// TestModuleDeterministicEdgeList repeats the double-load check over
-// the real module — the tree reprolint actually analyzes. Skipped in
-// -short mode: it type-checks the whole module (plus its stdlib
-// dependencies) twice.
-func TestModuleDeterministicEdgeList(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole-module double load is slow; run without -short")
-	}
-	root := moduleRoot(t)
-	load := func() []*analysis.Package {
-		pkgs, err := analysis.NewLoader(root, "repro", false).Load()
-		if err != nil {
-			t.Fatalf("loading module: %v", err)
-		}
-		return pkgs
-	}
-	a := strings.Join(callgraph.Build(load()).Describe(), "\n")
-	b := strings.Join(callgraph.Build(load()).Describe(), "\n")
-	if a != b {
-		t.Fatal("two loads of the module rendered different edge lists")
-	}
-	if !strings.Contains(a, "repro/internal/mpi") {
-		t.Fatal("module graph is missing internal/mpi nodes")
-	}
-}
-
-func moduleRoot(t *testing.T) string {
-	t.Helper()
-	dir, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			t.Fatal("no go.mod above test directory")
-		}
-		dir = parent
 	}
 }
 

@@ -15,9 +15,9 @@ import (
 )
 
 // Package is one loaded, type-checked package ready for analysis.
-// When tests are included, Syntax holds the package's files plus its
-// in-package _test.go files; an external test package (package foo_test)
-// loads as its own Package with PkgPath suffixed "_test".
+// Syntax holds the package's files plus its in-package _test.go files;
+// an external test package (package foo_test) loads as its own Package
+// with PkgPath suffixed "_test".
 type Package struct {
 	PkgPath   string
 	Dir       string
@@ -28,13 +28,13 @@ type Package struct {
 }
 
 // Loader discovers and type-checks every package under a root
-// directory. Module-internal imports resolve against the discovered
-// tree; everything else (the standard library) resolves through the
-// stdlib source importer, so no go/packages or external tooling is
-// needed. Directories named testdata or vendor, and dot/underscore
-// directories, are skipped — matching the go tool's ./... expansion,
-// and keeping analyzer fixtures (with their deliberate violations) out
-// of real runs.
+// directory, test files included. Module-internal imports resolve
+// against the discovered tree; everything else (the standard library)
+// resolves through the shared stdlib source importer, so no go/packages
+// or external tooling is needed. Directories named testdata or vendor,
+// and dot/underscore directories, are skipped — matching the go tool's
+// ./... expansion, and keeping analyzer fixtures (with their deliberate
+// violations) out of real runs.
 type Loader struct {
 	// Root is the directory whose subtree is loaded.
 	Root string
@@ -42,12 +42,7 @@ type Loader struct {
 	// module root; "" makes import paths the slash-separated relative
 	// directory, which is what testdata/src fixture trees use).
 	ModulePath string
-	// IncludeTests adds _test.go files to each package and loads
-	// external test packages.
-	IncludeTests bool
 
-	fset     *token.FileSet
-	std      types.ImporterFrom
 	units    map[string]*unit // by import path
 	paths    []string         // sorted unit import paths
 	checked  map[string]*types.Package
@@ -106,25 +101,36 @@ func (l *Loader) dependents(target string) map[string]bool {
 	}
 }
 
+// fset and std are shared by every Loader in the process, so the
+// standard library is type-checked from source once, not once per load
+// (each analyzer fixture test and each module load would otherwise pay
+// for time, os and fmt again). stdPkgs memoises std by import path: the
+// source importer re-resolves the path with go/build — a directory
+// scan reading every file's header — on each call, even for a package
+// it has already checked. None of the three is safe for concurrent use;
+// loads run one at a time — reprolint loads once, and no analysis test
+// calls t.Parallel.
+var (
+	fset    = token.NewFileSet()
+	std     = importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
+	stdPkgs = make(map[string]*types.Package)
+)
+
 // NewLoader builds a loader rooted at dir whose packages import as
 // modulePath/<relative-dir>.
-func NewLoader(root, modulePath string, includeTests bool) *Loader {
-	fset := token.NewFileSet()
+func NewLoader(root, modulePath string) *Loader {
 	return &Loader{
-		Root:         root,
-		ModulePath:   modulePath,
-		IncludeTests: includeTests,
-		fset:         fset,
-		std:          importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		units:        make(map[string]*unit),
-		checked:      make(map[string]*types.Package),
-		checking:     make(map[string]bool),
+		Root:       root,
+		ModulePath: modulePath,
+		units:      make(map[string]*unit),
+		checked:    make(map[string]*types.Package),
+		checking:   make(map[string]bool),
 	}
 }
 
 // Load discovers, parses, and type-checks the whole tree, returning one
-// Package per package (plus one per external test package when
-// IncludeTests is set), sorted by import path.
+// Package per package plus one per external test package, sorted by
+// import path.
 func (l *Loader) Load() ([]*Package, error) {
 	if err := l.discover(); err != nil {
 		return nil, err
@@ -132,10 +138,7 @@ func (l *Loader) Load() ([]*Package, error) {
 	var pkgs []*Package
 	for _, p := range l.paths {
 		u := l.units[p]
-		files := u.files
-		if l.IncludeTests {
-			files = append(append([]*ast.File{}, u.files...), u.testFiles...)
-		}
+		files := append(append([]*ast.File{}, u.files...), u.testFiles...)
 		var augmented *Package
 		if len(files) > 0 {
 			pkg, err := l.typeCheck(u.importPath, u.dir, files)
@@ -145,7 +148,7 @@ func (l *Loader) Load() ([]*Package, error) {
 			augmented = pkg
 			pkgs = append(pkgs, pkg)
 		}
-		if l.IncludeTests && len(u.xtestFiles) > 0 {
+		if len(u.xtestFiles) > 0 {
 			// The external test package sees the package under test
 			// with its in-package test files included (export_test.go
 			// helpers), exactly as the go tool builds it. Like the go
@@ -215,7 +218,7 @@ func (l *Loader) parseDir(dir string) error {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") {
 			continue
 		}
-		file, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		file, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return err
 		}
@@ -256,7 +259,14 @@ func (l *Loader) importPkg(p string) (*types.Package, error) {
 	}
 	u, ok := l.units[p]
 	if !ok {
-		return l.std.ImportFrom(p, l.Root, 0)
+		if pkg, ok := stdPkgs[p]; ok {
+			return pkg, nil
+		}
+		pkg, err := std.ImportFrom(p, l.Root, 0)
+		if err == nil {
+			stdPkgs[p] = pkg
+		}
+		return pkg, err
 	}
 	if l.checking[p] {
 		return nil, fmt.Errorf("import cycle through %s", p)
@@ -287,7 +297,7 @@ func (l *Loader) typeCheck(importPath, dir string, files []*ast.File) (*Package,
 	return &Package{
 		PkgPath:   importPath,
 		Dir:       dir,
-		Fset:      l.fset,
+		Fset:      fset,
 		Syntax:    files,
 		Types:     pkg,
 		TypesInfo: info,
@@ -304,7 +314,7 @@ func (l *Loader) check(importPath string, files []*ast.File, info *types.Info) (
 		Importer: importerFunc(l.importPkg),
 		Error:    func(err error) { typeErrs = append(typeErrs, err) },
 	}
-	pkg, err := conf.Check(importPath, l.fset, files, info)
+	pkg, err := conf.Check(importPath, fset, files, info)
 	if len(typeErrs) > 0 {
 		return nil, fmt.Errorf("type-checking %s: %v", importPath, typeErrs[0])
 	}

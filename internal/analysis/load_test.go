@@ -1,27 +1,44 @@
-package analysis
+package analysis_test
 
 import (
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/analysis"
+	"repro/internal/analysis/callgraph"
 )
 
-// TestLoadModuleTree loads the real module — the same thing
-// cmd/reprolint does — and checks the properties the analyzers depend
-// on: every package type-checks, test variants load (including external
-// test packages that use export_test.go helpers), and testdata fixture
-// trees stay invisible.
-func TestLoadModuleTree(t *testing.T) {
+// sharedModuleLoad loads the whole module from source once per test
+// binary for every test below; only TestModuleDeterministicEdgeList
+// loads it a second time, for its comparison.
+var sharedModuleLoad = sync.OnceValues(freshModuleLoad)
+
+func loadModule(t *testing.T) []*analysis.Package {
+	t.Helper()
+	pkgs, err := sharedModuleLoad()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkgs
+}
+
+func freshModuleLoad() ([]*analysis.Package, error) {
 	root, err := filepath.Abs("../..")
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	pkgs, err := NewLoader(root, "repro", true).Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	byPath := make(map[string]*Package)
-	for _, p := range pkgs {
+	return analysis.NewLoader(root, "repro").Load()
+}
+
+// TestLoadModuleTree checks the module load cmd/reprolint analyzes for
+// the properties the analyzers depend on: every package type-checks,
+// test variants load (including external test packages that use
+// export_test.go helpers), and testdata fixture trees stay invisible.
+func TestLoadModuleTree(t *testing.T) {
+	byPath := make(map[string]*analysis.Package)
+	for _, p := range loadModule(t) {
 		if strings.Contains(p.PkgPath, "testdata") {
 			t.Errorf("testdata leaked into the load: %s", p.PkgPath)
 		}
@@ -45,20 +62,21 @@ func TestLoadModuleTree(t *testing.T) {
 	}
 }
 
-// TestLoadSkipsTestsWhenAsked checks the IncludeTests=false mode used
-// for fast lint-only loads.
-func TestLoadSkipsTestsWhenAsked(t *testing.T) {
-	root, err := filepath.Abs("../..")
+// TestModuleDeterministicEdgeList requires two independent loads of the
+// module to render byte-identical call-graph edge lists — the callgraph
+// analogue of the repo's same-seed golden checks, over the tree
+// reprolint actually analyzes.
+func TestModuleDeterministicEdgeList(t *testing.T) {
+	a := strings.Join(callgraph.Build(loadModule(t)).Describe(), "\n")
+	again, err := freshModuleLoad()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := NewLoader(root, "repro", false).Load()
-	if err != nil {
-		t.Fatal(err)
+	b := strings.Join(callgraph.Build(again).Describe(), "\n")
+	if a != b {
+		t.Fatal("two loads of the module rendered different edge lists")
 	}
-	for _, p := range pkgs {
-		if strings.HasSuffix(p.PkgPath, "_test") {
-			t.Errorf("external test package loaded with IncludeTests=false: %s", p.PkgPath)
-		}
+	if !strings.Contains(a, "repro/internal/mpi") {
+		t.Fatal("module graph is missing internal/mpi nodes")
 	}
 }

@@ -31,7 +31,7 @@ func fixtureConfig() *taint.Config {
 
 func analyzeFixture(t *testing.T) []taint.Flow {
 	t.Helper()
-	pkgs, err := analysis.NewLoader("testdata/src", "", true).Load()
+	pkgs, err := analysis.NewLoader("testdata/src", "").Load()
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}

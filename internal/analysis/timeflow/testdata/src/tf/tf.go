@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"time"
 
+	"clock"
 	"trace"
 )
 
@@ -23,6 +24,12 @@ func stamp() int64 {
 
 func viaHelper(c trace.Ctx) {
 	c.Event("stamp", stamp()) // want `time.Now wall clock .* reaches trace.Event trace record`
+}
+
+// viaPackage: the helper returning the clock lives in another package;
+// the flow crosses the package boundary.
+func viaPackage(c trace.Ctx) {
+	c.Event("clock", clock.Now().UnixNano()) // want `time.Now wall clock .* reaches trace.Event trace record`
 }
 
 // record sinks its parameter; the diagnostic lands on the sink call
