@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-fix lint-analyzers baselines bench scale policy modern
+.PHONY: all build test race fuzz lint lint-fix lint-analyzers baselines bench scale policy modern
 
 all: build test
 
@@ -15,7 +15,8 @@ test:
 
 # race: the host-concurrent code under the race detector — the runtime,
 # NAS, the modern workloads (per-rank host buffers reused across a rank
-# body's iterations), scheduler, frame pool, page tables (value entries
+# body's iterations), scheduler, frame pool and the shared read-only
+# ramp frames every sweep worker reads, page tables (value entries
 # mutated in place with no lock, by whichever task holds the scheduler's
 # baton), TLB, adapter (an RDMA write copies frame to frame across two
 # adapters' memories), the sweep engine's worker pool and the hugepage
@@ -25,6 +26,13 @@ test:
 race:
 	$(GO) test -race ./internal/mpi/... ./internal/nas/... ./internal/workload/... ./internal/sched/... ./internal/phys/... ./internal/vm/... ./internal/tlb/... ./internal/hca/... ./internal/sweep/...
 	$(GO) test -race -count=10 ./internal/alloc/...
+
+# fuzz: a minute of new exploration for the frame-store fuzz target
+# (ramp writes, copies and frame reuse against flat oracles). Every
+# `go test` already replays its committed corpus under
+# internal/phys/testdata/fuzz.
+fuzz:
+	$(GO) test ./internal/phys -run '^$$' -fuzz '^FuzzFrameOps$$' -fuzztime 60s -parallel 2
 
 # lint: gofmt, go vet, and the repo's own eight-analyzer reprolint v2
 # suite (determinism, maporder, nilspec, parkflow, schedonly,

@@ -16,7 +16,6 @@ import (
 	"repro/internal/node"
 	"repro/internal/simtime"
 	"repro/internal/trace"
-	"repro/internal/vm"
 )
 
 // SendRecvResult is one row of the Figure 5 series.
@@ -86,7 +85,7 @@ func SendRecv(cfg mpi.Config, sizes []int) ([]SendRecvResult, []node.Stats, erro
 		if err != nil {
 			return err
 		}
-		if err := r.WriteBytes(sva, vm.Ramp(maxBytes)); err != nil {
+		if err := r.WriteRamp(sva, 0, maxBytes); err != nil {
 			return err
 		}
 		right := (r.ID() + 1) % r.Size()

@@ -284,6 +284,17 @@ func (r *Rank) WriteBytes(va vm.VA, p []byte) error {
 	return nil
 }
 
+// WriteRamp stores the n bytes byte(c), byte(c+1), …, byte(c+n-1) at
+// va, the payload pattern of the benchmarks and workloads, and charges
+// the same page touches as WriteBytes of those bytes.
+func (r *Rank) WriteRamp(va vm.VA, c, n int) error {
+	if err := r.as.WriteRamp(va, c, n); err != nil {
+		return err
+	}
+	r.touchPages(va, uint64(n))
+	return nil
+}
+
 // ReadBytes loads len(p) bytes from va (TLB-charged like WriteBytes).
 func (r *Rank) ReadBytes(va vm.VA, p []byte) error {
 	if err := r.as.Read(va, p); err != nil {

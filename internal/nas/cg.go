@@ -50,12 +50,11 @@ func cgWindow(n, lo, local int) (wlo, whi int) {
 	return max(lo-cgHalo, 0), min(lo+local+cgHalo, n)
 }
 
-// cgMatvec computes q = A*pfull for the local row block [lo, lo+local)
+// cgMatvec computes q = A*pfull for the local row block [lo, lo+len(q))
 // of an n-element pfull, given only its window w = pfull[wlo:whi] (see
-// cgWindow).
-func cgMatvec(w []float64, wlo, n, lo, local int) []float64 {
-	q := make([]float64, local)
-	for i := 0; i < local; i++ {
+// cgWindow). It overwrites every element of q.
+func cgMatvec(q, w []float64, wlo, n, lo int) {
+	for i := range q {
 		row := lo + i
 		s := cgDiag * w[row-wlo]
 		for _, b := range bands {
@@ -68,7 +67,6 @@ func cgMatvec(w []float64, wlo, n, lo, local int) []float64 {
 		}
 		q[i] = s
 	}
-	return q
 }
 
 // Run implements Kernel.
@@ -149,9 +147,10 @@ func (k *CG) Run(r *mpi.Rank) error {
 	rho0 := rho
 
 	// The band window of pfull is the same every iteration, so one
-	// buffer holds it throughout.
+	// buffer holds it throughout; q = A*p reuses one buffer the same way.
 	wlo, whi := cgWindow(k.N, lo, local)
 	w := make([]float64, whi-wlo)
+	q := make([]float64, local)
 
 	for it := 0; it < k.Iters; it++ {
 		// Publish the local direction segment into pfull, then ring-
@@ -171,7 +170,7 @@ func (k *CG) Run(r *mpi.Rank) error {
 		charge(r, memmodel.SeqScan{Passes: 1}, region(r, matVA, matBytes))
 		charge(r, memmodel.Random{Count: int64(local * len(bands) / 16), Seed: uint64(it + 1)},
 			region(r, pfullVA, uint64(8*k.N)))
-		q := cgMatvec(w, wlo, k.N, lo, local)
+		cgMatvec(q, w, wlo, k.N, lo)
 
 		pq, err := allreduceScalar(dot(pv, q))
 		if err != nil {

@@ -9,7 +9,8 @@ import (
 // TestCGWindowedMatvecMatchesFull: the matvec over a rank's band window
 // of pfull equals, bit for bit, the matvec over the whole vector, for
 // the first, a middle and the last rank (the windows clipped at 0, not
-// clipped, and clipped at N).
+// clipped, and clipped at N). The ranks share one q, filled with NaN
+// before each call, so a row the matvec failed to overwrite shows.
 func TestCGWindowedMatvecMatchesFull(t *testing.T) {
 	if want := slices.Max(bands); cgHalo != want {
 		t.Fatalf("cgHalo = %d, widest band %d", cgHalo, want)
@@ -21,11 +22,15 @@ func TestCGWindowedMatvecMatchesFull(t *testing.T) {
 	for i := range pfull {
 		pfull[i] = math.Sin(float64(i)*0.37) + float64(i%97)*1e-3
 	}
+	got := make([]float64, local)
 	for _, rank := range []int{0, p / 2, p - 1} {
 		lo := rank * local
 		want := fullMatvec(pfull, lo, local)
 		wlo, whi := cgWindow(k.N, lo, local)
-		got := cgMatvec(pfull[wlo:whi], wlo, k.N, lo, local)
+		for i := range got {
+			got[i] = math.NaN()
+		}
+		cgMatvec(got, pfull[wlo:whi], wlo, k.N, lo)
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("rank %d row %d: windowed %v, full %v", rank, lo+i, got[i], want[i])

@@ -2,6 +2,7 @@ package phys
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/machine"
 )
@@ -10,8 +11,39 @@ import (
 // (Pack/Unpack identity, NAS numerics, RDMA) verify data integrity, not
 // just timing. Frame contents are allocated lazily on first write; a read
 // of a never-written frame observes zeros, like freshly mapped memory.
+//
+// The payload pattern the benchmarks and workloads write, byte(c+i), has
+// only 256 distinct whole-frame images, one per c mod 256. Those frames
+// are built once per process and shared read-only: a ramp write or a
+// copy that covers a whole frame stores a pointer to one of them
+// instead of allocating and filling 4 KiB. backedFrame, the only path
+// that hands out a frame for writing, clones a shared frame first, so
+// no write ever reaches one.
 
 type frameData = [machine.SmallPageSize]byte
+
+// rampFrames[c] is the frame whose byte i is byte(c+i). Byte 0 of a ramp
+// frame is its own index, so isRamp tells a shared frame from a private
+// one in O(1).
+var (
+	rampFrames [256]frameData
+	rampOnce   sync.Once
+)
+
+// rampFrame returns the shared frame holding byte(c), byte(c+1), ….
+func rampFrame(c int) *frameData {
+	rampOnce.Do(func() {
+		for c := range rampFrames {
+			for i := range rampFrames[c] {
+				rampFrames[c][i] = byte(c + i)
+			}
+		}
+	})
+	return &rampFrames[c&255]
+}
+
+// isRamp reports whether fd is one of the shared ramp frames.
+func isRamp(fd *frameData) bool { return fd == &rampFrames[fd[0]] }
 
 // chunkFrames is the number of frames one frameChunk covers: 128 frames,
 // 1 KiB of pointers. Against the map this table replaced (scale-1024
@@ -53,8 +85,9 @@ func (m *Memory) frame(f Frame) *frameData {
 	return nil
 }
 
-// backedFrame returns f's contents, allocating them (zeroed) on first use.
-func (m *Memory) backedFrame(f Frame) *frameData {
+// slot returns the table cell that holds f's contents, growing the
+// table to reach it.
+func (m *Memory) slot(f Frame) **frameData {
 	t, i := m.table(f)
 	c := int(i / chunkFrames)
 	if c >= len(*t) {
@@ -65,12 +98,21 @@ func (m *Memory) backedFrame(f Frame) *frameData {
 		ch = new(frameChunk)
 		(*t)[c] = ch
 	}
-	fd := ch[i%chunkFrames]
-	if fd == nil {
-		fd = new(frameData)
-		ch[i%chunkFrames] = fd
+	return &ch[i%chunkFrames]
+}
+
+// backedFrame returns f's contents for writing: allocated (zeroed) on
+// first use, and cloned into a private frame if f shares a ramp frame.
+func (m *Memory) backedFrame(f Frame) *frameData {
+	s := m.slot(f)
+	switch fd := *s; {
+	case fd == nil:
+		*s = new(frameData)
+	case isRamp(fd):
+		own := *fd
+		*s = &own
 	}
-	return fd
+	return *s
 }
 
 // WritePhys copies p into physical memory starting at address pa,
@@ -82,6 +124,25 @@ func (m *Memory) WritePhys(pa Addr, p []byte) {
 		copy(m.backedFrame(Frame(pa / machine.SmallPageSize))[off:off+n], p[:n])
 		pa += Addr(n)
 		p = p[n:]
+	}
+}
+
+// WriteRamp writes the n bytes byte(c), byte(c+1), …, byte(c+n-1) to
+// physical memory starting at address pa. A whole frame it covers
+// shares a ramp frame; a partial one is filled from it.
+func (m *Memory) WriteRamp(pa Addr, c, n int) {
+	for n > 0 {
+		off := int(pa % machine.SmallPageSize)
+		k := min(n, machine.SmallPageSize-off)
+		f := Frame(pa / machine.SmallPageSize)
+		if k == machine.SmallPageSize {
+			*m.slot(f) = rampFrame(c)
+		} else {
+			copy(m.backedFrame(f)[off:off+k], rampFrame(c)[:k])
+		}
+		pa += Addr(k)
+		c += k
+		n -= k
 	}
 }
 
@@ -110,7 +171,8 @@ func (m *Memory) CopyPhys(dst, src Addr, n int) { Copy(m, dst, m, src, n) }
 // memories (src and dst may be the same Memory if the ranges do not
 // overlap). A never-written source frame arrives as zeros; a destination
 // frame that was never written and receives only zeros stays unbacked,
-// which reads back the same. It panics on a negative length.
+// which reads back the same. A whole source frame that shares a ramp
+// frame is passed on by pointer. It panics on a negative length.
 func Copy(dst *Memory, dstPA Addr, src *Memory, srcPA Addr, n int) {
 	if n < 0 {
 		panic(fmt.Sprintf("phys: negative copy length %d", n))
@@ -120,10 +182,13 @@ func Copy(dst *Memory, dstPA Addr, src *Memory, srcPA Addr, n int) {
 		doff := int(dstPA % machine.SmallPageSize)
 		c := min(n, machine.SmallPageSize-soff, machine.SmallPageSize-doff)
 		df := Frame(dstPA / machine.SmallPageSize)
-		if sf := src.frame(Frame(srcPA / machine.SmallPageSize)); sf != nil {
+		switch sf := src.frame(Frame(srcPA / machine.SmallPageSize)); {
+		case sf != nil && c == machine.SmallPageSize && isRamp(sf):
+			*dst.slot(df) = sf
+		case sf != nil:
 			copy(dst.backedFrame(df)[doff:doff+c], sf[soff:soff+c])
-		} else if fd := dst.frame(df); fd != nil {
-			clear(fd[doff : doff+c])
+		case dst.frame(df) != nil:
+			clear(dst.backedFrame(df)[doff : doff+c])
 		}
 		srcPA += Addr(c)
 		dstPA += Addr(c)

@@ -114,7 +114,7 @@ func drainHuge(m *Memory) []Frame {
 // TestPoolTrimsRemoveLastHandedOut checks that a pool cap at attach and
 // a mid-run shrink both take the free pages an untrimmed twin would
 // hand out last, after frees have reordered the free stack, and that
-// the trimmed stack never outgrows the array the pool was built with.
+// the trimmed pages never come back.
 func TestPoolTrimsRemoveLastHandedOut(t *testing.T) {
 	// prep allocates five pages and frees two of them out of order.
 	prep := func(m *Memory) {
@@ -165,16 +165,16 @@ func TestPoolTrimsRemoveLastHandedOut(t *testing.T) {
 					t.Fatalf("page %d = %d, want %d: the trim took a page other than the last ones", i, all[i], want[i])
 				}
 			}
-			// Every page goes back without the free stack outgrowing the
-			// array it was built with: an append that reallocated would
-			// leave a larger capacity.
+			// Every page goes back onto the freed stack, and the trimmed
+			// pages stay out of the pool for good.
 			for _, f := range all {
 				if err := got.FreeHuge(f); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if n, capacity := len(got.hugeFree), cap(got.hugeFree); n != len(all) || capacity != got.hugeTotal-c.removed {
-				t.Fatalf("free stack holds %d pages in capacity %d, want %d in %d", n, capacity, len(all), got.hugeTotal-c.removed)
+			held := int(got.Stats().HugeAllocated) // prep's three pages
+			if n, free := len(got.hugeFree), got.hugeFreeCount(); n != len(all) || free != got.hugeTotal-c.removed-held {
+				t.Fatalf("free stack holds %d pages of %d free, want %d of %d", n, free, len(all), got.hugeTotal-c.removed-held)
 			}
 		})
 	}

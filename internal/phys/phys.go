@@ -60,12 +60,17 @@ type Memory struct {
 	// pointer, and FreeFrame pushes onto free, on top of the run.
 	run scrambledRun
 
-	// hugeFree holds the indices of free hugepages in the boot-time pool.
-	// Hugepage i covers frames [hugeBase + i*512, hugeBase + (i+1)*512).
-	hugeBase  Frame
-	hugeTotal int
-	hugeFree  []int
-	hugeBusy  []bool
+	// The hugepage pool: hugepage i covers frames [hugeBase + i*512,
+	// hugeBase + (i+1)*512). Like the small zone it is a stack of freed
+	// pages (hugeFree, LIFO) over a bump range of never-used ones
+	// [hugeNext, hugeLimit), so a fresh pool costs no allocation and
+	// hands out page 0 first. hugeBusy grows to the highest page handed
+	// out.
+	hugeBase            Frame
+	hugeTotal           int
+	hugeNext, hugeLimit int
+	hugeFree            []int
+	hugeBusy            []bool
 	// hugeReserved is the number of pool pages held back for fork/CoW;
 	// AllocHuge refuses to hand them out. Reservations compose: every
 	// Reserve call adds to the total (and validates it against the pool)
@@ -105,18 +110,39 @@ func NewMemory(m *machine.Machine) *Memory {
 	if hugeFrames >= totalFrames {
 		panic(fmt.Sprintf("phys: hugepage pool (%d pages) exceeds memory", m.Mem.HugePool))
 	}
-	mem := &Memory{
+	return &Memory{
 		totalFrames: totalFrames,
 		hugeBase:    Frame(totalFrames - hugeFrames),
 		hugeTotal:   m.Mem.HugePool,
-		hugeFree:    make([]int, m.Mem.HugePool),
-		hugeBusy:    make([]bool, m.Mem.HugePool),
+		hugeLimit:   m.Mem.HugePool,
 	}
-	// Pages pop from the end, so the pool hands out page 0 first.
-	for i := range mem.hugeFree {
-		mem.hugeFree[i] = m.Mem.HugePool - 1 - i
+}
+
+// hugeFreeCount is the number of free hugepages, reserved ones included.
+func (m *Memory) hugeFreeCount() int {
+	return len(m.hugeFree) + m.hugeLimit - m.hugeNext
+}
+
+// popHuge takes the next free hugepage, which must exist, and marks it
+// busy.
+func (m *Memory) popHuge() Frame {
+	var idx int
+	if n := len(m.hugeFree); n > 0 {
+		idx = m.hugeFree[n-1]
+		m.hugeFree = m.hugeFree[:n-1]
+	} else {
+		idx = m.hugeNext
+		m.hugeNext++
 	}
-	return mem
+	if idx >= len(m.hugeBusy) {
+		m.hugeBusy = append(m.hugeBusy, make([]bool, idx+1-len(m.hugeBusy))...)
+	}
+	m.hugeBusy[idx] = true
+	m.stats.HugeAllocated++
+	if m.stats.HugeAllocated > m.stats.HugePeak {
+		m.stats.HugePeak = m.stats.HugeAllocated
+	}
+	return m.hugeBase + Frame(idx)*machine.SmallPerHuge
 }
 
 // AllocFrame hands out one small frame.
@@ -160,8 +186,8 @@ func (m *Memory) FreeFrame(f Frame) error {
 // hugetlbfs pool is smaller than the machine description promises.
 func (m *Memory) SetFaults(inj *faults.Injector) {
 	m.inj = inj
-	if cap := inj.HugePoolCap(); cap > 0 && len(m.hugeFree) > cap {
-		m.removeFree(len(m.hugeFree) - cap)
+	if cap := inj.HugePoolCap(); cap > 0 && m.hugeFreeCount() > cap {
+		m.removeFree(m.hugeFreeCount() - cap)
 	}
 }
 
@@ -174,14 +200,13 @@ func (m *Memory) SetTrace(cur *trace.Cursor) {
 
 // removeFree permanently drops up to n free hugepages from the
 // pool (the pages that would have been handed out last, keeping the
-// imminent allocation order stable). Slicing them off the bottom of the
-// stack shrinks its capacity by as many pages as leave the pool, so
-// FreeHuge's append never outgrows the array NewMemory sized.
+// imminent allocation order stable): the top of the never-used range
+// first, then the bottom of the freed stack.
 func (m *Memory) removeFree(n int) {
-	if n > len(m.hugeFree) {
-		n = len(m.hugeFree)
-	}
-	m.hugeFree = m.hugeFree[n:]
+	n = min(n, m.hugeFreeCount())
+	fresh := min(n, m.hugeLimit-m.hugeNext)
+	m.hugeLimit -= fresh
+	m.hugeFree = m.hugeFree[n-fresh:]
 	m.stats.HugeRemoved += int64(n)
 }
 
@@ -194,7 +219,7 @@ func (m *Memory) AllocHuge() (Frame, error) {
 			m.removeFree(shrink)
 			if m.cur.Enabled() {
 				m.cur.Event(trace.LPhys, "hugepool.shrink",
-					trace.I64("pages", int64(shrink)), trace.I64("free", int64(len(m.hugeFree))))
+					trace.I64("pages", int64(shrink)), trace.I64("free", int64(m.hugeFreeCount())))
 			}
 		}
 		if fail {
@@ -206,29 +231,22 @@ func (m *Memory) AllocHuge() (Frame, error) {
 			return 0, fmt.Errorf("injected fault: %w", ErrOutOfHugepages)
 		}
 	}
-	if len(m.hugeFree) == 0 {
+	if m.hugeFreeCount() == 0 {
 		m.stats.HugeFailures++
 		if m.cur.Enabled() {
 			m.cur.Event(trace.LPhys, "hugepool.empty")
 		}
 		return 0, ErrOutOfHugepages
 	}
-	if len(m.hugeFree) <= m.hugeReserved {
+	if m.hugeFreeCount() <= m.hugeReserved {
 		m.stats.HugeFailures++
 		if m.cur.Enabled() {
 			m.cur.Event(trace.LPhys, "hugepool.reserve.held",
-				trace.I64("free", int64(len(m.hugeFree))), trace.I64("reserved", int64(m.hugeReserved)))
+				trace.I64("free", int64(m.hugeFreeCount())), trace.I64("reserved", int64(m.hugeReserved)))
 		}
 		return 0, ErrReserveHeld
 	}
-	idx := m.hugeFree[len(m.hugeFree)-1]
-	m.hugeFree = m.hugeFree[:len(m.hugeFree)-1]
-	m.hugeBusy[idx] = true
-	m.stats.HugeAllocated++
-	if m.stats.HugeAllocated > m.stats.HugePeak {
-		m.stats.HugePeak = m.stats.HugeAllocated
-	}
-	return m.hugeBase + Frame(idx)*machine.SmallPerHuge, nil
+	return m.popHuge(), nil
 }
 
 // FreeHuge returns a hugepage (identified by its first frame) to the pool.
@@ -237,7 +255,7 @@ func (m *Memory) FreeHuge(f Frame) error {
 		return fmt.Errorf("phys: frame %d is not a hugepage base", f)
 	}
 	idx := int((f - m.hugeBase) / machine.SmallPerHuge)
-	if !m.hugeBusy[idx] {
+	if idx >= len(m.hugeBusy) || !m.hugeBusy[idx] {
 		return ErrDoubleFree
 	}
 	m.hugeBusy[idx] = false
@@ -252,18 +270,11 @@ func (m *Memory) FreeHuge(f Frame) error {
 // injected spurious failures for the same reason (though a fault-shrunk
 // pool can still genuinely run dry underneath it).
 func (m *Memory) AllocHugeCoW() (Frame, error) {
-	if len(m.hugeFree) == 0 {
+	if m.hugeFreeCount() == 0 {
 		m.stats.HugeFailures++
 		return 0, ErrOutOfHugepages
 	}
-	idx := m.hugeFree[len(m.hugeFree)-1]
-	m.hugeFree = m.hugeFree[:len(m.hugeFree)-1]
-	m.hugeBusy[idx] = true
-	m.stats.HugeAllocated++
-	if m.stats.HugeAllocated > m.stats.HugePeak {
-		m.stats.HugePeak = m.stats.HugeAllocated
-	}
-	return m.hugeBase + Frame(idx)*machine.SmallPerHuge, nil
+	return m.popHuge(), nil
 }
 
 // Reserve sets aside n additional hugepages that AllocHuge may not hand
@@ -306,7 +317,7 @@ func (m *Memory) Reserved() int {
 // HugeAvailable reports how many hugepages AllocHuge could currently
 // satisfy (free minus reserve).
 func (m *Memory) HugeAvailable() int {
-	n := len(m.hugeFree) - m.hugeReserved
+	n := m.hugeFreeCount() - m.hugeReserved
 	if n < 0 {
 		n = 0
 	}

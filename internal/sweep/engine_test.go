@@ -88,6 +88,35 @@ func TestExecuteByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestExecuteRampWritersConcurrently runs two workers over jobs that
+// write ramp payloads (KV decode rows, the IMB send buffer), so two host
+// threads read the process-wide shared ramp frames at once; under -race
+// this is the check that the frames are built once and never written.
+// The document must match a one-worker run byte for byte.
+func TestExecuteRampWritersConcurrently(t *testing.T) {
+	g := Grid{
+		Name:       "t",
+		Machines:   []string{"opteron"},
+		Workloads:  []string{"kv/decode", "imb/sendrecv"},
+		Strategies: []string{"huge-lazy"},
+		Seeds:      []uint64{1, 2},
+	}
+	render := func(workers int) []byte {
+		b, runErrs, err := Execute(g, workers)
+		if err != nil || len(runErrs) != 0 {
+			t.Fatalf("workers=%d: err=%v runErrs=%v", workers, err, runErrs)
+		}
+		var buf bytes.Buffer
+		if err := b.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if !bytes.Equal(render(2), render(1)) {
+		t.Fatal("BENCH bytes differ between 1 and 2 workers")
+	}
+}
+
 // TestExecuteOverlapsReplicates proves the pool genuinely runs
 // replicates concurrently: every replicate blocks on a barrier that only
 // opens once all four have arrived, so a sequential engine would time

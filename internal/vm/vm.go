@@ -624,6 +624,24 @@ func (as *AddressSpace) Write(va VA, p []byte) error {
 	return nil
 }
 
+// WriteRamp writes the n bytes byte(c), byte(c+1), …, byte(c+n-1) at
+// va, through the page tables and copy-on-write like Write. Whole
+// frames share the physical memory's read-only ramp frames.
+func (as *AddressSpace) WriteRamp(va VA, c, n int) error {
+	for n > 0 {
+		pa, class, err := as.writable(va)
+		if err != nil {
+			return err
+		}
+		k := min(n, int(class.Size()-uint64(va)%class.Size()))
+		as.mem.WriteRamp(pa, c, k)
+		va += VA(k)
+		c += k
+		n -= k
+	}
+	return nil
+}
+
 // Read fills p from the address space starting at va.
 func (as *AddressSpace) Read(va VA, p []byte) error {
 	for len(p) > 0 {

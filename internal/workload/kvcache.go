@@ -143,13 +143,11 @@ func RunKV(cfg mpi.Config, p KVParams) (*KVResult, error) {
 				}
 			}
 		}
-		// Token (l, t)'s KV row is byte(r.ID() + l*31 + t*7 + i): a view
-		// of one ramp, so no row is built byte by byte. row only receives
-		// the retrieved tokens.
-		pat := vm.Ramp(p.TokenBytes + 255)
+		// Token (l, t)'s KV row is byte(r.ID() + l*31 + t*7 + i). row
+		// only receives the retrieved tokens.
 		row := make([]byte, p.TokenBytes)
 		writeTok := func(l, t int) error {
-			return r.WriteBytes(tokVA(l, t), vm.RampView(pat, r.ID()+l*31+t*7, p.TokenBytes))
+			return r.WriteRamp(tokVA(l, t), r.ID()+l*31+t*7, p.TokenBytes)
 		}
 		// Prefill.
 		t0 := r.Now()

@@ -125,16 +125,14 @@ func RunMoE(cfg mpi.Config, p MoEParams) (*MoEResult, error) {
 		if err != nil {
 			return err
 		}
-		// Token t's activation row is byte(r.ID()*131 + t*17 + it + i),
-		// a view of one ramp.
-		pat := vm.Ramp(p.Hidden + 255)
+		// Token t's activation row is byte(r.ID()*131 + t*17 + it + i).
 		// buf receives the expert input and the returned rows, whose
 		// contents nothing reads; it grows to the largest chunk.
 		var buf []byte
 		for it := 0; it < p.Iters; it++ {
 			// Fresh activations (new layer input each iteration).
 			for t := 0; t < p.Tokens; t++ {
-				if err := r.WriteBytes(tokVA+vm.VA(t*p.Hidden), vm.RampView(pat, r.ID()*131+t*17+it, p.Hidden)); err != nil {
+				if err := r.WriteRamp(tokVA+vm.VA(t*p.Hidden), r.ID()*131+t*17+it, p.Hidden); err != nil {
 					return err
 				}
 			}

@@ -55,9 +55,6 @@ type rig struct {
 	// measured durations are strung end to end along one timeline.
 	tr  *trace.Tracer
 	now simtime.Ticks
-	// pat is the ramp the payloads are views of, grown to the largest
-	// SGE size measured so far.
-	pat []byte
 }
 
 // newRig builds sender and receiver from cfg with registered buffers
@@ -156,14 +153,9 @@ func (rg *rig) measure(sges, sgeSize, offset int) (Result, error) {
 	sgl := rg.sgeList(rg.sendBuf, rg.sendMR.LKey, sges, sgeSize, offset)
 	rgl := rg.sgeList(rg.recvBuf, rg.recvMR.LKey, sges, sgeSize, offset)
 
-	// Fill the payload so the transfer moves real bytes: byte(sges + i),
-	// a view of one ramp.
-	if len(rg.pat) < sgeSize+255 {
-		rg.pat = vm.Ramp(sgeSize + 255)
-	}
-	fill := vm.RampView(rg.pat, sges, sgeSize)
+	// Fill the payload so the transfer moves real bytes: byte(sges + i).
 	for _, s := range sgl {
-		if err := rg.send.AS.Write(s.Addr, fill); err != nil {
+		if err := rg.send.AS.WriteRamp(s.Addr, sges, sgeSize); err != nil {
 			return Result{}, err
 		}
 	}
@@ -212,7 +204,7 @@ func (rg *rig) measure(sges, sgeSize, offset int) (Result, error) {
 			return Result{}, err
 		}
 		for i := range got {
-			if got[i] != fill[i] {
+			if got[i] != byte(sges+i) {
 				return Result{}, fmt.Errorf("wrbench: payload corrupted at %d", i)
 			}
 		}
