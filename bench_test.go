@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/alloc"
+	"repro/internal/nas"
 	"repro/internal/workload"
 )
 
@@ -92,26 +93,20 @@ func BenchmarkFig5XeonATT(b *testing.B) {
 
 // BenchmarkFig6NAS regenerates Figure 6: per-kernel communication /
 // other / overall improvement of the hugepage library over libc, plus the
-// Section 5.2 TLB-miss ratio (E5+E6), on the Opteron.
+// Section 5.2 TLB-miss ratio (E5+E6), on the Opteron at 8 ranks. Each
+// kernel's metrics are its row of cmd/repro's Figure 6 table.
 func BenchmarkFig6NAS(b *testing.B) {
 	for _, k := range NASKernels() {
 		b.Run(k.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				small, err := RunNAS(MustStrategy("small").Apply(ClusterConfig{Machine: Opteron(), Ranks: 8}), k)
+				rows, err := nas.RunFig6(ClusterConfig{Machine: Opteron(), Ranks: 8}, []nas.Kernel{k})
 				if err != nil {
 					b.Fatal(err)
 				}
-				huge, err := RunNAS(hugeLazy(Opteron(), 8), k)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pct := func(s, h Ticks) float64 {
-					return 100 * float64(s-h) / float64(s)
-				}
-				b.ReportMetric(pct(small.Comm, huge.Comm), "comm-impr-%")
-				b.ReportMetric(pct(small.Compute, huge.Compute), "other-impr-%")
-				b.ReportMetric(pct(small.Total, huge.Total), "overall-impr-%")
-				b.ReportMetric(float64(SumNodeStats(huge.Nodes).TLB.Misses())/float64(SumNodeStats(small.Nodes).TLB.Misses()), "tlb-miss-ratio")
+				b.ReportMetric(rows[0].CommImprove, "comm-impr-%")
+				b.ReportMetric(rows[0].OtherImprove, "other-impr-%")
+				b.ReportMetric(rows[0].OverallImprove, "overall-impr-%")
+				b.ReportMetric(rows[0].TLBMissRatio, "tlb-miss-ratio")
 			}
 		})
 	}

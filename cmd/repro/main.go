@@ -82,7 +82,8 @@ func run(w io.Writer, args []string) error {
 	if o.stats {
 		return runStats(w, o)
 	}
-	return figures(w, o)
+	_, err = figures(w, o)
+	return err
 }
 
 // runStats runs a small Figure 5 cell under the paper's recommended
@@ -107,14 +108,15 @@ func runStats(w io.Writer, o options) error {
 	return node.WriteTraceFile(o.tracePath, o.col)
 }
 
-// figures writes every experiment table, E1 to E9.
-func figures(w io.Writer, o options) error {
+// figures writes every experiment table, E1 to E9, and returns the
+// Figure 6 rows it printed keyed by machine name (nil under -quick).
+func figures(w io.Writer, o options) (map[string][]nas.Fig6Row, error) {
 	fmt.Fprintln(w, "=== E1 (Figure 3): work-request duration by SGE count (IBM System p, TBR ticks) ===")
 	sysp := machine.SystemP()
 	wr := node.Config{Machine: sysp, Faults: o.spec, Policy: o.policy}
 	rs, err := wrbench.SGESweep(wr, []int{1, 2, 4, 8, 128}, []int{1, 64, 128, 512, 4096})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintf(w, "%6s %8s %10s %10s %10s\n", "sges", "sgesize", "post", "poll", "total")
 	for _, r := range rs {
@@ -130,7 +132,7 @@ func figures(w io.Writer, o options) error {
 	fmt.Fprintln(w, "=== E2 (Figure 4): work-request duration by buffer offset (IBM System p) ===")
 	or, err := wrbench.OffsetSweep(wr, []int{0, 16, 32, 48, 64, 80, 96, 128}, []int{8, 64})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintf(w, "%8s %14s %14s\n", "offset", "8B total", "64B total")
 	for _, off := range []int{0, 16, 32, 48, 64, 80, 96, 128} {
@@ -154,11 +156,11 @@ func figures(w io.Writer, o options) error {
 	sizes := []int{64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20}
 	curves, err := imb.RunFig5(mpi.Config{Machine: machine.Opteron(), Faults: o.spec, Trace: o.col, Policy: o.policy}, sizes)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if o.col != nil {
 		if err := node.WriteTraceFile(o.tracePath, o.col); err != nil {
-			return err
+			return nil, err
 		}
 		fmt.Fprintf(w, "trace: E3 Figure 5 runs written to %s\n", o.tracePath)
 	}
@@ -184,7 +186,7 @@ func figures(w io.Writer, o options) error {
 			Machine: machine.Xeon(), Faults: o.spec, Policy: o.policy,
 		}), []int{4 << 20})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		fmt.Fprintf(w, "driver patched=%-5v bandwidth=%.1f MB/s (ATT miss rate %.2f)\n",
 			st.HugeATT, r[0].BandwidthMBs, r[0].ATTMissRate)
@@ -195,7 +197,7 @@ func figures(w io.Writer, o options) error {
 	fmt.Fprintln(w, "=== E9: registration cost by page size (AMD Opteron) ===")
 	regs, err := imb.RegistrationSweep(node.Config{Machine: machine.Opteron(), Faults: o.spec}, []uint64{2 << 20, 8 << 20, 32 << 20})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, r := range regs {
 		fmt.Fprintf(w, "size %6d KB: 4K pages %12v, 2M pages %10v (%.1f%%)\n",
@@ -207,7 +209,7 @@ func figures(w io.Writer, o options) error {
 	fmt.Fprintln(w, "=== E7 (Section 2/3): allocator comparison on the Abinit trace ===")
 	libcT, hugeT, err := repro.AbinitComparison(machine.Opteron())
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintf(w, "libc %v, hugepage library %v -> %.1fx faster\n", libcT, hugeT,
 		float64(libcT)/float64(hugeT))
@@ -216,20 +218,22 @@ func figures(w io.Writer, o options) error {
 
 	if o.quick {
 		fmt.Fprintln(w, "=== E5-E6 (Figure 6): skipped (-quick) ===")
-		return nil
+		return nil, nil
 	}
 	fmt.Fprintln(w, "=== E5-E6 (Figure 6 + PAPI): NAS benchmarks, 8 ranks ===")
+	fig6 := map[string][]nas.Fig6Row{}
 	for _, m := range []*machine.Machine{machine.Opteron(), machine.SystemP()} {
 		rows, err := nas.RunFig6(mpi.Config{Machine: m, Ranks: 8, Faults: o.spec, Policy: o.policy}, nil)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		fmt.Fprint(w, nas.FormatFig6(m.Name, rows))
 		fmt.Fprintln(w)
+		fig6[m.Name] = rows
 	}
 	fmt.Fprintln(w, "paper: comm >8% except MG and IS; overall all positive except IS;")
 	fmt.Fprintln(w, "       TLB misses up to 8x with EP, except LU; EP computation still improves")
-	return nil
+	return fig6, nil
 }
 
 func main() {

@@ -3,7 +3,6 @@ package sweep
 import (
 	"bytes"
 	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,7 +17,7 @@ import (
 var barrierHook atomic.Value // of func() error
 
 var registerTestWorkloads = sync.OnceValue(func() error {
-	if err := Register(Workload{
+	return Register(Workload{
 		Name:    "test/barrier",
 		Primary: "ok",
 		Run: func(c RunContext) (Metrics, error) {
@@ -28,21 +27,6 @@ var registerTestWorkloads = sync.OnceValue(func() error {
 				}
 			}
 			return Metrics{"ok": 1, VirtTicks: 1}, nil
-		},
-	}); err != nil {
-		return err
-	}
-	// test/spin burns a deterministic slice of CPU per replicate — the
-	// workload behind the wall-clock concurrency check.
-	return Register(Workload{
-		Name:    "test/spin",
-		Primary: "checksum",
-		Run: func(c RunContext) (Metrics, error) {
-			x := c.Seed + 1
-			for i := 0; i < 30_000_000; i++ {
-				x = x*6364136223846793005 + 1442695040888963407
-			}
-			return Metrics{"checksum": float64(x % 1024), VirtTicks: 1}, nil
 		},
 	})
 })
@@ -150,35 +134,6 @@ func TestExecuteOverlapsReplicates(t *testing.T) {
 	if len(b.Cells) != 1 || b.Cells[0].Stats["ok"].N != n {
 		t.Fatalf("expected one cell with %d replicates, got %+v", n, b.Cells)
 	}
-}
-
-// TestExecuteWallClockBeatsSequential is the wall-clock sanity check:
-// running the same CPU-bound grid with a real pool must take less
-// elapsed time than the sequential sum.
-func TestExecuteWallClockBeatsSequential(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("needs at least two CPUs")
-	}
-	if testing.Short() {
-		t.Skip("wall-clock benchmark")
-	}
-	if err := registerTestWorkloads(); err != nil {
-		t.Fatal(err)
-	}
-	g := testGrid("test/spin", 1, 2, 3, 4, 5, 6, 7, 8)
-	elapsed := func(workers int) time.Duration {
-		start := time.Now() //reprolint:ignore wall-clock concurrency sanity check, never feeds results
-		if _, runErrs, err := Execute(g, workers); err != nil || len(runErrs) != 0 {
-			t.Fatalf("workers=%d: err=%v runErrs=%v", workers, err, runErrs)
-		}
-		return time.Since(start) //reprolint:ignore wall-clock concurrency sanity check, never feeds results
-	}
-	seq := elapsed(1)
-	par := elapsed(runtime.GOMAXPROCS(0))
-	if par >= seq {
-		t.Fatalf("parallel execution (%v) not faster than sequential (%v)", par, seq)
-	}
-	t.Logf("sequential %v, parallel %v", seq, par)
 }
 
 // TestExecuteMemlockCellFailsWithoutAbortingSiblings injects a fault
