@@ -27,12 +27,15 @@ race:
 	$(GO) test -race ./internal/mpi/... ./internal/nas/... ./internal/workload/... ./internal/sched/... ./internal/phys/... ./internal/vm/... ./internal/tlb/... ./internal/hca/... ./internal/sweep/...
 	$(GO) test -race -count=10 ./internal/alloc/...
 
-# fuzz: a minute of new exploration for the frame-store fuzz target
-# (ramp writes, copies and frame reuse against flat oracles). Every
-# `go test` already replays its committed corpus under
-# internal/phys/testdata/fuzz.
+# fuzz: a minute of new exploration for each fuzz target: the frame
+# store (ramp writes, copies and frame reuse against flat oracles) and
+# the TLB entry file (accesses, shootdowns and flushes against the
+# age-stamp LRU oracle). Every `go test` already replays the committed
+# corpora under internal/phys/testdata/fuzz and
+# internal/tlb/testdata/fuzz.
 fuzz:
 	$(GO) test ./internal/phys -run '^$$' -fuzz '^FuzzFrameOps$$' -fuzztime 60s -parallel 2
+	$(GO) test ./internal/tlb -run '^$$' -fuzz '^FuzzFileMatchesLRU$$' -fuzztime 60s -parallel 2
 
 # lint: gofmt, go vet, and the repo's own eight-analyzer reprolint v2
 # suite (determinism, maporder, nilspec, parkflow, schedonly,

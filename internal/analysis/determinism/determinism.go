@@ -150,7 +150,9 @@ func run(pass *analysis.Pass) (any, error) {
 					}
 				}
 			case "math/rand", "math/rand/v2":
-				if !allowedRand[name] {
+				// A type such as rand.Rand names a generator; only
+				// package-level functions draw from the global source.
+				if _, isType := pass.TypesInfo.Uses[sel.Sel].(*types.TypeName); !isType && !allowedRand[name] {
 					pass.ReportFix(sel.Pos(), analysis.SuggestedFix{
 						Message: "draw from a seeded generator rng (rand.New(rand.NewSource(seed)))",
 						TextEdits: []analysis.TextEdit{

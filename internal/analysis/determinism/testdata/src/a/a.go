@@ -33,6 +33,13 @@ func seeded() int64 {
 	return rng.Int63()
 }
 
+// reseeded takes a generator by its type, which draws nothing from the
+// global source; re-seeding it is a method call, not rand.Seed.
+func reseeded(rng *rand.Rand, seed int64) int {
+	rng.Seed(seed)
+	return rng.Intn(8)
+}
+
 func suppressed() time.Time {
 	return time.Now() //reprolint:ignore fixture proving the escape hatch
 }

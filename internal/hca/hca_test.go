@@ -31,7 +31,7 @@ func reg(t *testing.T, as *vm.AddressSpace, h *hca.HCA, size uint64, huge, hugeA
 	if err != nil {
 		t.Fatal(err)
 	}
-	pages, err := as.Pin(va, size)
+	pages, err := as.Pin(nil, va, size)
 	if err != nil {
 		t.Fatal(err)
 	}

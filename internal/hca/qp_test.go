@@ -29,7 +29,7 @@ func newQPRig(t *testing.T, sq, rq, cqDepth int) *qpRig {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pages, err := as.Pin(va, 256<<10)
+		pages, err := as.Pin(nil, va, 256<<10)
 		if err != nil {
 			t.Fatal(err)
 		}

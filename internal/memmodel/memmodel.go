@@ -56,27 +56,12 @@ type Pattern interface {
 	Name() string
 }
 
-// simulate drives the DTLB with a sample of the access stream defined by
-// gen (access i -> VA) and returns the scaled miss estimate.
-func simulate(d *tlb.DTLB, rg Region, total int64, gen func(i int64) vm.VA) int64 {
-	if total <= 0 {
-		return 0
-	}
-	n := total
-	if n > sampleCap {
-		n = sampleCap
-	}
-	// Simulate a prefix of the stream and scale: prefix sampling keeps
-	// the access distribution intact (strided subsampling would alias
-	// with periodic patterns like table rotation).
-	misses := int64(0)
-	for i := int64(0); i < n; i++ {
-		if d.Access(gen(i), rg.Class) > 0 {
-			misses++
-		}
-	}
-	return misses * total / n
-}
+// sampled returns how many accesses of a total-access stream are driven
+// through the DTLB. Each pattern simulates that prefix of its stream and
+// scales the misses by total/sampled: prefix sampling keeps the access
+// distribution intact (strided subsampling would alias with periodic
+// patterns like table rotation).
+func sampled(total int64) int64 { return min(total, sampleCap) }
 
 // lineCost returns the tick cost of the line touches minus the prefetch-
 // hidden fraction, plus the TLB walk penalty.
@@ -113,12 +98,17 @@ func (s SeqScan) Apply(cpu *machine.CPU, d *tlb.DTLB, rg Region) Result {
 	lines := linesPerPass * passes
 	pagesPerPass := int64((rg.Bytes + rg.PageSize() - 1) / rg.PageSize())
 	totalPageTouches := pagesPerPass * passes
-	misses := simulate(d, rg, totalPageTouches, func(i int64) vm.VA {
-		pass := i / pagesPerPass
-		idx := i % pagesPerPass
-		_ = pass
-		return rg.VA + vm.VA(uint64(idx)*rg.PageSize())
-	})
+	// Pass after pass, page idx of the region is page number first+idx.
+	f, shift := d.File(rg.Class)
+	first := uint64(rg.VA) >> shift
+	n := sampled(totalPageTouches)
+	var misses int64
+	for i := int64(0); i < n; i++ {
+		if !f.Access(first + uint64(i%pagesPerPass)) {
+			misses++
+		}
+	}
+	misses = misses * totalPageTouches / n
 	restarts := totalPageTouches // one stream restart per physical extent boundary
 	exposed := restarts * restartLines
 	if exposed > lines {
@@ -157,10 +147,16 @@ func (s Strided) Apply(cpu *machine.CPU, d *tlb.DTLB, rg Region) Result {
 		perPass = 1
 	}
 	total := perPass * int64(s.Passes)
-	misses := simulate(d, rg, total, func(i int64) vm.VA {
+	f, shift := d.File(rg.Class)
+	n := sampled(total)
+	var misses int64
+	for i := int64(0); i < n; i++ {
 		idx := i % perPass
-		return rg.VA + vm.VA(uint64(idx)*s.Stride)
-	})
+		if !f.Access(uint64(rg.VA+vm.VA(uint64(idx)*s.Stride)) >> shift) {
+			misses++
+		}
+	}
+	misses = misses * total / n
 	var hidden int64
 	if s.Stride <= maxPrefetchStride {
 		// Same restart logic as SeqScan, but restarts happen per page
@@ -197,14 +193,21 @@ func (r Random) Apply(cpu *machine.CPU, d *tlb.DTLB, rg Region) Result {
 		return Result{}
 	}
 	state := r.Seed*2862933555777941757 + 3037000493
-	misses := simulate(d, rg, r.Count, func(i int64) vm.VA {
+	lines := rg.Bytes / machine.CacheLineSize
+	f, shift := d.File(rg.Class)
+	n := sampled(r.Count)
+	var misses int64
+	for i := int64(0); i < n; i++ {
 		x := state + uint64(i)*0x9E3779B97F4A7C15
 		x ^= x >> 31
 		x *= 0xD6E8FEB86659FD93
 		x ^= x >> 27
-		off := (x % (rg.Bytes / machine.CacheLineSize)) * machine.CacheLineSize
-		return rg.VA + vm.VA(off)
-	})
+		off := (x % lines) * machine.CacheLineSize
+		if !f.Access(uint64(rg.VA+vm.VA(off)) >> shift) {
+			misses++
+		}
+	}
+	misses = misses * r.Count / n
 	return Result{
 		Accesses:  r.Count,
 		TLBMisses: misses,
@@ -240,11 +243,17 @@ func (sc ScatteredTables) Apply(cpu *machine.CPU, d *tlb.DTLB, rg Region) Result
 	if spread == 0 {
 		spread = machine.HugePageSize
 	}
-	misses := simulate(d, rg, sc.Count, func(i int64) vm.VA {
+	f, shift := d.File(rg.Class)
+	n := sampled(sc.Count)
+	var misses int64
+	for i := int64(0); i < n; i++ {
 		table := uint64(i) % uint64(sc.NumTables)
 		off := (uint64(i) * 67 * machine.CacheLineSize) % sc.TableBytes
-		return rg.VA + vm.VA(table*spread+off)
-	})
+		if !f.Access(uint64(rg.VA+vm.VA(table*spread+off)) >> shift) {
+			misses++
+		}
+	}
+	misses = misses * sc.Count / n
 	// Hot tables live in cache; line touches are cheap, misses dominate.
 	hidden := sc.Count * 7 / 8
 	return Result{

@@ -123,3 +123,71 @@ func TestDTLBCountersAdvance(t *testing.T) {
 		t.Fatal("hugepage pattern touched the 4K file")
 	}
 }
+
+// TestResultsPinned pins the exact Result of each pattern on each
+// machine and page class. The four patterns run in turn on one DTLB per
+// (machine, class), so the DTLB state one leaves behind is part of what
+// the next one sees. Every stream but the hugepage scan and strided
+// walk is longer than sampleCap, so the scaling is pinned too; the
+// small-page scan fits the Opteron's 4K file, so its warm passes hit.
+func TestResultsPinned(t *testing.T) {
+	pats := []struct {
+		p     Pattern
+		bytes uint64
+	}{
+		{SeqScan{Passes: 160}, 2 << 20},
+		{Strided{Stride: 384, Passes: 2}, 8 << 20},
+		{Random{Count: 100_000, Seed: 7}, 48 << 20},
+		{ScatteredTables{NumTables: 44, TableBytes: 1536, Count: 50_000}, 44 * machine.HugePageSize},
+	}
+	want := map[string][]Result{
+		"amd-opteron-infinihost-pcie/4K": {
+			{5242880, 1280, 2949120, 69260800},
+			{43690, 3413, 16386, 865548},
+			{100000, 95526, 0, 5465780},
+			{50000, 65, 43750, 306637},
+		},
+		"amd-opteron-infinihost-pcie/2M": {
+			{5242880, 1, 3145344, 64758334},
+			{43690, 3, 26197, 540048},
+			{100000, 66326, 0, 4589780},
+			{50000, 49998, 43750, 1804627},
+		},
+		"intel-xeon-infinihost-pcix/4K": {
+			{5242880, 81920, 2211840, 102338560},
+			{43690, 4095, 12289, 1143723},
+			{100000, 99456, 0, 6779328},
+			{50000, 50000, 43750, 2251562},
+		},
+		"intel-xeon-infinihost-pcix/2M": {
+			{5242880, 1, 2359008, 95362478},
+			{43690, 3, 19647, 795080},
+			{100000, 66326, 0, 5520388},
+			{50000, 49998, 43750, 2251486},
+		},
+		"ibm-systemp-ehca-gx/4K": {
+			{5242880, 1280, 3440640, 75952640},
+			{43690, 3413, 19117, 1060075},
+			{100000, 95806, 0, 7423852},
+			{50000, 50000, 43750, 2498437},
+		},
+		"ibm-systemp-ehca-gx/2M": {
+			{5242880, 1, 3669568, 69088314},
+			{43690, 3, 30563, 576336},
+			{100000, 33386, 0, 4802212},
+			{50000, 49989, 43750, 2497975},
+		},
+	}
+	for _, m := range machine.All() {
+		for _, class := range []vm.PageClass{vm.Small, vm.Huge} {
+			key := m.Name + "/" + class.String()
+			d := tlb.New(&m.CPU)
+			for i, pt := range pats {
+				got := pt.p.Apply(&m.CPU, d, region(class, pt.bytes))
+				if got != want[key][i] {
+					t.Errorf("%s %s: %+v, want %+v", key, pt.p.Name(), got, want[key][i])
+				}
+			}
+		}
+	}
+}

@@ -52,8 +52,37 @@ func cgWindow(n, lo, local int) (wlo, whi int) {
 
 // cgMatvec computes q = A*pfull for the local row block [lo, lo+len(q))
 // of an n-element pfull, given only its window w = pfull[wlo:whi] (see
-// cgWindow). It overwrites every element of q.
+// cgWindow). It overwrites every element of q. Interior rows, cgHalo <=
+// row < n-cgHalo, read every band term; they take one sub-slice of w
+// centred on the row and the band terms unrolled, summed in the same
+// order as the checked loop that serves the edge rows.
 func cgMatvec(q, w []float64, wlo, n, lo int) {
+	ilo := min(max(cgHalo-lo, 0), len(q))
+	ihi := max(min(n-cgHalo-lo, len(q)), ilo)
+	cgMatvecEdge(q[:ilo], w, wlo, n, lo)
+	for i := ilo; i < ihi; i++ {
+		c := lo + i - wlo // row lo+i's diagonal term is w[c]
+		v := w[c-cgHalo : c+cgHalo+1]
+		_ = v[2*cgHalo] // one bounds check covers every term below
+		s := cgDiag * v[cgHalo]
+		s += cgOff * v[cgHalo-1]
+		s += cgOff * v[cgHalo+1]
+		s += cgOff * v[cgHalo-3]
+		s += cgOff * v[cgHalo+3]
+		s += cgOff * v[cgHalo-17]
+		s += cgOff * v[cgHalo+17]
+		s += cgOff * v[cgHalo-177]
+		s += cgOff * v[cgHalo+177]
+		s += cgOff * v[0]
+		s += cgOff * v[2*cgHalo]
+		q[i] = s
+	}
+	cgMatvecEdge(q[ihi:], w, wlo, n, lo+ihi)
+}
+
+// cgMatvecEdge is cgMatvec for any rows, checking each band term
+// against the ends of pfull.
+func cgMatvecEdge(q, w []float64, wlo, n, lo int) {
 	for i := range q {
 		row := lo + i
 		s := cgDiag * w[row-wlo]

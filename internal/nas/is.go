@@ -21,7 +21,9 @@ import (
 type IS struct {
 	KeysPerRank int
 	Iters       int
-	MaxKey      int
+	// MaxKey bounds the keys, which lie in [0, MaxKey). It must be a
+	// power of two, as NAS's MAX_KEY = 2^MAX_KEY_LOG_2 is.
+	MaxKey int
 	// BucketTouches is the modelled per-iteration count of scattered
 	// bucket-structure updates.
 	BucketTouches int64
@@ -78,6 +80,9 @@ func radixSort(keys, scratch []uint32, maxKey int) {
 
 // Run implements Kernel.
 func (k *IS) Run(r *mpi.Rank) error {
+	if k.MaxKey <= 0 || k.MaxKey&(k.MaxKey-1) != 0 {
+		return fmt.Errorf("is: MaxKey=%d is not a power of two", k.MaxKey)
+	}
 	p := r.Size()
 	keyBytes := 4 * k.KeysPerRank
 	// Fixed-stride send and receive layouts: slot d holds traffic for/
@@ -120,7 +125,7 @@ func (k *IS) Run(r *mpi.Rank) error {
 	for it := 0; it < k.Iters; it++ {
 		// Key generation: one streaming pass over the key array.
 		for i := range keys {
-			keys[i] = uint32(g.next() % uint64(k.MaxKey))
+			keys[i] = uint32(g.next() & uint64(k.MaxKey-1))
 		}
 		charge(r, memmodel.SeqScan{Passes: 1}, region(r, sendVA, uint64(keyBytes)))
 

@@ -3,8 +3,28 @@ package nas
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
+
+	"repro/internal/mpi"
 )
+
+// TestISRejectsNonPowerOfTwoMaxKey: IS draws keys with a mask, so a
+// MaxKey that is not a power of two is refused before any key is drawn,
+// and a power of two still runs.
+func TestISRejectsNonPowerOfTwoMaxKey(t *testing.T) {
+	for _, maxKey := range []int{0, -8, 3000, 1<<16 + 1, 3 << 10} {
+		k := &IS{KeysPerRank: 1024, Iters: 1, MaxKey: maxKey, BucketTouches: 100}
+		_, err := RunKernel(lazyRun(2, mpi.AllocLibc), k)
+		if err == nil || !strings.Contains(err.Error(), "not a power of two") {
+			t.Errorf("MaxKey=%d: err = %v, want a power-of-two error", maxKey, err)
+		}
+	}
+	k := &IS{KeysPerRank: 1024, Iters: 1, MaxKey: 1 << 10, BucketTouches: 100}
+	if _, err := RunKernel(lazyRun(2, mpi.AllocLibc), k); err != nil {
+		t.Fatalf("MaxKey=1024: %v", err)
+	}
+}
 
 // TestRadixSortMatchesSlicesSort checks radixSort against slices.Sort on
 // seeded random keys and on the edge-case shapes, for the key ranges IS

@@ -339,7 +339,7 @@ func TestAdaptiveSkipsPinnedPages(t *testing.T) {
 	}
 	r.eng.Placed(va, size, true)
 	// Pin the first hugepage, as a DMA registration would.
-	if _, err := r.as.Pin(va, machine.HugePageSize); err != nil {
+	if _, err := r.as.Pin(nil, va, machine.HugePageSize); err != nil {
 		t.Fatal(err)
 	}
 	scatter(r, va, size)

@@ -228,33 +228,224 @@ func TestFirstAccessAllocatesOneArray(t *testing.T) {
 }
 
 // TestFileSetsAreDisjoint checks that the sets laid over the flat entry
-// array do not overlap and together cover it: a distinct stamp written
-// to every way of every set reads back unchanged.
+// array do not overlap and together cover it: a distinct page number
+// written to every way of every set reads back unchanged.
 func TestFileSetsAreDisjoint(t *testing.T) {
-	if sz := unsafe.Sizeof(entry{}); sz != 16 {
-		t.Fatalf("entry is %d bytes, want 16", sz)
-	}
 	const ways, sets = 4, 16
 	f := NewFile(machine.TLBGeometry{Entries: ways * sets, Ways: ways})
 	for s := uint64(0); s < sets; s++ {
 		set := f.set(s)
+		if sz := unsafe.Sizeof(set[0]); sz != 8 {
+			t.Fatalf("a way is %d bytes, want 8", sz)
+		}
 		if len(set) != ways || cap(set) != ways {
 			t.Fatalf("set %d has len %d cap %d, want %d ways", s, len(set), cap(set), ways)
 		}
 		for w := range set {
-			set[w].vpn = s*ways + uint64(w)
+			set[w] = s*ways + uint64(w)
 		}
 	}
 	for s := uint64(0); s < sets; s++ {
-		for w, e := range f.set(s) {
-			if e.vpn != s*ways+uint64(w) {
-				t.Fatalf("set %d way %d holds %d: sets overlap", s, w, e.vpn)
+		for w, vpn := range f.set(s) {
+			if vpn != s*ways+uint64(w) {
+				t.Fatalf("set %d way %d holds %d: sets overlap", s, w, vpn)
 			}
 		}
 	}
-	for i, e := range f.ents {
-		if e.vpn != uint64(i) {
-			t.Fatalf("entry %d holds %d: sets do not tile the array", i, e.vpn)
+	for i, vpn := range f.ents {
+		if vpn != uint64(i) {
+			t.Fatalf("entry %d holds %d: sets do not tile the array", i, vpn)
 		}
 	}
+}
+
+// TestShiftsMatchPageSizes checks the page shifts DTLB.File hands out
+// against the page sizes.
+func TestShiftsMatchPageSizes(t *testing.T) {
+	if 1<<smallShift != machine.SmallPageSize || 1<<hugeShift != machine.HugePageSize {
+		t.Fatalf("shifts %d/%d do not match page sizes %d/%d",
+			smallShift, hugeShift, machine.SmallPageSize, machine.HugePageSize)
+	}
+	d := New(&machine.Opteron().CPU)
+	if f, shift := d.File(vm.Small); f != d.Small || shift != smallShift {
+		t.Fatal("File(Small) is not the small-page file")
+	}
+	if f, shift := d.File(vm.Huge); f != d.Large || shift != hugeShift {
+		t.Fatal("File(Huge) is not the hugepage file")
+	}
+}
+
+// lruFile is the age-stamp LRU file the recency-ordered File replaced,
+// kept as its oracle. Each way holds a page number and the tick of its
+// last use; age 0 marks an empty way, and a miss replaces the first
+// empty way or else the one with the oldest stamp.
+type lruFile struct {
+	ways  int
+	ents  []lruEntry
+	tick  uint64
+	stats FileStats
+}
+
+type lruEntry struct {
+	vpn uint64
+	age uint64
+}
+
+func newLRUFile(geo machine.TLBGeometry) *lruFile {
+	return &lruFile{ways: geo.Ways, ents: make([]lruEntry, geo.Entries)}
+}
+
+func (f *lruFile) Access(vpn uint64) bool {
+	f.tick++
+	lo := int(vpn%uint64(len(f.ents)/f.ways)) * f.ways
+	set := f.ents[lo : lo+f.ways]
+	for i := range set {
+		if set[i].age != 0 && set[i].vpn == vpn {
+			set[i].age = f.tick
+			f.stats.Hits++
+			return true
+		}
+	}
+	victim := 0
+	for i := range set {
+		if set[i].age == 0 {
+			victim = i
+			break
+		}
+		if set[i].age < set[victim].age {
+			victim = i
+		}
+	}
+	set[victim] = lruEntry{vpn: vpn, age: f.tick}
+	f.stats.Misses++
+	return false
+}
+
+func (f *lruFile) InvalidateRange(lo, hi uint64) {
+	for i := range f.ents {
+		if f.ents[i].age != 0 && f.ents[i].vpn >= lo && f.ents[i].vpn < hi {
+			f.ents[i] = lruEntry{}
+		}
+	}
+}
+
+func (f *lruFile) Flush() { clear(f.ents) }
+
+// diffGeometries are the geometries File is checked on against the
+// oracle: every file of the three machines (544/4 and 8/4, 64/4, 512/4
+// and 16/4), a fully associative file, a direct-mapped one and an odd
+// one. The fuzz corpus picks geometries by index, so new ones go last.
+var diffGeometries = []machine.TLBGeometry{
+	{Entries: 544, Ways: 4},
+	{Entries: 8, Ways: 4},
+	{Entries: 64, Ways: 4},
+	{Entries: 16, Ways: 4},
+	{Entries: 8, Ways: 8},
+	{Entries: 32, Ways: 1},
+	{Entries: 12, Ways: 3},
+	{Entries: 512, Ways: 4},
+}
+
+// pair drives a File and its oracle in step and fails on the first
+// access, or Stats, on which they differ.
+type pair struct {
+	t    *testing.T
+	geo  machine.TLBGeometry
+	got  *File
+	want *lruFile
+	step int
+}
+
+func newPair(t *testing.T, geo machine.TLBGeometry) *pair {
+	return &pair{t: t, geo: geo, got: NewFile(geo), want: newLRUFile(geo)}
+}
+
+func (p *pair) access(vpn uint64) {
+	p.step++
+	if got, want := p.got.Access(vpn), p.want.Access(vpn); got != want {
+		p.t.Fatalf("%+v step %d: Access(%d) hit=%v, oracle %v", p.geo, p.step, vpn, got, want)
+	}
+	if got, want := p.got.Stats(), p.want.stats; got != want {
+		p.t.Fatalf("%+v step %d: stats %+v, oracle %+v", p.geo, p.step, got, want)
+	}
+}
+
+func (p *pair) invalidate(lo, hi uint64) {
+	p.step++
+	p.got.InvalidateRange(lo, hi)
+	p.want.InvalidateRange(lo, hi)
+}
+
+func (p *pair) flush() {
+	p.step++
+	p.got.Flush()
+	p.want.Flush()
+}
+
+// TestFileMatchesLRU runs seeded sequences of accesses, range
+// shootdowns and flushes on every geometry and checks each access's hit
+// or miss, and the counters, against the age-stamp oracle.
+func TestFileMatchesLRU(t *testing.T) {
+	const steps = 1 << 21
+	for _, geo := range diffGeometries {
+		p := newPair(t, geo)
+		nsets := uint64(geo.Entries / geo.Ways)
+		// Page numbers over three times the file's reach, so sets both
+		// hit and evict; about one access in a thousand lands far away.
+		span := 3 * uint64(geo.Entries)
+		x := uint64(0x9E3779B97F4A7C15) ^ uint64(geo.Entries)<<8 ^ uint64(geo.Ways)
+		for range steps {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			switch r := x % 4096; {
+			case r == 0:
+				p.flush()
+			case r < 8:
+				lo := x >> 12 % span
+				p.invalidate(lo, lo+(x>>32)%(2*nsets+1))
+			case r < 12:
+				p.access(x >> 12)
+			default:
+				p.access(x >> 12 % span)
+			}
+		}
+	}
+}
+
+// FuzzFileMatchesLRU checks File against the age-stamp oracle on
+// arbitrary operation sequences. The first byte picks a geometry; each
+// later byte b is one operation:
+//   - b < 0xF0: access page fuzzVPN(b);
+//   - 0xF0 <= b < 0xFF: shoot down (b-0xEF) sets' worth of pages
+//     starting at fuzzVPN of the next byte;
+//   - b == 0xFF: flush.
+func FuzzFileMatchesLRU(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		geo := diffGeometries[int(data[0])%len(diffGeometries)]
+		nsets := uint64(geo.Entries / geo.Ways)
+		// fuzzVPN folds a byte onto eight sets, so a few bytes already
+		// overflow a set's ways.
+		fuzzVPN := func(b byte) uint64 { return uint64(b%8) + uint64(b/8)*nsets }
+		p := newPair(t, geo)
+		ops := data[1:]
+		for i := 0; i < len(ops); i++ {
+			switch b := ops[i]; {
+			case b == 0xFF:
+				p.flush()
+			case b >= 0xF0:
+				lo := uint64(0)
+				if i+1 < len(ops) {
+					i++
+					lo = fuzzVPN(ops[i])
+				}
+				p.invalidate(lo, lo+uint64(b-0xEF)*nsets)
+			default:
+				p.access(fuzzVPN(b))
+			}
+		}
+	})
 }

@@ -81,6 +81,9 @@ type Context struct {
 	MemlockLimit int64
 
 	mach *machine.Machine
+	// pins receives the pages of each registration. InstallMR copies
+	// them, so one buffer serves every RegMRT.
+	pins []vm.Page
 
 	stats Stats
 }
@@ -110,10 +113,11 @@ func (c *Context) RegMRT(tc trace.Ctx, va vm.VA, length uint64) (*MR, simtime.Ti
 		return nil, 0, fmt.Errorf("verbs: zero-length registration at %#x", uint64(va))
 	}
 	cost := c.mach.Mem.SyscallTicks
-	pages, err := c.AS.Pin(va, length)
+	pages, err := c.AS.Pin(c.pins[:0], va, length)
 	if err != nil {
 		return nil, 0, fmt.Errorf("verbs: pin: %w", err)
 	}
+	c.pins = pages
 	// Steps 1+2: pin and translate, per actual page.
 	cost += simtime.Ticks(len(pages)) * (c.mach.Mem.PinTicks + c.mach.Mem.TranslateTicks)
 

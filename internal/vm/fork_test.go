@@ -65,7 +65,7 @@ func TestForkCopiesPinnedPagesEagerly(t *testing.T) {
 	n := testHost(t)
 	mem, parent := n.Mem, n.AS
 	va, _ := parent.MapHuge(machine.HugePageSize)
-	if _, err := parent.Pin(va, machine.HugePageSize); err != nil {
+	if _, err := parent.Pin(nil, va, machine.HugePageSize); err != nil {
 		t.Fatal(err)
 	}
 	_ = parent.Write(va, []byte("dma-data"))
@@ -135,7 +135,7 @@ func TestPinBreaksCoW(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := mem.Stats().HugeAllocated
-	pages, err := child.Pin(va, machine.HugePageSize)
+	pages, err := child.Pin(nil, va, machine.HugePageSize)
 	if err != nil {
 		t.Fatal(err)
 	}

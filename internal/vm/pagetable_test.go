@@ -27,7 +27,7 @@ func TestPinSurvivesDemoteSplit(t *testing.T) {
 	page := func(i int) vm.VA { return va + vm.VA(i*machine.HugePageSize) }
 	var pinnedPA [4]phys.Addr
 	for _, i := range []int{0, 2} {
-		pages, err := as.Pin(page(i), machine.HugePageSize)
+		pages, err := as.Pin(nil, page(i), machine.HugePageSize)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func TestPinSurvivesDemoteSplit(t *testing.T) {
 		t.Fatalf("unmap with pins held: got %v, want ErrPinnedUnmap", err)
 	}
 	// A pin taken after the split lands on the 4 KiB subpage.
-	if _, err := as.Pin(page(1)+8192, 1); err != nil {
+	if _, err := as.Pin(nil, page(1)+8192, 1); err != nil {
 		t.Fatal(err)
 	}
 	for _, pin := range []struct {
@@ -120,7 +120,7 @@ func TestCoWBreaksAfterForkStayPrivate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pinned, err := child.Pin(addrs[4], 1)
+	pinned, err := child.Pin(nil, addrs[4], 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -551,19 +551,21 @@ func pageCount(va VA, length uint64, class PageClass) int {
 	return int((uint64(va)+length+ps-1)/ps - uint64(va)/ps)
 }
 
-// Pin pins every page of [va, va+len) in memory and returns the pages, in
-// address order. Each page's pin count is incremented; pinned pages refuse
-// to unmap. Pin is step 1 of memory registration.
-func (as *AddressSpace) Pin(va VA, length uint64) ([]Page, error) {
+// Pin pins every page of [va, va+len) in memory and appends the pages,
+// in address order, to dst, returning the extended slice; a caller that
+// pins often passes the same buffer back each time. Each page's pin
+// count is incremented; pinned pages refuse to unmap. On an error dst
+// comes back as passed. Pin is step 1 of memory registration.
+func (as *AddressSpace) Pin(dst []Page, va VA, length uint64) ([]Page, error) {
 	if length == 0 {
-		return nil, nil
+		return dst, nil
 	}
 	// Check the whole range before pinning any of it.
 	class, err := as.walk(va, length, nil)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	pages := make([]Page, 0, pageCount(va, length, class))
+	pages := slices.Grow(dst, pageCount(va, length, class))
 	_, err = as.walk(va, length, func(a VA, p *pte) error {
 		if p.cow {
 			// DMA needs a stable private page: break the sharing now.
@@ -577,7 +579,7 @@ func (as *AddressSpace) Pin(va VA, length uint64) ([]Page, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	return pages, nil
 }

@@ -2,6 +2,7 @@ package vm_test
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -116,7 +117,7 @@ func TestPagesEnumeration(t *testing.T) {
 func TestPinBlocksUnmap(t *testing.T) {
 	as := testAS(t)
 	va, _ := as.MapSmall(4 * machine.SmallPageSize)
-	if _, err := as.Pin(va, 4*machine.SmallPageSize); err != nil {
+	if _, err := as.Pin(nil, va, 4*machine.SmallPageSize); err != nil {
 		t.Fatal(err)
 	}
 	if err := as.Unmap(va, 4*machine.SmallPageSize); !errors.Is(err, vm.ErrPinnedUnmap) {
@@ -130,6 +131,46 @@ func TestPinBlocksUnmap(t *testing.T) {
 	}
 	if _, _, err := as.Translate(va); !errors.Is(err, vm.ErrUnmapped) {
 		t.Fatal("pages survive unmap")
+	}
+}
+
+// TestPinAppendsToDst: Pin appends the pinned pages after dst's
+// elements, reuses dst's capacity without allocating, and hands dst
+// back unchanged when the range is bad.
+func TestPinAppendsToDst(t *testing.T) {
+	as := testAS(t)
+	const n = 4
+	va, _ := as.MapSmall(n * machine.SmallPageSize)
+	want, err := as.Pages(va, n*machine.SmallPageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := vm.Page{VA: 1}
+	got, err := as.Pin([]vm.Page{head}, va, n*machine.SmallPageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != n+1 || got[0] != head || !slices.Equal(got[1:], want) {
+		t.Fatalf("Pin appended %v after %v, want %v", got[1:], got[:1], want)
+	}
+	if err := as.Unpin(va, n*machine.SmallPageSize); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]vm.Page, 0, n)
+	allocs := testing.AllocsPerRun(20, func() {
+		if buf, err = as.Pin(buf[:0], va, n*machine.SmallPageSize); err != nil {
+			t.Fatal(err)
+		}
+		if err := as.Unpin(va, n*machine.SmallPageSize); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("pinning into a large enough buffer made %v allocations", allocs)
+	}
+	dst := []vm.Page{head}
+	if got, err := as.Pin(dst, va+n*machine.SmallPageSize, machine.SmallPageSize); err == nil || len(got) != 1 || got[0] != head {
+		t.Fatalf("Pin of an unmapped page returned %v, %v; want dst and an error", got, err)
 	}
 }
 
@@ -257,7 +298,7 @@ func TestQuickPinUnpinBalance(t *testing.T) {
 	f := func(off uint16, n uint16) bool {
 		o := uint64(off) % (31 * machine.SmallPageSize)
 		l := uint64(n)%machine.SmallPageSize + 1
-		if _, err := as.Pin(va+vm.VA(o), l); err != nil {
+		if _, err := as.Pin(nil, va+vm.VA(o), l); err != nil {
 			return false
 		}
 		return as.Unpin(va+vm.VA(o), l) == nil
@@ -344,7 +385,7 @@ func TestDemoteSkipsPinnedAndCoW(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := as.Pin(va, machine.HugePageSize); err != nil {
+	if _, err := as.Pin(nil, va, machine.HugePageSize); err != nil {
 		t.Fatal(err)
 	}
 	n, err := as.Demote(va, 2*machine.HugePageSize)
@@ -415,7 +456,7 @@ func TestUnmapDemotedMappingWholeAndPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := as.Pin(va+machine.HugePageSize, machine.HugePageSize); err != nil {
+	if _, err := as.Pin(nil, va+machine.HugePageSize, machine.HugePageSize); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := as.Demote(va, 3*machine.HugePageSize); n != 2 {

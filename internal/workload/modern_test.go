@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -56,6 +57,28 @@ func TestMoESeedChangesRouting(t *testing.T) {
 	}
 	if a.Makespan == b.Makespan && a.DispatchTicks == b.DispatchTicks {
 		t.Fatal("seed change did not perturb the routing-driven timing")
+	}
+}
+
+// TestMoERoutingReusesSource: routing drawn from one source kept across
+// calls, with stray draws between them, equals routing drawn from a
+// source built fresh for each call with the same seed.
+func TestMoERoutingReusesSource(t *testing.T) {
+	p := DefaultMoEParams()
+	p.Chunks = 3
+	const ranks = 8
+	kept := rand.New(rand.NewSource(12345))
+	for iter := 0; iter < 3; iter++ {
+		for chunk := 0; chunk < p.Chunks; chunk++ {
+			for src := 0; src < ranks; src++ {
+				kept.Int63()
+				got := moeRouting(kept, p, ranks, iter, chunk, src)
+				fresh := rand.New(rand.NewSource(int64(p.Seed)<<32 ^ int64(iter*1048576+chunk*65536+src)))
+				if want := moeRouting(fresh, p, ranks, iter, chunk, src); !reflect.DeepEqual(got, want) {
+					t.Fatalf("iter %d chunk %d src %d: kept source routes %v, fresh %v", iter, chunk, src, got, want)
+				}
+			}
+		}
 	}
 }
 

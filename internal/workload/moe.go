@@ -60,10 +60,12 @@ type MoEResult struct {
 // moeRouting returns the TopK destination experts of every token rank
 // src emits in (iter, chunk) — a pure function of the parameters, so
 // every rank derives every peer's routing (and hence its own receive
-// counts) without metadata exchange.
-func moeRouting(p MoEParams, ranks, iter, chunk, src int) [][]int {
+// counts) without metadata exchange. It re-seeds rng, which the caller
+// keeps from call to call, so the routing is what a fresh source seeded
+// the same way would draw.
+func moeRouting(rng *rand.Rand, p MoEParams, ranks, iter, chunk, src int) [][]int {
 	lo, hi := chunkRange(p.Tokens, p.Chunks, chunk)
-	rng := rand.New(rand.NewSource(int64(p.Seed)<<32 ^ int64(iter*1048576+chunk*65536+src)))
+	rng.Seed(int64(p.Seed)<<32 ^ int64(iter*1048576+chunk*65536+src))
 	groupSize := ranks / p.Groups
 	out := make([][]int, hi-lo)
 	for t := range out {
@@ -129,6 +131,7 @@ func RunMoE(cfg mpi.Config, p MoEParams) (*MoEResult, error) {
 		// buf receives the expert input and the returned rows, whose
 		// contents nothing reads; it grows to the largest chunk.
 		var buf []byte
+		rng := rand.New(rand.NewSource(0)) // re-seeded by every moeRouting
 		for it := 0; it < p.Iters; it++ {
 			// Fresh activations (new layer input each iteration).
 			for t := 0; t < p.Tokens; t++ {
@@ -145,7 +148,7 @@ func RunMoE(cfg mpi.Config, p MoEParams) (*MoEResult, error) {
 				lo, _ := chunkRange(p.Tokens, p.Chunks, c)
 				var own [][]int
 				for src := 0; src < ranks; src++ {
-					routing := moeRouting(p, ranks, it, c, src)
+					routing := moeRouting(rng, p, ranks, it, c, src)
 					if src == r.ID() {
 						own = routing
 					}
