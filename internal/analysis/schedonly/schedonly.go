@@ -28,13 +28,11 @@ import (
 )
 
 // ExemptPkgs are the packages permitted to use raw concurrency:
-// internal/sched because it is where the cooperative tasks are
-// implemented (its goroutines never run concurrently — the baton
-// protocol keeps exactly one runnable), and internal/sweep because its
-// worker pool parallelises whole independent simulations on the host
-// and never reaches inside one.
+// internal/sweep, because its worker pool parallelises whole independent
+// simulations on the host and never reaches inside one. internal/sched
+// is not among them: its tasks are iter.Pull coroutines, so the
+// scheduler itself needs no goroutine and no channel.
 var ExemptPkgs = map[string]bool{
-	"repro/internal/sched": true,
 	"repro/internal/sweep": true,
 }
 

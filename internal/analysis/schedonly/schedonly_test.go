@@ -12,8 +12,8 @@ func TestFixtures(t *testing.T) {
 }
 
 // TestExemptPackagesMayUseConcurrency pins the escape for host-side
-// code: a package listed in ExemptPkgs (internal/sched itself,
-// internal/sweep's worker pool) gets no diagnostics at all.
+// code: a package listed in ExemptPkgs (internal/sweep's worker pool)
+// gets no diagnostics at all.
 func TestExemptPackagesMayUseConcurrency(t *testing.T) {
 	schedonly.ExemptPkgs["host"] = true
 	defer delete(schedonly.ExemptPkgs, "host")
@@ -21,12 +21,13 @@ func TestExemptPackagesMayUseConcurrency(t *testing.T) {
 }
 
 // TestNoSimulationPackageIsExempt pins that the exemption stays with
-// the scheduler and the sweep engine's host-side worker pool: no
-// simulation package rode along into the set.
+// the sweep engine's host-side worker pool: no simulation package rode
+// along into the set, and the scheduler, whose tasks are coroutines,
+// stays checked like the code it runs.
 func TestNoSimulationPackageIsExempt(t *testing.T) {
 	for _, p := range []string{
 		"repro/internal/mpi", "repro/internal/ib", "repro/internal/node",
-		"repro/internal/sim",
+		"repro/internal/sim", "repro/internal/sched",
 	} {
 		if schedonly.ExemptPkgs[p] {
 			t.Errorf("simulation package %s must not be exempt", p)

@@ -29,6 +29,7 @@ func PingPong(cfg mpi.Config, sizes []int) ([]PingPongResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer w.Close()
 	results := make([]PingPongResult, len(sizes))
 	maxBytes := 0
 	for _, s := range sizes {
@@ -105,6 +106,7 @@ func Exchange(cfg mpi.Config, sizes []int) ([]ExchangeResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer w.Close()
 	results := make([]ExchangeResult, len(sizes))
 	maxBytes := 0
 	for _, s := range sizes {

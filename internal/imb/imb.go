@@ -66,6 +66,7 @@ func SendRecv(cfg mpi.Config, sizes []int) ([]SendRecvResult, []node.Stats, erro
 	if err != nil {
 		return nil, nil, err
 	}
+	defer w.Close()
 	results := make([]SendRecvResult, len(sizes))
 	maxBytes := 0
 	for _, s := range sizes {
@@ -239,6 +240,7 @@ func RegistrationSweep(cfg node.Config, sizes []uint64) ([]RegResult, error) {
 			SmallMTTs: mrS.Entries,
 			HugeMTTs:  mrH.Entries,
 		})
+		n.Mem.Release()
 	}
 	return out, nil
 }

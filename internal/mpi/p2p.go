@@ -552,9 +552,9 @@ func (r *Rank) Sendrecv(dst, sendTag int, sendVA vm.VA, sendN int,
 		n, recvErr = r.recvOn(r.task, &r.clock, src, recvTag, recvVA, recvCap, nil, nil)
 		r.clock.AdvanceTo(sendClk.Now())
 	} else {
-		h := &sendHalf{r: r, dst: dst, tag: sendTag, va: sendVA, n: sendN}
+		h := r.forkHalf(dst, sendTag, sendVA, sendN)
 		h.clk.AdvanceTo(start)
-		sub := r.world.sched.Spawn(r.id, &h.clk, h.run)
+		sub := r.world.sched.Spawn(r.id, &h.clk, h.fn)
 		h.started.Wait(r.task)
 		n, recvErr = r.recvOn(r.task, &r.clock, src, recvTag, recvVA, recvCap, &h.dma, &h.rel)
 		if recvErr != nil {
@@ -579,7 +579,8 @@ func (r *Rank) Sendrecv(dst, sendTag int, sendVA vm.VA, sendN int,
 
 // sendHalf is a Sendrecv send half forked onto its own task: its
 // arguments, its clock, its result and the three gates that order it
-// against the recv half. One allocation carries all of it.
+// against the recv half. A rank has at most one fork in flight, so it
+// keeps one sendHalf and reuses it for every fork.
 type sendHalf struct {
 	r                 *Rank
 	dst, tag, n       int
@@ -587,6 +588,20 @@ type sendHalf struct {
 	clk               simtime.Clock
 	err               error
 	started, dma, rel sched.Gate
+	fn                func(*sched.Task) error // run, bound once
+}
+
+// forkHalf returns the rank's sendHalf reset for a new fork, allocating
+// it on the rank's first fork.
+func (r *Rank) forkHalf(dst, tag int, va vm.VA, n int) *sendHalf {
+	h := r.half
+	if h == nil {
+		h = new(sendHalf)
+		h.fn = h.run
+		r.half = h
+	}
+	*h = sendHalf{r: r, dst: dst, tag: tag, va: va, n: n, fn: h.fn}
+	return h
 }
 
 func (h *sendHalf) run(t *sched.Task) error {

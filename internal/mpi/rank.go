@@ -35,6 +35,9 @@ type Rank struct {
 	// body, nil outside it. Blocking primitives park it; Compute yields
 	// it so long compute phases become scheduled events.
 	task *sched.Task
+	// half is the send half of the rank's forked Sendrecv, allocated on
+	// the first fork and reused by every later one.
+	half *sendHalf
 
 	// node owns the rank's host; the fields below are aliases into it,
 	// kept so the hot paths skip a pointer hop.
@@ -170,7 +173,7 @@ func (r *Rank) Now() simtime.Ticks { return r.clock.Now() }
 func (r *Rank) Node() *node.Node { return r.node }
 
 // NodeStats snapshots the host's telemetry (all layers' counters). Call
-// it from the rank's own goroutine, or after World.Run returned.
+// it from the rank's own task, or after World.Run returned.
 func (r *Rank) NodeStats() node.Stats { return r.node.Stats() }
 
 // AS exposes the rank's address space.

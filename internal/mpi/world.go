@@ -129,6 +129,9 @@ type World struct {
 	// when a peer errors (the simulator's equivalent of MPI_Abort).
 	sched *sched.Scheduler
 
+	// closed is set by Close; a closed world refuses to Run.
+	closed bool
+
 	// eagerFree holds eager messages whose receivers have copied the
 	// payload out, ready for the next eager send — the host-side image
 	// of the library's preregistered bounce buffers. Only the task
@@ -254,6 +257,9 @@ func (w *World) NodeStats() []node.Stats {
 // dispatches tasks in (virtual time, rank, wake order), so the execution
 // schedule — and every result — is identical under any GOMAXPROCS.
 func (w *World) Run(body func(r *Rank) error) error {
+	if w.closed {
+		return errors.New("mpi: Run on a closed world")
+	}
 	errs := make([]error, len(w.ranks))
 	for i, r := range w.ranks {
 		i, r := i, r
@@ -291,6 +297,20 @@ func (w *World) Run(body func(r *Rank) error) error {
 		return schedErr
 	}
 	return fallback
+}
+
+// Close releases what a finished world no longer needs: the contents of
+// every node's physical frames. Call it once the results have been read;
+// clocks, telemetry and the trace stay readable, but memory contents
+// read as zeros and Run fails. A second Close does nothing.
+func (w *World) Close() {
+	if w.closed {
+		return
+	}
+	w.closed = true
+	for _, n := range w.nodes {
+		n.Mem.Release()
+	}
 }
 
 // ErrAborted marks errors caused by another rank's failure.

@@ -20,7 +20,6 @@ package nas
 import (
 	"fmt"
 
-	"repro/internal/machine"
 	"repro/internal/memmodel"
 	"repro/internal/mpi"
 	"repro/internal/node"
@@ -65,6 +64,7 @@ func RunKernel(cfg mpi.Config, k Kernel) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	defer w.Close()
 	ak := w.Config().Allocator
 	err = w.Run(func(r *mpi.Rank) error {
 		r.Cache().MaxPinned = maxPinnedPerRank
@@ -105,16 +105,12 @@ func region(r *mpi.Rank, va vm.VA, bytes uint64) memmodel.Region {
 // it against a shadow DTLB under the counterfactual page class; Compute
 // then drives the policy's feedback window.
 func charge(r *mpi.Rank, p memmodel.Pattern, rg memmodel.Region) memmodel.Result {
-	cpu := cpuOf(r)
-	res := p.Apply(cpu, r.DTLB(), rg)
+	// Patterns only read the CPU parameters, so charge points at the
+	// node's machine instead of copying them.
+	res := p.Apply(&r.Verbs().Machine().CPU, r.DTLB(), rg)
 	r.Node().Policy().ObservePattern(p, rg, res)
 	r.Compute(res.Ticks)
 	return res
-}
-
-func cpuOf(r *mpi.Rank) *machine.CPU {
-	cpu := r.Verbs().Machine().CPU
-	return &cpu
 }
 
 // All returns the five kernels at their default (reduced) scales, in the

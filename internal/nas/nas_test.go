@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/memmodel"
 	"repro/internal/mpi"
 )
 
@@ -123,5 +124,32 @@ func TestLUPlaneValueDistinguishesStages(t *testing.T) {
 			t.Fatal("stage values collide for fixed plane/sweep")
 		}
 		seen[v] = true
+	}
+}
+
+// TestChargeAllocatesNothing: charging a memmodel pattern reads the
+// machine's CPU parameters in place, so a charge allocates no object.
+func TestChargeAllocatesNothing(t *testing.T) {
+	w, err := mpi.NewWorld(lazyRun(1, mpi.AllocHuge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	var allocs float64
+	err = w.Run(func(r *mpi.Rank) error {
+		va, err := r.Malloc(1 << 20)
+		if err != nil {
+			return err
+		}
+		var p memmodel.Pattern = memmodel.SeqScan{Passes: 2}
+		rg := region(r, va, 1<<20)
+		allocs = testing.AllocsPerRun(20, func() { charge(r, p, rg) })
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("charge allocates %.1f objects per call, want 0", allocs)
 	}
 }

@@ -68,6 +68,13 @@ type dataStore struct {
 	small, huge frameTable
 }
 
+// Release drops the contents of every frame, shared ramp frames
+// included, so the memory no longer keeps them reachable. Afterwards
+// every frame reads as zeros, as if it had never been written; frame
+// accounting and the pools are untouched. A finished world releases its
+// nodes' memories once its results have been read.
+func (m *Memory) Release() { m.data = dataStore{} }
+
 // table returns the table holding frame f and f's index within it.
 func (m *Memory) table(f Frame) (*frameTable, Frame) {
 	if f >= m.hugeBase {

@@ -145,3 +145,27 @@ func TestWriteRampWholeFramesDoNotAllocate(t *testing.T) {
 		t.Fatalf("whole-frame ramp write and copy made %v allocations", n)
 	}
 }
+
+// TestReleaseDropsContents: Release forgets every frame's contents,
+// private and shared alike, leaves the shared ramp frames intact, and
+// the memory stays writable afterwards.
+func TestReleaseDropsContents(t *testing.T) {
+	m := NewMemory(machine.Opteron())
+	m.WriteRamp(0, 5, 2*page)            // two shared frames
+	m.WritePhys(2*page+3, []byte("own")) // a private one
+	m.Release()
+	got := make([]byte, 3*page)
+	m.ReadPhys(0, got)
+	if !bytes.Equal(got, make([]byte, 3*page)) {
+		t.Fatal("released memory still reads its old contents")
+	}
+	if m.frame(0) != nil || m.frame(2) != nil {
+		t.Fatal("released memory still holds frames")
+	}
+	checkRampFrames(t)
+	m.WritePhys(page, []byte("again"))
+	m.ReadPhys(page, got[:5])
+	if string(got[:5]) != "again" {
+		t.Fatalf("write after Release reads back %q", got[:5])
+	}
+}

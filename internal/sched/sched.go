@@ -14,16 +14,26 @@
 // simulation — is identical across runs, GOMAXPROCS settings and race
 // builds. Layers above sched need no further synchronisation machinery.
 //
-// Tasks are implemented as goroutines with a strict baton-passing
-// handshake (park/resume channels), not as continuations: each keeps a
-// real stack, so rank bodies are written as straight-line code, while the
-// scheduler guarantees mutual exclusion. Under -race every handshake is a
-// happens-before edge, so the whole simulation is race-clean by
-// construction.
+// Each task runs as an iter.Pull coroutine, not as a continuation: it
+// keeps a real stack, so rank bodies are written as straight-line code.
+// Run resumes the task it pops with the coroutine's next function, and a
+// task that parks or yields hands the baton back through its yield
+// function, so a dispatch is a direct coroutine switch that never goes
+// through the Go runtime scheduler. The switches are happens-before
+// edges, so under -race the whole simulation is race-clean by
+// construction. The package starts no goroutine and uses no channel.
+//
+// Coroutines are pooled per scheduler. Join recycles the task it joined:
+// its coroutine waits idle for the next Spawn, which reuses it before
+// creating another. A world therefore holds one coroutine per task that
+// is live at once — its ranks plus their in-flight Sendrecv send halves
+// — however many sub-tasks it forks. When the last task finishes, Run
+// stops every coroutine, so a run leaves no goroutine behind.
 package sched
 
 import (
 	"fmt"
+	"iter"
 
 	"repro/internal/simtime"
 )
@@ -35,19 +45,17 @@ const (
 	stateRunning                   // the one task currently executing
 	stateParked                    // blocked on a Queue or Gate
 	stateDone                      // fn returned; done gate open
+	stateIdle                      // joined; coroutine waits for reuse
 )
 
 // Task is one schedulable entity: a rank body, or a Sendrecv send half.
 // All Task methods must be called while the task is the running task (the
 // scheduler's mutual exclusion makes this the natural state of affairs).
 type Task struct {
-	s    *Scheduler
-	rank int // heap tiebreak: owning rank
-	sub  int // 0 = rank main task, >0 = forked sub-task
-	clk  *simtime.Clock
-
-	resume chan struct{} // scheduler -> task baton
-	state  taskState
+	s     *Scheduler
+	rank  int // heap tiebreak: owning rank
+	clk   *simtime.Clock
+	state taskState
 
 	readyAt simtime.Ticks // heap key when runnable
 	seq     uint64        // wake sequence, final heap tiebreak
@@ -62,6 +70,12 @@ type Task struct {
 
 	done Gate // opened when fn returns, aborted or not
 	fn   func(*Task) error
+
+	// The task's coroutine: the scheduler resumes it with next and ends
+	// it with stop; the task hands the baton back with yield.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 }
 
 // Rank reports the owning rank passed to Spawn.
@@ -71,11 +85,13 @@ func (t *Task) Rank() int { return t.rank }
 // use New. A Scheduler is single-threaded by design: Run executes on the
 // caller's goroutine and hands the baton to exactly one task at a time.
 type Scheduler struct {
-	heap  []*Task
-	yield chan struct{} // task -> scheduler baton
+	heap []*Task
+
+	// tasks holds every task whose coroutine is alive; idle holds the
+	// joined ones, ready for Spawn to reuse.
+	tasks, idle []*Task
 
 	seq        uint64
-	subSeq     int
 	live       int   // spawned minus finished
 	parked     *Task // head of the intrusive parked list
 	aborted    bool
@@ -83,15 +99,15 @@ type Scheduler struct {
 }
 
 // New returns an empty scheduler.
-func New() *Scheduler {
-	return &Scheduler{
-		yield: make(chan struct{}, 1),
-	}
-}
+func New() *Scheduler { return &Scheduler{} }
 
 // Dispatches reports how many times the scheduler has handed the baton to
 // a task — the event count of the simulation.
 func (s *Scheduler) Dispatches() uint64 { return s.dispatches }
+
+// Coroutines reports how many task coroutines the scheduler holds, live
+// or idle. It is 0 before the first Spawn and after Run returns.
+func (s *Scheduler) Coroutines() int { return len(s.tasks) }
 
 // Aborted reports whether the run has been aborted (a task failed or a
 // deadlock was detected). Blocking primitives consult it to fail fast.
@@ -101,44 +117,53 @@ func (s *Scheduler) Aborted() bool { return s.aborted }
 // clk's current instant. fn runs when the scheduler first dispatches the
 // task; a non-nil return aborts the whole run (every parked task is woken
 // and its pending blocking operation fails). Spawn may be called before
-// Run or from inside a running task.
+// Run or from inside a running task. It reuses the coroutine of a joined
+// task when one is idle.
 func (s *Scheduler) Spawn(rank int, clk *simtime.Clock, fn func(*Task) error) *Task {
-	s.subSeq++
-	t := &Task{
-		s:      s,
-		rank:   rank,
-		sub:    s.subSeq,
-		clk:    clk,
-		resume: make(chan struct{}, 1),
-		fn:     fn,
+	var t *Task
+	if k := len(s.idle); k > 0 {
+		t = s.idle[k-1]
+		s.idle[k-1] = nil
+		s.idle = s.idle[:k-1]
+		t.done = Gate{}
+	} else {
+		t = &Task{s: s}
+		t.next, t.stop = iter.Pull(t.loop)
+		s.tasks = append(s.tasks, t)
 	}
+	t.rank, t.clk, t.fn = rank, clk, fn
 	s.live++
 	s.push(t, clk.Now())
-	//reprolint:ignore schedonly: the scheduler is the one place goroutines are born
-	go t.run()
 	return t
 }
 
-// run is the task goroutine: wait for the first dispatch, execute fn,
-// mark completion and hand the baton back for good.
-func (t *Task) run() {
-	<-t.resume
-	err := t.fn(t)
-	t.state = stateDone
-	t.s.live--
-	if err != nil {
-		t.s.abort()
+// loop is the task's coroutine body: each time the scheduler dispatches
+// a freshly spawned task it executes fn, marks completion and hands the
+// baton back, then waits to be reused or stopped.
+func (t *Task) loop(yield func(struct{}) bool) {
+	t.yield = yield
+	for {
+		err := t.fn(t)
+		t.state = stateDone
+		t.s.live--
+		if err != nil {
+			t.s.abort()
+		}
+		t.done.Open()
+		if !yield(struct{}{}) {
+			return
+		}
 	}
-	t.done.Open()
-	t.s.yield <- struct{}{}
 }
 
-// Run dispatches tasks until all have finished. It returns an error if
-// the task graph deadlocked: every live task parked with nothing left in
-// the run queue. On deadlock the run is aborted so parked tasks unwind
-// through their failing blocking operations; if some task still refuses
-// to finish (a Gate cycle — a programming error), Run gives up and
-// reports the stuck tasks, leaking their goroutines.
+// Run dispatches tasks until all have finished, then stops every
+// coroutine. It returns an error if the task graph deadlocked: every
+// live task parked with nothing left in the run queue. On deadlock the
+// run is aborted so parked tasks unwind through their failing blocking
+// operations; if some task still refuses to finish (a Gate cycle — a
+// programming error), Run gives up and reports the stuck tasks, leaking
+// their coroutines. A panic in a task propagates out of Run, leaving the
+// scheduler unusable.
 func (s *Scheduler) Run() error {
 	var deadlock error
 	for s.live > 0 {
@@ -148,15 +173,31 @@ func (s *Scheduler) Run() error {
 				s.abort()
 				continue
 			}
-			return fmt.Errorf("sched: %d tasks stuck after abort: %s", s.live, s.parkedSummary())
+			err := fmt.Errorf("sched: %d tasks stuck after abort: %s", s.live, s.parkedSummary())
+			s.release()
+			return err
 		}
 		t := s.pop()
 		t.state = stateRunning
 		s.dispatches++
-		t.resume <- struct{}{}
-		<-s.yield
+		t.next()
 	}
+	s.release()
 	return deadlock
+}
+
+// release stops the coroutine of every task that is not parked (all of
+// them once the last task has finished) and empties the pool.
+func (s *Scheduler) release() {
+	for i, t := range s.tasks {
+		if t.state != stateParked {
+			t.stop()
+		}
+		s.tasks[i] = nil
+	}
+	s.tasks = s.tasks[:0]
+	clear(s.idle)
+	s.idle = s.idle[:0]
 }
 
 // Abort fails the run from inside the running task, exactly as a task
@@ -211,8 +252,7 @@ func (t *Task) park(verb, on string) {
 		t.s.parked.parkPrev = t
 	}
 	t.s.parked = t
-	t.s.yield <- struct{}{}
-	<-t.resume
+	t.yield(struct{}{})
 	t.waitVerb, t.waitOn = "", ""
 }
 
@@ -244,14 +284,20 @@ func (t *Task) Yield() {
 		return
 	}
 	t.s.push(t, t.clk.Now())
-	t.s.yield <- struct{}{}
-	<-t.resume
+	t.yield(struct{}{})
 }
 
-// Join parks the running task until other has finished. waiter may be
-// nil when other is already done.
+// Join parks the running task until other has finished, then recycles
+// other's coroutine for the next Spawn. t may be nil when other is
+// already done. A task has at most one joiner, and other must not be
+// used once Join returns: joining it again before the next Spawn
+// returns at once, after that it is another task.
 func (t *Task) Join(other *Task) {
 	other.done.Wait(t)
+	if other.state == stateDone {
+		other.state = stateIdle
+		other.s.idle = append(other.s.idle, other)
+	}
 }
 
 // ---- run heap: min-order on (readyAt, rank, seq) ----

@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -310,5 +311,181 @@ func TestSchedulerReuse(t *testing.T) {
 		if !ran {
 			t.Fatalf("generation %d did not run", gen)
 		}
+	}
+}
+
+// TestSpawnJoinReusesOneCoroutine: a task that spawns and joins a
+// sub-task over and over reuses one pooled coroutine, so after the first
+// fork a spawn-join pair allocates nothing.
+func TestSpawnJoinReusesOneCoroutine(t *testing.T) {
+	s := New()
+	var clk simtime.Clock
+	ran := 0
+	sub := func(*Task) error { ran++; return nil }
+	var allocs float64
+	var held int
+	s.Spawn(0, &clk, func(tk *Task) error {
+		for i := 0; i < 1000; i++ {
+			tk.Join(s.Spawn(0, &clk, sub))
+		}
+		allocs = testing.AllocsPerRun(100, func() { tk.Join(s.Spawn(0, &clk, sub)) })
+		held = s.Coroutines()
+		return nil
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if ran != 1000+101 {
+		t.Fatalf("sub-task ran %d times, want %d", ran, 1000+101)
+	}
+	if allocs != 0 {
+		t.Errorf("spawn+join allocates %.1f objects after warm-up, want 0", allocs)
+	}
+	if held != 2 {
+		t.Errorf("scheduler held %d coroutines, want 2: the parent and one pooled sub-task", held)
+	}
+	if n := s.Coroutines(); n != 0 {
+		t.Errorf("%d coroutines left after Run, want 0", n)
+	}
+}
+
+// TestRunLeavesNoGoroutine: Run stops every coroutine once the last task
+// has finished — after a clean run, an aborted one and a deadlocked one
+// alike. Only tasks stuck after an abort (a Gate cycle, which no abort
+// can break) keep their coroutines; Run reports them and leaks them.
+func TestRunLeavesNoGoroutine(t *testing.T) {
+	twoTasks := func(s *Scheduler, a, b func(*Task) error) {
+		var ca, cb simtime.Clock
+		s.Spawn(0, &ca, a)
+		s.Spawn(1, &cb, b)
+	}
+	cases := []struct {
+		name   string
+		build  func(s *Scheduler)
+		errHas string
+		leaked int
+	}{
+		{"clean", func(s *Scheduler) {
+			q := NewQueue[int](s, "q", 1)
+			twoTasks(s,
+				func(tk *Task) error { q.Push(tk, 1); return nil },
+				func(tk *Task) error { q.Pop(tk); return nil })
+		}, "", 0},
+		{"aborted", func(s *Scheduler) {
+			q := NewQueue[int](s, "q", 0)
+			twoTasks(s,
+				func(tk *Task) error { q.Pop(tk); return nil },
+				func(tk *Task) error { tk.Yield(); return errors.New("boom") })
+		}, "", 0},
+		{"deadlocked", func(s *Scheduler) {
+			qa, qb := NewQueue[int](s, "a", 0), NewQueue[int](s, "b", 0)
+			twoTasks(s,
+				func(tk *Task) error { qa.Pop(tk); return nil },
+				func(tk *Task) error { qb.Pop(tk); return nil })
+		}, "deadlock", 0},
+		{"stuck after abort", func(s *Scheduler) {
+			var ga, gb Gate
+			twoTasks(s,
+				func(tk *Task) error { ga.Wait(tk); gb.Open(); return nil },
+				func(tk *Task) error { gb.Wait(tk); ga.Open(); return nil })
+		}, "stuck after abort", 2},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			before := goroutines()
+			s := New()
+			c.build(s)
+			err := s.Run()
+			if c.errHas == "" && err != nil || c.errHas != "" && (err == nil || !strings.Contains(err.Error(), c.errHas)) {
+				t.Fatalf("Run = %v, want an error containing %q", err, c.errHas)
+			}
+			if got := goroutines() - before; got != c.leaked {
+				t.Fatalf("Run left %d goroutines behind, want %d", got, c.leaked)
+			}
+		})
+	}
+}
+
+// goroutines counts goroutines once the count has settled: a test or
+// subtest that just finished may still be tearing its goroutine down.
+func goroutines() int {
+	n, same := runtime.NumGoroutine(), 0
+	for i := 0; i < 1000 && same < 5; i++ {
+		runtime.Gosched()
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
+}
+
+// TestForkedTaskPanicReachesRun: a panic in a forked task comes out of
+// Run on the caller's goroutine, where it can be recovered, instead of
+// crashing the process from a goroutine nobody can recover on.
+func TestForkedTaskPanicReachesRun(t *testing.T) {
+	s := New()
+	var clk simtime.Clock
+	s.Spawn(0, &clk, func(tk *Task) error {
+		tk.Join(s.Spawn(0, &clk, func(*Task) error { panic("sub-task blew up") }))
+		return nil
+	})
+	defer func() {
+		if p := recover(); p != "sub-task blew up" {
+			t.Fatalf("recovered %v, want the sub-task's panic", p)
+		}
+	}()
+	s.Run()
+	t.Fatal("Run returned normally")
+}
+
+// BenchmarkSpawnJoin: one fork and join of a sub-task from a running
+// task — the cost a forked Sendrecv pays for its send half.
+func BenchmarkSpawnJoin(b *testing.B) {
+	b.ReportAllocs()
+	s := New()
+	var clk simtime.Clock
+	sub := func(*Task) error { return nil }
+	n := b.N
+	s.Spawn(0, &clk, func(tk *Task) error {
+		for i := 0; i < n; i++ {
+			tk.Join(s.Spawn(0, &clk, sub))
+		}
+		return nil
+	})
+	b.ResetTimer()
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkBatonPingPong: two tasks alternating through a one-slot
+// Queue, so every operation is a push, a pop and two baton passes.
+func BenchmarkBatonPingPong(b *testing.B) {
+	b.ReportAllocs()
+	s := New()
+	q := NewQueue[int](s, "pingpong", 1)
+	var ca, cb simtime.Clock
+	n := b.N
+	s.Spawn(0, &ca, func(tk *Task) error {
+		for i := 0; i < n; i++ {
+			if !q.Push(tk, i) {
+				return errors.New("push aborted")
+			}
+		}
+		return nil
+	})
+	s.Spawn(1, &cb, func(tk *Task) error {
+		for i := 0; i < n; i++ {
+			if _, ok := q.Pop(tk); !ok {
+				return errors.New("pop aborted")
+			}
+		}
+		return nil
+	})
+	b.ResetTimer()
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
 	}
 }

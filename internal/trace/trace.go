@@ -15,7 +15,7 @@
 // Determinism contract: all record content (timestamps, durations,
 // names, argument values, flow ids) must be pure functions of the
 // simulation's virtual-time schedule. Records may be *appended* from
-// concurrent goroutines in scheduler order — Sendrecv's two halves both
+// interleaved tasks in scheduler order — Sendrecv's two halves both
 // emit — so the writer canonicalises by sorting every record under a
 // total order over its full content before rendering (perfetto.go).
 // The package consumes simtime.Ticks only; the determinism analyzer
@@ -46,7 +46,7 @@ const (
 )
 
 // Conventional track (Perfetto thread) ids within one traced process.
-// A rank's main goroutine records on TrackMain; Sendrecv's forked send
+// A rank's main task records on TrackMain; Sendrecv's forked send
 // half on TrackSend; adapter-side DMA work on the two HCA tracks so
 // overlapping engine activity does not distort the CPU timeline.
 const (

@@ -63,6 +63,7 @@ func RunHalo(cfg mpi.Config, p HaloParams) (*HaloResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer w.Close()
 	px, py := haloGrid(cfg.Ranks)
 	res := &HaloResult{}
 	halo := make([]simtime.Ticks, cfg.Ranks)

@@ -105,6 +105,7 @@ func RunKV(cfg mpi.Config, p KVParams) (*KVResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer w.Close()
 	res := &KVResult{}
 	pre := make([]simtime.Ticks, cfg.Ranks)
 	dec := make([]simtime.Ticks, cfg.Ranks)

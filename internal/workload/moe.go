@@ -104,6 +104,7 @@ func RunMoE(cfg mpi.Config, p MoEParams) (*MoEResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer w.Close()
 	res := &MoEResult{}
 	disp := make([]simtime.Ticks, cfg.Ranks)
 	comb := make([]simtime.Ticks, cfg.Ranks)
