@@ -10,8 +10,11 @@ all: build test
 build:
 	$(GO) build ./...
 
+# test: the repo's tests, plus vet and tests of benchmark/, which is its
+# own Go module (so ./... skips it) and calls the simulator's API.
 test:
 	$(GO) test ./...
+	cd benchmark && $(GO) vet . && $(GO) test .
 
 # race: the host-concurrent code under the race detector — the runtime,
 # NAS, the modern workloads (per-rank host buffers reused across a rank

@@ -239,73 +239,6 @@ func BenchmarkSGEAggregation(b *testing.B) {
 	})
 }
 
-// BenchmarkRendezvousProtocols is a design ablation DESIGN.md calls out:
-// the MVAPICH2-style RDMA-write rendezvous versus a receiver-driven RDMA
-// read, on the same 1 MiB pingpong.
-func BenchmarkRendezvousProtocols(b *testing.B) {
-	for _, proto := range []string{"write", "read"} {
-		b.Run(proto, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := hugeLazy(Opteron(), 2)
-				cfg.RendezvousProtocol = proto
-				w, err := NewCluster(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				var lat Ticks
-				err = w.Run(func(r *Rank) error {
-					const n = 1 << 20
-					va, _ := r.Malloc(n)
-					for it := 0; it < 10; it++ {
-						if r.ID() == 0 {
-							if err := r.Send(1, it, va, n); err != nil {
-								return err
-							}
-							if _, err := r.Recv(1, it, va, n); err != nil {
-								return err
-							}
-						} else {
-							if _, err := r.Recv(0, it, va, n); err != nil {
-								return err
-							}
-							if err := r.Send(0, it, va, n); err != nil {
-								return err
-							}
-						}
-					}
-					if r.ID() == 0 {
-						lat = r.Now() / 20
-					}
-					return nil
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(lat), "half-rtt-ticks@1MiB")
-			}
-		})
-	}
-}
-
-// BenchmarkProtocolLimits ablates the eager/RDMA switch points: the
-// 16 KiB message sits on the default rendezvous boundary; moving the
-// boundary above it turns the same traffic into copies.
-func BenchmarkProtocolLimits(b *testing.B) {
-	for _, rdmaLimit := range []int{16 << 10, 64 << 10} {
-		b.Run(fmt.Sprintf("rdma-limit=%dKiB", rdmaLimit/1024), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := hugeLazy(Opteron(), 2)
-				cfg.RdmaLimit = rdmaLimit
-				rs, err := IMBSendRecv(cfg, []int{32 << 10})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(rs[0].BandwidthMBs, "MB/s@32KiB")
-			}
-		})
-	}
-}
-
 // BenchmarkRegCacheBound ablates the pin-down cache size: the smaller the
 // pinned-memory bound, the more re-registration traffic — and the more
 // hugepages help. This is the mechanism behind the Figure 6 communication

@@ -265,11 +265,3 @@ func (l *Libc) Stats() Stats {
 	defer l.mu.Unlock()
 	return l.stats
 }
-
-// FreeListLen reports the current freelist length (fragmentation probe
-// used by tests and the ablation bench).
-func (l *Libc) FreeListLen() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.free)
-}

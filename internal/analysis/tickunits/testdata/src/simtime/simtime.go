@@ -23,5 +23,3 @@ func FromNanos(ns int64) Ticks {
 func FromDuration(d time.Duration) Ticks { return FromNanos(d.Nanoseconds()) }
 
 func (t Ticks) Nanos() int64 { return int64(t) * 1_000_000_000 / TickHz }
-
-func (t Ticks) Duration() time.Duration { return time.Duration(t.Nanos()) }

@@ -44,7 +44,7 @@ func scalarConversions(n int, bytes int64) simtime.Ticks {
 
 // sanctioned crossings go through the conversion API: no diagnostic.
 func sanctioned(d time.Duration, t simtime.Ticks) (simtime.Ticks, time.Duration) {
-	return simtime.FromDuration(d), t.Duration()
+	return simtime.FromDuration(d), time.Duration(t.Nanos())
 }
 
 // suppressed: an ignore directive keeps a deliberate crossing.

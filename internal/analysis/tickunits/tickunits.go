@@ -13,7 +13,7 @@
 //   - Ticks(d.Nanoseconds()), Ticks(d.Microseconds()), ... — same bug
 //     through an integer detour. Use simtime.FromNanos/FromMicros.
 //   - time.Duration(t) where t is Ticks — ticks reinterpreted as
-//     nanoseconds. Use t.Duration().
+//     nanoseconds. Use time.Duration(t.Nanos()).
 //   - a Ticks-typed constant whose initializer divides to zero — the
 //     sub-tick truncation that motivated the missing Nanosecond
 //     constant, now statically impossible to reintroduce.
@@ -150,7 +150,7 @@ func checkConversion(pass *analysis.Pass, report reporter, call *ast.CallExpr) {
 	case isDuration(target):
 		if argType != nil && isTicks(argType) {
 			report(call.Pos(), "time.Duration(Ticks) reinterprets ticks as nanoseconds; "+
-				"use the Ticks.Duration method")
+				"use time.Duration(t.Nanos())")
 		}
 	}
 }

@@ -38,7 +38,6 @@ import (
 var (
 	ErrBadKey      = errors.New("hca: unknown memory key")
 	ErrOutOfBounds = errors.New("hca: SGE outside memory region")
-	ErrMRInUse     = errors.New("hca: memory region has active handles")
 )
 
 // SGE is one scatter/gather element of a work request.
@@ -232,15 +231,21 @@ func (h *HCA) lookup(key uint32) (*MR, error) {
 	return nil, fmt.Errorf("%w: key %#x", ErrBadKey, key)
 }
 
-// PostCost is the consumer-side cost of building and posting one work
-// request with nsge scatter/gather elements: doorbell + WQE build, growing
-// mildly per SGE (Figure 3's sub-linear behaviour: the WQE holds inline
-// SGE descriptors that are written in bursts).
+// PostCost charges for building and posting one work request with nsge
+// scatter/gather elements: it counts the WR and returns its PostPrice.
 func (h *HCA) PostCost(nsge int) simtime.Ticks {
+	h.stats.PostedWRs++
+	return h.PostPrice(nsge)
+}
+
+// PostPrice is the consumer-side cost of building and posting one work
+// request with nsge scatter/gather elements, without posting it: doorbell
+// + WQE build, growing mildly per SGE (Figure 3's sub-linear behaviour:
+// the WQE holds inline SGE descriptors that are written in bursts).
+func (h *HCA) PostPrice(nsge int) simtime.Ticks {
 	if nsge < 1 {
 		nsge = 1
 	}
-	h.stats.PostedWRs++
 	p := h.mach.HCA
 	return p.DoorbellTicks + p.WQEBaseTicks + simtime.Ticks(nsge-1)*p.WQESGETicks
 }

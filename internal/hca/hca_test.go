@@ -222,6 +222,27 @@ func TestPostCostSublinearInSGEs(t *testing.T) {
 	}
 }
 
+// TestPostPriceMatchesPostCost: PostPrice is PostCost's price without
+// the post, so estimates that call it count no work request.
+func TestPostPriceMatchesPostCost(t *testing.T) {
+	for _, m := range machine.All() {
+		_, h := rig(t, m)
+		for nsge := 0; nsge <= 128; nsge++ {
+			before := h.Stats().PostedWRs
+			price := h.PostPrice(nsge)
+			if h.Stats().PostedWRs != before {
+				t.Fatalf("%s: PostPrice(%d) counted a WR", m.Name, nsge)
+			}
+			if cost := h.PostCost(nsge); cost != price {
+				t.Fatalf("%s: PostPrice(%d) = %d, PostCost = %d", m.Name, nsge, price, cost)
+			}
+			if h.Stats().PostedWRs != before+1 {
+				t.Fatalf("%s: PostCost(%d) did not count its WR", m.Name, nsge)
+			}
+		}
+	}
+}
+
 func TestATTMissesDropWithHugeEntries(t *testing.T) {
 	m := machine.Xeon()
 	as, h := rig(t, m)

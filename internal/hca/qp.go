@@ -103,11 +103,6 @@ func (cq *CQ) Poll() (CQE, bool, error) {
 	return e, true, nil
 }
 
-// Len reports queued completions.
-func (cq *CQ) Len() int {
-	return len(cq.entries)
-}
-
 // recvWQE is one posted receive.
 type recvWQE struct {
 	wrid uint64

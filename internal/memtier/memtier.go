@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/machine"
 	"repro/internal/phys"
 	"repro/internal/simtime"
 	"repro/internal/trace"
@@ -121,16 +120,6 @@ type PageRef struct {
 	Bytes uint64
 }
 
-// RefsOf converts a translated page list (vm.Pages order) into page
-// refs, collapsing each page to its base frame.
-func RefsOf(pas []phys.Addr, pageBytes uint64) []PageRef {
-	out := make([]PageRef, len(pas))
-	for i, pa := range pas {
-		out[i] = PageRef{Frame: phys.Frame(uint64(pa) / machine.SmallPageSize), Bytes: pageBytes}
-	}
-	return out
-}
-
 // TierStats is one tier's counter set.
 type TierStats struct {
 	Name          string
@@ -220,14 +209,6 @@ func (m *Manager) TierName(i int) string {
 		return ""
 	}
 	return m.tiers[i].Name
-}
-
-// UsedBytes reports the bytes resident in tier i.
-func (m *Manager) UsedBytes(i int) int64 {
-	if m == nil || i < 0 || i >= len(m.tiers) {
-		return 0
-	}
-	return m.stats.Tiers[i].UsedBytes
 }
 
 // FreeBytes reports tier i's remaining capacity (MaxInt64 for an

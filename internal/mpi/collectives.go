@@ -133,21 +133,14 @@ func (r *Rank) AllreduceF64(va vm.VA, count int, op ReduceOp) error {
 		}
 		return nil
 	}
-	if err := r.reduceTreeF64(0, va, count, op); err != nil {
+	if err := r.reduceTreeF64(va, count, op); err != nil {
 		return err
 	}
 	return r.Bcast(0, va, bytes)
 }
 
-// ReduceF64 reduces to root only (binomial tree).
-func (r *Rank) ReduceF64(root int, va vm.VA, count int, op ReduceOp) error {
-	start := r.clock.Now()
-	outer := r.enterMPI()
-	defer func() { r.exitMPI("Reduce", start, outer) }()
-	return r.reduceTreeF64(root, va, count, op)
-}
-
-func (r *Rank) reduceTreeF64(root int, va vm.VA, count int, op ReduceOp) error {
+// reduceTreeF64 reduces to rank 0 over a binomial tree.
+func (r *Rank) reduceTreeF64(va vm.VA, count int, op ReduceOp) error {
 	p := r.Size()
 	if p == 1 {
 		return nil
@@ -157,18 +150,16 @@ func (r *Rank) reduceTreeF64(root int, va vm.VA, count int, op ReduceOp) error {
 	if err != nil {
 		return err
 	}
-	vrank := (r.id - root + p) % p
 	mask := 1
 	for mask < p {
-		if vrank&mask != 0 {
-			parent := ((vrank &^ mask) + root) % p
+		if r.id&mask != 0 {
+			parent := r.id &^ mask
 			if err := r.Send(parent, tagReduce+mask, va, bytes); err != nil {
 				return fmt.Errorf("mpi: reduce send: %w", err)
 			}
 			return nil
 		}
-		if vrank|mask < p {
-			child := ((vrank | mask) + root) % p
+		if child := r.id | mask; child < p {
 			if _, err := r.Recv(child, tagReduce+mask, tmp, bytes); err != nil {
 				return fmt.Errorf("mpi: reduce recv: %w", err)
 			}
@@ -274,11 +265,4 @@ func (r *Rank) alltoallv(sendVA vm.VA, sc, sd []int, recvVA vm.VA, rc, rd []int)
 	}
 	r.node.AddColl(cs)
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -466,33 +466,6 @@ func TestF64RoundTripAcrossChunksAndPages(t *testing.T) {
 	}
 }
 
-func TestReduceToRoot(t *testing.T) {
-	w := mustWorld(t, defaultCfg(4))
-	err := w.Run(func(r *Rank) error {
-		va, _ := r.Malloc(80)
-		xs := []float64{float64(r.ID() + 1)}
-		if err := r.WriteF64(va, xs); err != nil {
-			return err
-		}
-		if err := r.ReduceF64(2, va, 1, Sum); err != nil {
-			return err
-		}
-		if r.ID() == 2 {
-			var got [1]float64
-			if err := r.ReadF64(va, got[:]); err != nil {
-				return err
-			}
-			if got[0] != 10 {
-				return fmt.Errorf("reduce sum = %g, want 10", got[0])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAlltoallPermutation(t *testing.T) {
 	for _, p := range []int{2, 4, 8} {
 		w := mustWorld(t, defaultCfg(p))
@@ -677,6 +650,72 @@ func TestPackedVsGatheredEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestSendGatheredTracesItsLayers pins SendGathered's trace attribution:
+// its registration, post and release are booked to the layers that do
+// them, so a traced gathered send shows a regcache acquire span and an
+// hca post span inside its mpi span. Tracing moves no virtual time.
+func TestSendGatheredTracesItsLayers(t *testing.T) {
+	run := func(col *trace.Collector) *World {
+		cfg := defaultCfg(2)
+		cfg.Trace = col
+		w := mustWorld(t, cfg)
+		err := w.Run(func(r *Rank) error {
+			base, _ := r.Malloc(64 << 10)
+			pieces := make([]Piece, 8)
+			for i := range pieces {
+				pieces[i] = Piece{VA: base + vm.VA(i*1024), Len: 96}
+			}
+			if r.ID() == 0 {
+				return r.SendGathered(1, 3, pieces)
+			}
+			return r.RecvUnpack(0, 3, pieces)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	col := trace.NewCollector()
+	traced, plain := run(col), run(nil)
+	for i := 0; i < 2; i++ {
+		if a, b := traced.Rank(i).Now(), plain.Rank(i).Now(); a != b {
+			t.Fatalf("rank %d ends at tick %d traced, %d untraced", i, a, b)
+		}
+	}
+	var buf bytes.Buffer
+	if err := col.WritePerfetto(&buf); err != nil {
+		t.Fatal(err)
+	}
+	d, err := trace.ParsePerfetto(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var call *trace.PSpan
+	for i, sp := range d.Spans {
+		if sp.PID == 0 && sp.Layer == string(trace.LMPI) && sp.Name == "SendGathered" {
+			call = &d.Spans[i]
+		}
+	}
+	if call == nil {
+		t.Fatal("rank 0 has no SendGathered span")
+	}
+	inside := func(layer trace.Layer, name string) bool {
+		for _, sp := range d.Spans {
+			if sp.PID == 0 && sp.TID == call.TID && sp.Layer == string(layer) && sp.Name == name &&
+				sp.Start >= call.Start && sp.End() <= call.End() {
+				return true
+			}
+		}
+		return false
+	}
+	if !inside(trace.LRegcache, "acquire") {
+		t.Fatal("no regcache acquire span inside SendGathered")
+	}
+	if !inside(trace.LHCA, "post") {
+		t.Fatal("no hca post span inside SendGathered")
 	}
 }
 

@@ -32,7 +32,7 @@ const (
 // clock or goroutine timing. A nil injector reduces to the plain
 // PollCQ cost advance.
 func (r *Rank) pollCQ(clk *simtime.Clock, stream faults.WRStream) error {
-	clk.Advance(r.ctx.PollCQT(r.tctx(clk)))
+	clk.Advance(r.ctx.PollCQ(r.tctx(clk)))
 	if !r.inj.WRError(stream) {
 		return nil
 	}
@@ -46,7 +46,7 @@ func (r *Rank) pollCQ(clk *simtime.Clock, stream faults.WRStream) error {
 			tc.Span(trace.LMPI, "wr.retry", backoff, trace.I64("attempt", int64(attempt)))
 		}
 		clk.Advance(backoff)
-		clk.Advance(r.ctx.PollCQT(r.tctx(clk)))
+		clk.Advance(r.ctx.PollCQ(r.tctx(clk)))
 		if !r.inj.WRError(stream) {
 			return nil
 		}
@@ -82,13 +82,6 @@ type message struct {
 	size int
 	cts  *sched.Queue[ctsMsg]
 	fin  *sched.Queue[finMsg]
-
-	// read-rendezvous (RGET): the sender's exposed region plus a queue
-	// on which the receiver announces read completion.
-	srcRKey uint32
-	srcVA   vm.VA
-	done    *sched.Queue[simtime.Ticks]
-	srcHW   *hca.HCA
 }
 
 // ctsMsg is the receiver's clear-to-send: its adapter and the target
@@ -145,10 +138,7 @@ func (r *Rank) sendOn(t *sched.Task, clk *simtime.Clock, dst, tag int, va vm.VA,
 	if n < 0 {
 		return fmt.Errorf("mpi: negative send length %d", n)
 	}
-	if n > r.world.cfg.RdmaLimit {
-		if r.world.cfg.RendezvousProtocol == "read" {
-			return r.sendRendezvousRead(t, clk, dst, tag, va, n, started, dma, rel)
-		}
+	if n > rdmaLimit {
 		return r.sendRendezvous(t, clk, dst, tag, va, n, started, dma, rel)
 	}
 	started.Open() // eager path never touches the registration cache
@@ -182,7 +172,7 @@ func (r *Rank) sendEager(t *sched.Task, clk *simtime.Clock, dst, tag int, va vm.
 		tc.Span(trace.LMPI, "eager.copy", copyCost, trace.I64("bytes", int64(n)))
 	}
 	clk.Advance(copyCost)
-	clk.Advance(r.ctx.PostSendT(r.tctx(clk), make([]hca.SGE, 1)))
+	clk.Advance(r.ctx.PostSend(r.tctx(clk), make([]hca.SGE, 1)))
 	// The adapter gathers from the hot bounce buffer and serialises.
 	arrive := clk.Now() + r.ctx.HW.WireCost(n)
 	m.src, m.tag, m.arrive = r.id, tag, arrive
@@ -200,58 +190,6 @@ func (r *Rank) sendEager(t *sched.Task, clk *simtime.Clock, dst, tag int, va vm.
 	return nil
 }
 
-// sendRendezvousRead runs the receiver-driven RGET protocol: the sender
-// exposes its registered buffer in the RTS; the receiver issues an RDMA
-// read and reports completion. One control hop shorter for the receiver
-// than write-rendezvous, one wire round trip longer for the data.
-func (r *Rank) sendRendezvousRead(t *sched.Task, clk *simtime.Clock, dst, tag int, va vm.VA, n int, started, dma, rel *sched.Gate) error {
-	mr, cost, err := r.cache.AcquireT(r.tctx(clk), va, uint64(n))
-	started.Open()
-	// The exposed buffer is read by the receiver's RDMA engine; this
-	// half performs no local DMA, so the recv half need not wait.
-	dma.Open()
-	if err != nil {
-		return fmt.Errorf("mpi: read-rendezvous register: %w", err)
-	}
-	clk.Advance(cost)
-	m := &message{
-		kind: kindRTS, src: r.id, tag: tag, size: n,
-		srcRKey: mr.RKey, srcVA: va,
-		done:  sched.NewQueue[simtime.Ticks](r.world.sched, "rget.done", 1),
-		srcHW: r.ctx.HW,
-	}
-	clk.Advance(r.ctx.PostSendT(r.tctx(clk), make([]hca.SGE, 1)))
-	m.arrive = clk.Now() + r.ctrlWire()
-	if r.tr.Enabled() {
-		m.flow = r.nextFlow(dst)
-		r.tctx(clk).FlowBegin(m.flow)
-	}
-	if !r.world.ranks[dst].inboxQ(r.id).Push(t, m) {
-		return fmt.Errorf("mpi: rank %d sending RTS to %d: %w", r.id, dst, ErrAborted)
-	}
-
-	waitStart := clk.Now()
-	done, ok := m.done.Pop(t)
-	if !ok {
-		return fmt.Errorf("mpi: rank %d awaiting RDMA-read completion from %d: %w", r.id, dst, ErrAborted)
-	}
-	// The FIN arrives one control hop after the receiver finished.
-	clk.AdvanceTo(done + r.ctrlWire())
-	if tc := r.tctx(clk); tc.Enabled() && clk.Now() > waitStart {
-		tc.SpanAt(trace.LMPI, "read.fin.wait", waitStart, clk.Now()-waitStart)
-	}
-	if err := r.pollCQ(clk, faults.StreamWRSend); err != nil {
-		return err
-	}
-	rel.Wait(t) // the recv half finishes with the cache first
-	relCost, err := r.cache.ReleaseT(r.tctx(clk), mr)
-	if err != nil {
-		return err
-	}
-	clk.Advance(relCost)
-	return nil
-}
-
 // sendRendezvous runs the registration + RDMA-write protocol.
 func (r *Rank) sendRendezvous(t *sched.Task, clk *simtime.Clock, dst, tag int, va vm.VA, n int, started, dma, rel *sched.Gate) error {
 	mr, cost, err := r.cache.AcquireT(r.tctx(clk), va, uint64(n))
@@ -266,7 +204,7 @@ func (r *Rank) sendRendezvous(t *sched.Task, clk *simtime.Clock, dst, tag int, v
 		cts: sched.NewQueue[ctsMsg](r.world.sched, "cts", 1),
 		fin: sched.NewQueue[finMsg](r.world.sched, "fin", 1),
 	}
-	clk.Advance(r.ctx.PostSendT(r.tctx(clk), make([]hca.SGE, 1)))
+	clk.Advance(r.ctx.PostSend(r.tctx(clk), make([]hca.SGE, 1)))
 	m.arrive = clk.Now() + r.ctrlWire()
 	if r.tr.Enabled() {
 		m.flow = r.nextFlow(dst)
@@ -305,7 +243,7 @@ func (r *Rank) sendRendezvous(t *sched.Task, clk *simtime.Clock, dst, tag int, v
 	if err != nil {
 		return fmt.Errorf("mpi: rendezvous gather: %w", err)
 	}
-	clk.Advance(r.ctx.PostSendT(r.tctx(clk), make([]hca.SGE, 1)))
+	clk.Advance(r.ctx.PostSend(r.tctx(clk), make([]hca.SGE, 1)))
 	start := clk.Now()
 	serialize := simtime.BandwidthTicks(int64(n), r.world.cfg.Machine.HCA.WireBandwidthMBs)
 	m.fin.Push(t, finMsg{start: start, gather: gather, serialize: serialize})
@@ -407,15 +345,12 @@ func (r *Rank) recvOn(t *sched.Task, clk *simtime.Clock, src, tag int, va vm.VA,
 		if err := r.pollCQ(clk, faults.StreamWRRecv); err != nil {
 			return 0, err
 		}
-		if m.done != nil {
-			return r.recvRendezvousRead(t, clk, m, va, dma)
-		}
 		mr, cost, err := r.cache.AcquireT(r.tctx(clk), va, uint64(n))
 		if err != nil {
 			return 0, fmt.Errorf("mpi: rendezvous recv register: %w", err)
 		}
 		clk.Advance(cost)
-		clk.Advance(r.ctx.PostSendT(r.tctx(clk), make([]hca.SGE, 1))) // CTS post
+		clk.Advance(r.ctx.PostSend(r.tctx(clk), make([]hca.SGE, 1))) // CTS post
 		m.cts.Push(t, ctsMsg{hw: r.ctx.HW, rkey: mr.RKey, va: va, t: clk.Now()})
 
 		rdmaStart := clk.Now()
@@ -450,62 +385,6 @@ func (r *Rank) recvOn(t *sched.Task, clk *simtime.Clock, src, tag int, va vm.VA,
 		return n, nil
 	}
 	return 0, fmt.Errorf("mpi: unknown message kind %d", m.kind)
-}
-
-// recvRendezvousRead completes a read-rendezvous: register the local
-// buffer, RDMA-read from the sender's exposed region, notify the sender.
-func (r *Rank) recvRendezvousRead(t *sched.Task, clk *simtime.Clock, m *message, va vm.VA, dma *sched.Gate) (int, error) {
-	n := m.size
-	mr, cost, err := r.cache.AcquireT(r.tctx(clk), va, uint64(n))
-	if err != nil {
-		return 0, fmt.Errorf("mpi: read-rendezvous recv register: %w", err)
-	}
-	clk.Advance(cost)
-	clk.Advance(r.ctx.PostSendT(r.tctx(clk), make([]hca.SGE, 1))) // RDMA READ WR
-
-	rdmaStart := clk.Now()
-	// The read request crosses the wire, the sender's adapter gathers,
-	// the response streams back, our adapter scatters. Data and request
-	// both traverse the link: one extra one-way latency vs RDMA write.
-	// The bytes land in our buffer at the gather; our adapter charges
-	// its translations at the scatter point below.
-	// The receiver drives the read, so the remote gather is drawn on the
-	// receiver's TX track — a documented simplification (the arrow in
-	// the trace still points at the data's true origin via the flow).
-	var tcg trace.Ctx
-	if r.tr.Enabled() {
-		tcg = r.tr.At(trace.TrackHCATx, clk.Now())
-	}
-	gather, err := m.srcHW.RDMAWrite(tcg, []hca.SGE{{Addr: m.srcVA, Length: uint32(n), LKey: m.srcRKey}}, r.ctx.HW, mr.RKey, va)
-	if err != nil {
-		return 0, fmt.Errorf("mpi: RDMA read gather: %w", err)
-	}
-	dma.Wait(t) // never interleave with the send half's adapter traffic
-	var tcs trace.Ctx
-	if r.tr.Enabled() {
-		tcs = r.tr.At(trace.TrackHCARx, clk.Now())
-	}
-	scatter, err := r.ctx.HW.PlaceRDMA(tcs, mr.RKey, va, n)
-	if err != nil {
-		return 0, fmt.Errorf("mpi: RDMA read scatter: %w", err)
-	}
-	wire := r.world.cfg.Machine.HCA.WireLatency
-	serialize := simtime.BandwidthTicks(int64(n), r.world.cfg.Machine.HCA.WireBandwidthMBs)
-	done := clk.Now() + 2*wire + simtime.Max(simtime.Max(gather, serialize), scatter)
-	clk.AdvanceTo(done)
-	if tc := r.tctx(clk); tc.Enabled() && clk.Now() > rdmaStart {
-		tc.SpanAt(trace.LMPI, "rdma.wait", rdmaStart, clk.Now()-rdmaStart)
-	}
-	if err := r.pollCQ(clk, faults.StreamWRRecv); err != nil {
-		return 0, err
-	}
-	m.done.Push(t, clk.Now())
-	relCost, err := r.cache.ReleaseT(r.tctx(clk), mr)
-	if err != nil {
-		return 0, err
-	}
-	clk.Advance(relCost)
-	return n, nil
 }
 
 // Sendrecv performs the simultaneous send+receive used by IMB SendRecv
@@ -558,10 +437,9 @@ func (r *Rank) Sendrecv(dst, sendTag int, sendVA vm.VA, sendN int,
 		h.started.Wait(r.task)
 		n, recvErr = r.recvOn(r.task, &r.clock, src, recvTag, recvVA, recvCap, &h.dma, &h.rel)
 		if recvErr != nil {
-			// The peer's send half may be parked on an answer this half
-			// now never gives (a CTS, an RDMA-read completion) while our
-			// own send half waits on the peer's: abort the job, as
-			// MPI_Abort would, so both unwind.
+			// The peer's send half may be parked on a CTS this half now
+			// never gives while our own send half waits on the peer's:
+			// abort the job, as MPI_Abort would, so both unwind.
 			r.world.sched.Abort()
 		}
 		r.task.Join(sub)
@@ -620,7 +498,7 @@ func (r *Rank) canInlineSend(dst, n int) bool {
 	if dst < 0 || dst >= len(r.world.ranks) || dst == r.id {
 		return false
 	}
-	if n < 0 || n > r.world.cfg.RdmaLimit {
+	if n < 0 || n > rdmaLimit {
 		return false
 	}
 	return r.creditQ(dst).Len() > 0 && r.world.ranks[dst].inboxQ(r.id).Free() > 0

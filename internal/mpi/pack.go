@@ -74,7 +74,7 @@ func (r *Rank) SendGathered(dst, tag int, pieces []Piece) error {
 			hi = end
 		}
 	}
-	mr, cost, err := r.cache.Acquire(lo, uint64(hi-lo))
+	mr, cost, err := r.cache.AcquireT(r.tctx(&r.clock), lo, uint64(hi-lo))
 	if err != nil {
 		return fmt.Errorf("mpi: gather register: %w", err)
 	}
@@ -85,7 +85,7 @@ func (r *Rank) SendGathered(dst, tag int, pieces []Piece) error {
 		sges[i] = hca.SGE{Addr: p.VA, Length: uint32(p.Len), LKey: mr.LKey}
 	}
 	// One post, covering all SGEs (the sub-linear Figure 3 cost).
-	r.clock.Advance(r.ctx.PostSend(sges))
+	r.clock.Advance(r.ctx.PostSend(r.tctx(&r.clock), sges))
 	data, gather, err := r.ctx.HW.Gather(sges)
 	if err != nil {
 		return fmt.Errorf("mpi: gather DMA: %w", err)
@@ -99,7 +99,7 @@ func (r *Rank) SendGathered(dst, tag int, pieces []Piece) error {
 	}) {
 		return fmt.Errorf("mpi: rank %d sending gathered to %d: %w", r.id, dst, ErrAborted)
 	}
-	if relCost, err := r.cache.Release(mr); err != nil {
+	if relCost, err := r.cache.ReleaseT(r.tctx(&r.clock), mr); err != nil {
 		return err
 	} else {
 		r.clock.Advance(relCost)
@@ -160,16 +160,12 @@ func (r *Rank) SendPieces(dst, tag int, pieces []Piece) error {
 // which may overrule them on live ATT pressure; without an engine the
 // raw estimates decide.
 func (r *Rank) preferGather(pieces []Piece, total int) bool {
-	estGather := r.gatherCost(total/len(pieces), len(pieces))
-	estPack := r.memcpyTicks(total) + r.gatherCost(total, 1)
+	estGather := r.gatherCost(len(pieces))
+	estPack := r.memcpyTicks(total) + r.gatherCost(1)
 	return r.node.Policy().DecideGather(len(pieces), uint64(total), estGather, estPack)
 }
 
-// gatherCost is the modelled post+gather cost of an n-piece send at the
-// given piece size.
-func (r *Rank) gatherCost(pieceLen, pieces int) simtime.Ticks {
-	post := r.world.cfg.Machine.HCA.DoorbellTicks +
-		r.world.cfg.Machine.HCA.WQEBaseTicks +
-		simtime.Ticks(pieces-1)*r.world.cfg.Machine.HCA.WQESGETicks
-	return post + simtime.Ticks(pieces)*r.world.cfg.Machine.Bus.TxnTicks/2
+// gatherCost is the modelled post+gather cost of an n-piece send.
+func (r *Rank) gatherCost(pieces int) simtime.Ticks {
+	return r.ctx.HW.PostPrice(pieces) + simtime.Ticks(pieces)*r.world.cfg.Machine.Bus.TxnTicks/2
 }

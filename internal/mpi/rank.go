@@ -96,7 +96,7 @@ func (r *Rank) inboxQ(src int) *sched.Queue[*message] {
 	q := r.inbox[src]
 	if q == nil {
 		q = sched.NewQueue[*message](r.world.sched,
-			fmt.Sprintf("inbox %d<-%d", r.id, src), r.world.cfg.ChannelDepth)
+			fmt.Sprintf("inbox %d<-%d", r.id, src), channelDepth)
 		r.inbox[src] = q
 	}
 	return q
@@ -108,8 +108,8 @@ func (r *Rank) creditQ(dst int) *sched.Queue[simtime.Ticks] {
 	q := r.credits[dst]
 	if q == nil {
 		q = sched.NewQueue[simtime.Ticks](r.world.sched,
-			fmt.Sprintf("credits %d->%d", r.id, dst), r.world.cfg.EagerCredits)
-		for k := 0; k < r.world.cfg.EagerCredits; k++ {
+			fmt.Sprintf("credits %d->%d", r.id, dst), eagerCredits)
+		for k := 0; k < eagerCredits; k++ {
 			q.Preload(0)
 		}
 		r.credits[dst] = q

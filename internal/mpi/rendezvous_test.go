@@ -13,50 +13,46 @@ import (
 
 // TestRendezvousSendCopiesAtSend is the rendezvous twin of
 // TestEagerSendCopiesAtSend: the payload must have left the source
-// buffer by the time Send returns, under both rendezvous protocols.
+// buffer by the time Send returns.
 func TestRendezvousSendCopiesAtSend(t *testing.T) {
 	const n = 256 << 10
-	for _, proto := range []string{"write", "read"} {
-		t.Run(proto, func(t *testing.T) {
-			cfg := defaultCfg(2)
-			cfg.RendezvousProtocol = proto
-			w := mustWorld(t, cfg)
-			err := w.Run(func(r *Rank) error {
-				va, err := r.Malloc(n)
-				if err != nil {
+	t.Run("write", func(t *testing.T) {
+		w := mustWorld(t, defaultCfg(2))
+		err := w.Run(func(r *Rank) error {
+			va, err := r.Malloc(n)
+			if err != nil {
+				return err
+			}
+			if r.ID() == 0 {
+				for tag, b := range []byte{0x11, 0x22, 0x33} {
+					if err := r.WriteBytes(va, bytes.Repeat([]byte{b}, n)); err != nil {
+						return err
+					}
+					if err := r.Send(1, tag, va, n); err != nil {
+						return err
+					}
+				}
+				return r.WriteBytes(va, bytes.Repeat([]byte{0xFF}, n))
+			}
+			r.Compute(2 * simtime.Millisecond)
+			got := make([]byte, n)
+			for tag, b := range []byte{0x11, 0x22, 0x33} {
+				if _, err := r.Recv(0, tag, va, n); err != nil {
 					return err
 				}
-				if r.ID() == 0 {
-					for tag, b := range []byte{0x11, 0x22, 0x33} {
-						if err := r.WriteBytes(va, bytes.Repeat([]byte{b}, n)); err != nil {
-							return err
-						}
-						if err := r.Send(1, tag, va, n); err != nil {
-							return err
-						}
-					}
-					return r.WriteBytes(va, bytes.Repeat([]byte{0xFF}, n))
+				if err := r.ReadBytes(va, got); err != nil {
+					return err
 				}
-				r.Compute(2 * simtime.Millisecond)
-				got := make([]byte, n)
-				for tag, b := range []byte{0x11, 0x22, 0x33} {
-					if _, err := r.Recv(0, tag, va, n); err != nil {
-						return err
-					}
-					if err := r.ReadBytes(va, got); err != nil {
-						return err
-					}
-					if !bytes.Equal(got, bytes.Repeat([]byte{b}, n)) {
-						return fmt.Errorf("message %d carries %#x..., want %#x", tag, got[0], b)
-					}
+				if !bytes.Equal(got, bytes.Repeat([]byte{b}, n)) {
+					return fmt.Errorf("message %d carries %#x..., want %#x", tag, got[0], b)
 				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
 			}
+			return nil
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestSendrecvRejectsOverlap: MPI forbids overlapping send and receive

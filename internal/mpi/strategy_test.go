@@ -6,7 +6,7 @@ import (
 )
 
 func TestStrategyApply(t *testing.T) {
-	base := Config{Ranks: 4, Policy: "static", RdmaLimit: 1 << 10}
+	base := Config{Ranks: 4, Policy: "static", TracePrefix: "job."}
 	got := MustStrategy("huge-lazy-noatt").Apply(base)
 	want := base
 	want.Allocator, want.LazyDereg, want.HugeATT = AllocHuge, true, false

@@ -40,6 +40,18 @@ const (
 	AllocPageSep  = node.AllocPageSep
 )
 
+// Protocol constants, MVAPICH2's values:
+//   - rdmaLimit is the protocol switch point: messages up to it go eager
+//     (copied through bounce buffers), larger ones RDMA-write rendezvous;
+//   - eagerCredits is the per-peer eager buffer (vbuf) count; senders
+//     block when the receiver has not drained its bounce buffers;
+//   - channelDepth is the per-peer unexpected-message queue depth.
+const (
+	rdmaLimit    = 16 << 10
+	eagerCredits = 64
+	channelDepth = 4096
+)
+
 // Config describes one job.
 type Config struct {
 	Machine *machine.Machine
@@ -57,19 +69,6 @@ type Config struct {
 	// Tiers enables the tiered-memory model on every rank's host (nil =
 	// flat DRAM, zero cost on any path). See internal/memtier.
 	Tiers *memtier.Config
-	// RdmaLimit is the protocol switch point: messages up to it go
-	// eager (copied through bounce buffers), larger ones rendezvous.
-	// Zero takes the MVAPICH2 default of 16 KiB.
-	RdmaLimit int
-	// RendezvousProtocol selects "write" (RDMA-write with RTS/CTS, the
-	// MVAPICH2 default) or "read" (receiver-driven RDMA read). An
-	// ablation knob; both move the same bytes.
-	RendezvousProtocol string
-	// EagerCredits is the per-peer eager buffer (vbuf) count; senders
-	// block when the receiver has not drained its bounce buffers.
-	EagerCredits int
-	// ChannelDepth is the per-peer unexpected-message queue depth.
-	ChannelDepth int
 	// Faults enables deterministic fault injection on every rank's host
 	// (nil = no faults). Each rank is salted with its rank number, so
 	// the hosts run decorrelated schedules that replay bit-identically.
@@ -99,18 +98,6 @@ func (c Config) nodeConfig() node.Config {
 }
 
 func (c Config) withDefaults() Config {
-	if c.RdmaLimit == 0 {
-		c.RdmaLimit = 16 << 10
-	}
-	if c.ChannelDepth == 0 {
-		c.ChannelDepth = 4096
-	}
-	if c.RendezvousProtocol == "" {
-		c.RendezvousProtocol = "write"
-	}
-	if c.EagerCredits == 0 {
-		c.EagerCredits = 64
-	}
 	if c.Allocator == "" {
 		c.Allocator = AllocLibc
 	}
@@ -151,9 +138,6 @@ func NewWorld(cfg Config) (*World, error) {
 	}
 	if cfg.Ranks < 1 {
 		return nil, fmt.Errorf("mpi: need at least 1 rank, got %d", cfg.Ranks)
-	}
-	if cfg.RendezvousProtocol != "write" && cfg.RendezvousProtocol != "read" {
-		return nil, fmt.Errorf("mpi: unknown rendezvous protocol %q", cfg.RendezvousProtocol)
 	}
 	w := &World{cfg: cfg, sched: sched.New()}
 	for i := 0; i < cfg.Ranks; i++ {

@@ -78,9 +78,6 @@ type Task struct {
 	yield func(struct{}) bool
 }
 
-// Rank reports the owning rank passed to Spawn.
-func (t *Task) Rank() int { return t.rank }
-
 // Scheduler owns the run heap and the baton. The zero value is not ready;
 // use New. A Scheduler is single-threaded by design: Run executes on the
 // caller's goroutine and hands the baton to exactly one task at a time.

@@ -37,9 +37,6 @@ func (g *Gate) Open() {
 	g.more = nil
 }
 
-// Opened reports whether the gate has been opened.
-func (g *Gate) Opened() bool { return g != nil && g.opened }
-
 // Wait parks t until the gate opens. Waiting on an open (or nil) gate
 // returns immediately.
 func (g *Gate) Wait(t *Task) {

@@ -60,9 +60,6 @@ func (t Ticks) Micros() float64 { return float64(t) / float64(Microsecond) }
 // Seconds reports the tick count as seconds.
 func (t Ticks) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Duration converts ticks into a time.Duration.
-func (t Ticks) Duration() time.Duration { return time.Duration(t.Nanos()) }
-
 // String formats the tick count with a human-readable suffix.
 func (t Ticks) String() string {
 	switch {

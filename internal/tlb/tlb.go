@@ -136,9 +136,6 @@ func (f *File) Stats() FileStats { return f.stats }
 // ResetStats clears the counters without touching the entries.
 func (f *File) ResetStats() { f.stats = FileStats{} }
 
-// Geometry returns the file's geometry.
-func (f *File) Geometry() machine.TLBGeometry { return f.geo }
-
 // Reach returns the bytes of address space the file can map.
 func (f *File) Reach(pageSize uint64) uint64 {
 	return uint64(f.geo.Entries) * pageSize
@@ -184,19 +181,3 @@ func (d *DTLB) Access(va vm.VA, class vm.PageClass) simtime.Ticks {
 func (d *DTLB) Misses() int64 {
 	return d.Small.Stats().Misses + d.Large.Stats().Misses
 }
-
-// Flush empties both files.
-func (d *DTLB) Flush() {
-	d.Small.Flush()
-	d.Large.Flush()
-}
-
-// ResetStats clears both files' counters.
-func (d *DTLB) ResetStats() {
-	d.Small.ResetStats()
-	d.Large.ResetStats()
-}
-
-// WalkTicks exposes the per-miss penalty (for analytic models that must
-// agree with the simulator).
-func (d *DTLB) WalkTicks() simtime.Ticks { return d.walk }

@@ -221,17 +221,12 @@ func (c *Context) DeregMRT(tc trace.Ctx, mr *MR) (simtime.Ticks, error) {
 }
 
 // PostSend charges for posting a send work request with the given gather
-// list and returns the post cost. The actual data motion is performed by
-// Execute* on the coordinating layer.
-func (c *Context) PostSend(sges []hca.SGE) simtime.Ticks {
-	return c.HW.PostCost(len(sges))
-}
-
-// PostSendT is PostSend with tracing: the post cost is emitted as an
-// hca-layer span at tc. The disabled path must stay allocation-free
-// (this is the per-message hot path), hence the Enabled guard around
-// the argument construction.
-func (c *Context) PostSendT(tc trace.Ctx, sges []hca.SGE) simtime.Ticks {
+// list and returns the post cost; the cost is emitted as an hca-layer
+// span at tc. The actual data motion is performed by the coordinating
+// layer. The disabled path must stay allocation-free (this is the
+// per-message hot path), hence the Enabled guard around the argument
+// construction.
+func (c *Context) PostSend(tc trace.Ctx, sges []hca.SGE) simtime.Ticks {
 	cost := c.HW.PostCost(len(sges))
 	if tc.Enabled() {
 		tc.SpanAt(trace.LHCA, "post", tc.Now(), cost, trace.I64("sges", int64(len(sges))))
@@ -239,25 +234,9 @@ func (c *Context) PostSendT(tc trace.Ctx, sges []hca.SGE) simtime.Ticks {
 	return cost
 }
 
-// PostRecv charges for posting a receive work request.
-func (c *Context) PostRecv(sges []hca.SGE) simtime.Ticks {
-	return c.HW.PostCost(len(sges))
-}
-
-// PostRecvT is PostRecv with tracing (see PostSendT).
-func (c *Context) PostRecvT(tc trace.Ctx, sges []hca.SGE) simtime.Ticks {
-	cost := c.HW.PostCost(len(sges))
-	if tc.Enabled() {
-		tc.SpanAt(trace.LHCA, "post", tc.Now(), cost, trace.I64("sges", int64(len(sges))))
-	}
-	return cost
-}
-
-// PollCQ charges for reaping one completion.
-func (c *Context) PollCQ() simtime.Ticks { return c.HW.PollCost() }
-
-// PollCQT is PollCQ with tracing.
-func (c *Context) PollCQT(tc trace.Ctx) simtime.Ticks {
+// PollCQ charges for reaping one completion, emitted as an hca-layer
+// span at tc.
+func (c *Context) PollCQ(tc trace.Ctx) simtime.Ticks {
 	cost := c.HW.PollCost()
 	if tc.Enabled() {
 		tc.SpanAt(trace.LHCA, "poll", tc.Now(), cost)

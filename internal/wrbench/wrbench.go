@@ -183,7 +183,7 @@ func (rg *rig) measure(sges, sgeSize, offset int) (Result, error) {
 		return Result{}, err
 	}
 	post := res.Post
-	poll := res.Complete() + rg.recv.PollCQ() + rg.send.PollCQ()
+	poll := res.Complete() + rg.recv.PollCQ(trace.Ctx{}) + rg.send.PollCQ(trace.Ctx{})
 	if rg.tr != nil {
 		tc := rg.tr.At(trace.TrackMain, rg.now)
 		args := []trace.Arg{
