@@ -352,27 +352,42 @@ func (h *HCA) dmaChunk(sge SGE, pipelined bool, f func(pa phys.Addr, off uint64,
 	return cost, nil
 }
 
-// Gather DMA-reads the payload described by a gather list and returns the
-// bytes plus the adapter-side cost (translations + DMA reads). This is the
-// "network adapter can fetch buffers from the memory subsystem
-// simultaneously without involving the CPU" step; simultaneity is modelled
-// by charging the serial DMA cost only once per chunk with no CPU charge.
+// Gather DMA-reads the payload described by a gather list into a new
+// buffer and returns it with the adapter-side cost; see GatherInto.
 func (h *HCA) Gather(sges []SGE) ([]byte, simtime.Ticks, error) {
 	data := make([]byte, TotalLen(sges))
+	cost, err := h.GatherInto(data, sges)
+	if err != nil {
+		return nil, 0, err
+	}
+	return data, cost, nil
+}
+
+// GatherInto DMA-reads the payload described by a gather list into
+// dst[:TotalLen(sges)] and returns the adapter-side cost (translations +
+// DMA reads). This is the "network adapter can fetch buffers from the
+// memory subsystem simultaneously without involving the CPU" step;
+// simultaneity is modelled by charging the serial DMA cost only once per
+// chunk with no CPU charge. dst must hold the whole payload.
+func (h *HCA) GatherInto(dst []byte, sges []SGE) (simtime.Ticks, error) {
+	n := TotalLen(sges)
+	if len(dst) < n {
+		return 0, fmt.Errorf("hca: gather buffer %d bytes < payload %d bytes", len(dst), n)
+	}
 	pos := 0
 	var total simtime.Ticks
 	for i, sge := range sges {
 		cost, err := h.dmaChunk(sge, i > 0, func(pa phys.Addr, _ uint64, n int) {
-			h.mem.ReadPhys(pa, data[pos:pos+n])
+			h.mem.ReadPhys(pa, dst[pos:pos+n])
 			pos += n
 		})
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		total += cost
 	}
-	h.stats.BytesGather += int64(len(data))
-	return data, total, nil
+	h.stats.BytesGather += int64(n)
+	return total, nil
 }
 
 // Scatter DMA-writes data into the buffers described by a scatter list

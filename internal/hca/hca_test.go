@@ -164,6 +164,58 @@ func TestGatherMultiPageSGEsAllocatesOnce(t *testing.T) {
 	}
 }
 
+// TestGatherIntoFillsCallerBuffer: GatherInto writes exactly the payload
+// Gather returns into the front of the caller's buffer, at Gather's cost
+// and with no allocation, and refuses a buffer too short for the
+// payload before any byte or counter moves.
+func TestGatherIntoFillsCallerBuffer(t *testing.T) {
+	m := machine.Opteron()
+	as, h := rig(t, m)
+	va, mr := reg(t, as, h, 64<<10, false, false)
+	if err := as.WriteRamp(va, 5, 64<<10); err != nil {
+		t.Fatal(err)
+	}
+	sges := []hca.SGE{
+		{Addr: va + 30000, Length: 7000, LKey: mr.LKey},
+		{Addr: va + 3, Length: 5000, LKey: mr.LKey},
+	}
+	// The first gather warms the translation cache, so the second and
+	// GatherInto pay the same warm cost.
+	if _, _, err := h.Gather(sges); err != nil {
+		t.Fatal(err)
+	}
+	want, wantCost, err := h.Gather(sges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := bytes.Repeat([]byte{0xee}, len(want)+8)
+	cost, err := h.GatherInto(buf, sges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cost != wantCost {
+		t.Errorf("GatherInto cost %d, Gather %d", cost, wantCost)
+	}
+	if !bytes.Equal(buf[:len(want)], want) || !bytes.Equal(buf[len(want):], bytes.Repeat([]byte{0xee}, 8)) {
+		t.Fatal("GatherInto did not fill exactly the payload's bytes")
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := h.GatherInto(buf, sges); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("GatherInto made %v allocations, want 0", allocs)
+	}
+	before := h.Stats()
+	clear(buf)
+	if _, err := h.GatherInto(buf[:len(want)-1], sges); err == nil {
+		t.Fatal("GatherInto accepted a buffer one byte short")
+	}
+	if h.Stats() != before || !bytes.Equal(buf, make([]byte, len(buf))) {
+		t.Fatal("a refused GatherInto moved bytes or counters")
+	}
+}
+
 func TestScatterAcrossSGEs(t *testing.T) {
 	m := machine.Opteron()
 	as, h := rig(t, m)

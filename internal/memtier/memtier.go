@@ -2,9 +2,9 @@
 // fast DRAM-speed tier plus one or more slower tiers (CXL expander,
 // persistent memory) with per-tier capacity, access penalties applied in
 // virtual time, and explicit page migration with modeled copy cost — the
-// Dynamic-Page-Placement extension ROADMAP item 3's modern workloads
-// need (the KV-cache workload's fast/slow placement and its
-// migrate-vs-recompute decisions both run on this package).
+// Dynamic-Page-Placement extension the modern workload pack needs (the
+// KV-cache workload's fast/slow placement and its migrate-vs-recompute
+// decisions both run on this package).
 //
 // The model is deliberately an overlay: internal/phys keeps handing out
 // frames exactly as before, and a Manager tracks which tier the data of

@@ -42,11 +42,7 @@ func (r *Rank) AlltoallvPieces(pieces [][]Piece, recvVA vm.VA, recvCounts, recvD
 	if own := pieces[r.id]; len(own) > 0 {
 		off := 0
 		for _, pc := range own {
-			buf := make([]byte, pc.Len)
-			if err := r.as.Read(pc.VA, buf); err != nil {
-				return err
-			}
-			if err := r.as.Write(recvVA+vm.VA(recvDispls[r.id]+off), buf); err != nil {
+			if err := r.as.Copy(recvVA+vm.VA(recvDispls[r.id]+off), pc.VA, pc.Len); err != nil {
 				return err
 			}
 			r.clock.Advance(r.memcpyTicks(pc.Len))
@@ -90,11 +86,7 @@ func (r *Rank) AlltoallvPieces(pieces [][]Piece, recvVA vm.VA, recvCounts, recvD
 			}
 			off := 0
 			for _, pc := range send {
-				buf := make([]byte, pc.Len)
-				if err := r.as.Read(pc.VA, buf); err != nil {
-					return err
-				}
-				if err := r.as.Write(stage+vm.VA(off), buf); err != nil {
+				if err := r.as.Copy(stage+vm.VA(off), pc.VA, pc.Len); err != nil {
 					return err
 				}
 				r.clock.Advance(r.memcpyTicks(pc.Len))

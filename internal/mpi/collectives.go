@@ -240,11 +240,7 @@ func (r *Rank) alltoallv(sendVA vm.VA, sc, sd []int, recvVA vm.VA, rc, rd []int)
 	var cs node.CollStats
 	// Local block: a memcpy.
 	if n := min(sc[r.id], rc[r.id]); n > 0 {
-		buf := make([]byte, n)
-		if err := r.as.Read(sendVA+vm.VA(sd[r.id]), buf); err != nil {
-			return err
-		}
-		if err := r.as.Write(recvVA+vm.VA(rd[r.id]), buf); err != nil {
+		if err := r.as.Copy(recvVA+vm.VA(rd[r.id]), sendVA+vm.VA(sd[r.id]), n); err != nil {
 			return err
 		}
 		r.clock.Advance(r.memcpyTicks(n))

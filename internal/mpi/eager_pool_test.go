@@ -3,9 +3,11 @@ package mpi
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"testing"
 
 	"repro/internal/simtime"
+	"repro/internal/vm"
 )
 
 // TestMatchRecvClearsVacatedSlot: matching an unexpected message out of
@@ -157,5 +159,112 @@ func TestEagerSendCopiesAtSend(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// piecesBufs is one rank's buffers for a repeated AlltoallvPieces: for
+// every peer, per pieces of plen bytes, spaced 2*plen apart in the send
+// buffer so no two are contiguous, and a receive buffer laid out by
+// source rank.
+type piecesBufs struct {
+	pieces     [][]Piece
+	recvVA     vm.VA
+	rc, rd     []int
+	gatherOnce int64 // payload bytes one call gathers when every list takes the gather branch
+}
+
+func newPiecesBufs(r *Rank, per, plen int) (*piecesBufs, error) {
+	p := r.Size()
+	sendVA, err := r.Malloc(uint64(p * per * 2 * plen))
+	if err != nil {
+		return nil, err
+	}
+	if err := r.WriteRamp(sendVA, r.ID(), p*per*2*plen); err != nil {
+		return nil, err
+	}
+	b := &piecesBufs{pieces: make([][]Piece, p), rc: make([]int, p), rd: make([]int, p)}
+	if b.recvVA, err = r.Malloc(uint64(p * per * plen)); err != nil {
+		return nil, err
+	}
+	for d := 0; d < p; d++ {
+		for i := 0; i < per; i++ {
+			b.pieces[d] = append(b.pieces[d], Piece{VA: sendVA + vm.VA((d*per+i)*2*plen), Len: plen})
+		}
+		b.rc[d], b.rd[d] = per*plen, d*per*plen
+	}
+	b.gatherOnce = int64((p - 1) * per * plen)
+	return b, nil
+}
+
+func (b *piecesBufs) exchange(r *Rank) error {
+	return r.AlltoallvPieces(b.pieces, b.recvVA, b.rc, b.rd)
+}
+
+// gatheredBytes sums every node's adapter gather bytes.
+func gatheredBytes(w *World) int64 {
+	var n int64
+	for _, s := range w.NodeStats() {
+		n += s.HCA.BytesGather
+	}
+	return n
+}
+
+// eagerPoolSnapshot maps every message in the world's eager pool to the
+// first byte of its payload buffer.
+func eagerPoolSnapshot(w *World) map[*message]*byte {
+	out := make(map[*message]*byte, len(w.eagerFree))
+	for _, m := range w.eagerFree {
+		var p *byte
+		if cap(m.data) > 0 {
+			p = &m.data[:1][0]
+		}
+		out[m] = p
+	}
+	return out
+}
+
+// TestAlltoallvPiecesGatherReusesEagerPool: once warm, the gathered
+// sends of a repeated AlltoallvPieces take their messages and payload
+// buffers from the world's eager pool, and the receivers give them all
+// back, so no round allocates a payload.
+func TestAlltoallvPiecesGatherReusesEagerPool(t *testing.T) {
+	const ranks, per, plen, rounds = 4, 2, 2048, 5
+	w := mustWorld(t, defaultCfg(ranks))
+	defer w.Close()
+	bufs := make([]*piecesBufs, ranks)
+	run := func(n int) {
+		t.Helper()
+		err := w.Run(func(r *Rank) error {
+			if bufs[r.ID()] == nil {
+				b, err := newPiecesBufs(r, per, plen)
+				if err != nil {
+					return err
+				}
+				bufs[r.ID()] = b
+			}
+			for range n {
+				if err := bufs[r.ID()].exchange(r); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(1)
+	warm := eagerPoolSnapshot(w)
+	if len(warm) == 0 {
+		t.Fatal("the warm-up exchange left no message in the eager pool")
+	}
+	g0 := gatheredBytes(w)
+	run(rounds)
+	if got, want := gatheredBytes(w)-g0, int64(rounds*ranks)*bufs[0].gatherOnce; got != want {
+		t.Fatalf("adapters gathered %d bytes over %d rounds, want %d: not every piece list took the gather branch", got, rounds, want)
+	}
+	if after := eagerPoolSnapshot(w); !maps.Equal(after, warm) {
+		t.Fatalf("after %d more rounds the eager pool holds %d messages, want the warm-up's %d with the same payload buffers",
+			rounds, len(after), len(warm))
 	}
 }

@@ -60,15 +60,13 @@ const (
 )
 
 // message is one wire-level unit between two ranks. Eager messages carry
-// their payload; rendezvous starts with an RTS carrying reply queues.
+// their payload and come from the world's free list (see
+// World.eagerMessage); the receiver hands each back once the payload is
+// copied out. Rendezvous starts with an RTS carrying reply queues.
 type message struct {
 	kind int
 	src  int
 	tag  int
-	// pooled marks an eager message from the world's free list (see
-	// World.eagerMessage); the receiver hands it back once the payload
-	// is copied out.
-	pooled bool
 
 	// flow is the trace arrow id linking the send post to the receive
 	// (0 when tracing is disabled).

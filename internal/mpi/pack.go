@@ -39,11 +39,7 @@ func (r *Rank) SendPacked(dst, tag int, pieces []Piece) error {
 	// MPI_Pack: one CPU copy per piece.
 	off := 0
 	for _, p := range pieces {
-		buf := make([]byte, p.Len)
-		if err := r.as.Read(p.VA, buf); err != nil {
-			return err
-		}
-		if err := r.as.Write(stage+vm.VA(off), buf); err != nil {
+		if err := r.as.Copy(stage+vm.VA(off), p.VA, p.Len); err != nil {
 			return err
 		}
 		r.clock.Advance(r.memcpyTicks(p.Len))
@@ -84,19 +80,23 @@ func (r *Rank) SendGathered(dst, tag int, pieces []Piece) error {
 	for i, p := range pieces {
 		sges[i] = hca.SGE{Addr: p.VA, Length: uint32(p.Len), LKey: mr.LKey}
 	}
-	// One post, covering all SGEs (the sub-linear Figure 3 cost).
+	// One post, covering all SGEs (the sub-linear Figure 3 cost). The
+	// adapter gathers straight into a pooled message, which the receiver
+	// recycles once it has scattered the payload.
 	r.clock.Advance(r.ctx.PostSend(r.tctx(&r.clock), sges))
-	data, gather, err := r.ctx.HW.Gather(sges)
+	m := r.world.eagerMessage(hca.TotalLen(sges))
+	gather, err := r.ctx.HW.GatherInto(m.data, sges)
 	if err != nil {
+		r.world.recycleEager(m)
 		return fmt.Errorf("mpi: gather DMA: %w", err)
 	}
-	arrive := r.clock.Now() + gather + r.ctx.HW.WireCost(len(data))
+	m.src, m.tag = r.id, tag
+	m.arrive = r.clock.Now() + gather + r.ctx.HW.WireCost(len(m.data))
 	if err := r.pollCQ(&r.clock, faults.StreamWRSend); err != nil {
+		r.world.recycleEager(m)
 		return err
 	}
-	if !r.world.ranks[dst].inboxQ(r.id).Push(r.task, &message{
-		kind: kindEager, src: r.id, tag: tag, data: data, arrive: arrive,
-	}) {
+	if !r.world.ranks[dst].inboxQ(r.id).Push(r.task, m) {
 		return fmt.Errorf("mpi: rank %d sending gathered to %d: %w", r.id, dst, ErrAborted)
 	}
 	if relCost, err := r.cache.ReleaseT(r.tctx(&r.clock), mr); err != nil {
@@ -127,11 +127,7 @@ func (r *Rank) RecvUnpack(src, tag int, pieces []Piece) error {
 	}
 	off := 0
 	for _, p := range pieces {
-		buf := make([]byte, p.Len)
-		if err := r.as.Read(stage+vm.VA(off), buf); err != nil {
-			return err
-		}
-		if err := r.as.Write(p.VA, buf); err != nil {
+		if err := r.as.Copy(p.VA, stage+vm.VA(off), p.Len); err != nil {
 			return err
 		}
 		r.clock.Advance(r.memcpyTicks(p.Len))

@@ -307,6 +307,18 @@ func (r *Rank) ReadBytes(va vm.VA, p []byte) error {
 	return nil
 }
 
+// Touch charges exactly the page touches of ReadBytes of n bytes at va
+// without copying them out: an application read whose values nothing
+// uses. It charges nothing and fails if any byte of the range is
+// unmapped.
+func (r *Rank) Touch(va vm.VA, n int) error {
+	if err := r.as.CheckMapped(va, n); err != nil {
+		return err
+	}
+	r.touchPages(va, uint64(max(n, 0)))
+	return nil
+}
+
 // touchPages performs one DTLB access per page of [va, va+n) and charges
 // the walk penalties as application compute. When the node runs a tiered
 // memory model, each page touch also pays its tier's access penalty —

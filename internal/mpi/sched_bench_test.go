@@ -59,3 +59,59 @@ func benchRing(b *testing.B, ranks, bytes int) {
 		}
 	}
 }
+
+// BenchmarkAlltoallvPieces8 runs two AlltoallvPieces per iteration
+// across 8 ranks: one whose piece lists (2 × 2 KiB per peer) take the
+// single-work-request gather branch and one whose lists (32 × 16 B per
+// peer) take the pack branch. Its allocs/op is the yardstick of the
+// non-contiguous send path, whose payload bytes move frame to frame or
+// through pooled eager messages.
+func BenchmarkAlltoallvPieces8(b *testing.B) {
+	const ranks = 8
+	b.ReportAllocs()
+	w, err := NewWorld(Config{
+		Machine: machine.Opteron(), Ranks: ranks,
+		Allocator: AllocHuge, LazyDereg: true, HugeATT: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	gather := make([]*piecesBufs, ranks)
+	pack := make([]*piecesBufs, ranks)
+	body := func(n int) func(r *Rank) error {
+		return func(r *Rank) error {
+			var err error
+			if gather[r.ID()] == nil {
+				if gather[r.ID()], err = newPiecesBufs(r, 2, 2048); err != nil {
+					return err
+				}
+				if pack[r.ID()], err = newPiecesBufs(r, 32, 16); err != nil {
+					return err
+				}
+			}
+			for range n {
+				if err := gather[r.ID()].exchange(r); err != nil {
+					return err
+				}
+				if err := pack[r.ID()].exchange(r); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	// A warm-up round sets up the buffers, registrations and eager pool
+	// and checks that each list takes the branch it is meant to.
+	g0 := gatheredBytes(w)
+	if err := w.Run(body(1)); err != nil {
+		b.Fatal(err)
+	}
+	if got, want := gatheredBytes(w)-g0, int64(ranks)*gather[0].gatherOnce; got != want {
+		b.Fatalf("one round gathered %d bytes, want %d from the gather lists alone", got, want)
+	}
+	b.ResetTimer()
+	if err := w.Run(body(b.N)); err != nil {
+		b.Fatal(err)
+	}
+}

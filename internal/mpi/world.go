@@ -120,9 +120,10 @@ type World struct {
 	closed bool
 
 	// eagerFree holds eager messages whose receivers have copied the
-	// payload out, ready for the next eager send — the host-side image
-	// of the library's preregistered bounce buffers. Only the task
-	// holding the scheduler's baton touches it, so it needs no lock.
+	// payload out, ready for the next eager or gathered send — the
+	// host-side image of the library's preregistered bounce buffers.
+	// Only the task holding the scheduler's baton touches it, so it
+	// needs no lock.
 	eagerFree []*message
 }
 
@@ -186,7 +187,7 @@ func (w *World) eagerMessage(n int) *message {
 		w.eagerFree[k-1] = nil
 		w.eagerFree = w.eagerFree[:k-1]
 	} else {
-		m = &message{kind: kindEager, pooled: true}
+		m = &message{kind: kindEager}
 	}
 	if cap(m.data) < n {
 		m.data = make([]byte, n)
@@ -197,13 +198,11 @@ func (w *World) eagerMessage(n int) *message {
 
 // recycleEager returns a received eager message to the free list. The
 // receiver must hold no reference to it or its payload afterwards.
-// Messages not drawn from the list (SendGathered's, whose payload can
-// be rendezvous-sized) are left to the garbage collector.
+// Sends through the bounce buffers and SendGathered both draw their
+// messages from the list, so a repeated exchange reuses the same
+// payload buffers.
 func (w *World) recycleEager(m *message) {
-	if !m.pooled {
-		return
-	}
-	*m = message{kind: kindEager, pooled: true, data: m.data[:0]}
+	*m = message{kind: kindEager, data: m.data[:0]}
 	w.eagerFree = append(w.eagerFree, m)
 }
 

@@ -61,6 +61,9 @@ func (k *LU) Run(r *mpi.Rank) error {
 		return err
 	}
 
+	// fill stages each plane's content before its send; one buffer
+	// serves every plane.
+	fill := make([]byte, k.PlaneBytes)
 	for sweep := 0; sweep < k.Sweeps; sweep++ {
 		// Forward wavefront: rank 0 -> p-1, plane by plane.
 		for plane := 0; plane < k.Planes; plane++ {
@@ -91,7 +94,6 @@ func (k *LU) Run(r *mpi.Rank) error {
 				region(r, slabVA+off, uint64(k.PlaneBytes)))
 
 			if r.ID() < p-1 {
-				fill := make([]byte, k.PlaneBytes)
 				v := luPlaneValue(plane, sweep, r.ID())
 				for i := range fill {
 					fill[i] = v

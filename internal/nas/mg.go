@@ -50,8 +50,10 @@ func (k *MG) Run(r *mpi.Rank) error {
 	gridBytes := make([]uint64, k.Levels)
 	hb := k.FineBytes
 	gb := k.GridBytes
+	maxHalo := 0
 	for l := 0; l < k.Levels; l++ {
 		haloBytes[l] = hb
+		maxHalo = max(maxHalo, hb)
 		var err error
 		if sendVAs[l], err = r.Malloc(uint64(hb)); err != nil {
 			return err
@@ -83,6 +85,9 @@ func (k *MG) Run(r *mpi.Rank) error {
 		return err
 	}
 
+	// fill stages each level's halo before its exchange; one buffer
+	// serves every level.
+	fill := make([]byte, maxHalo)
 	residual := 1.0
 	for c := 0; c < k.Cycles; c++ {
 		// Down-sweep: smooth + restrict, exchanging halos at each level.
@@ -92,12 +97,12 @@ func (k *MG) Run(r *mpi.Rank) error {
 			charge(r, memmodel.SeqScan{Passes: 2}, region(r, gridVAs[l], gridBytes[l]))
 			charge(r, memmodel.Strided{Stride: 1024, Passes: 1}, region(r, gridVAs[l], gridBytes[l]))
 			// Halo exchange with both neighbours, content-checked.
-			fill := make([]byte, haloBytes[l])
 			v := byte(13*c + 7*l + 3*r.ID() + 1)
-			for i := range fill {
-				fill[i] = v
+			f := fill[:haloBytes[l]]
+			for i := range f {
+				f[i] = v
 			}
-			if err := r.WriteBytes(sendVAs[l], fill); err != nil {
+			if err := r.WriteBytes(sendVAs[l], f); err != nil {
 				return err
 			}
 			tag := 4000 + c*64 + l

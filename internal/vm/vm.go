@@ -54,6 +54,7 @@ var (
 	ErrBadUnmap     = errors.New("vm: unmap does not match a mapping")
 	ErrPinnedUnmap  = errors.New("vm: cannot unmap pinned pages")
 	ErrMixedClasses = errors.New("vm: range spans mixed page classes")
+	ErrOverlap      = errors.New("vm: copy ranges overlap")
 )
 
 // pte is one page-table entry, 16 bytes. Entries are values in their
@@ -659,6 +660,55 @@ func (as *AddressSpace) Read(va VA, p []byte) error {
 		as.mem.ReadPhys(pa, p[:n])
 		va += VA(n)
 		p = p[n:]
+	}
+	return nil
+}
+
+// Copy moves n bytes from src to dst within the address space, frame to
+// frame through both page tables, with no intermediate buffer: the data
+// movement of a CPU memcpy, whose price the caller charges. A whole
+// source frame that shares a ramp frame is passed on by pointer, a
+// never-written one arrives as zeros, and a destination page shared
+// copy-on-write is made private first, as Write does. Both ranges are
+// checked before any byte moves; they must not overlap.
+func (as *AddressSpace) Copy(dst, src VA, n int) error {
+	if n < 0 {
+		return fmt.Errorf("vm: negative copy length %d", n)
+	}
+	if err := as.CheckMapped(src, n); err != nil {
+		return err
+	}
+	if err := as.CheckMapped(dst, n); err != nil {
+		return err
+	}
+	if src < dst+VA(n) && dst < src+VA(n) {
+		return fmt.Errorf("%w: [%#x,+%d) and [%#x,+%d)", ErrOverlap, uint64(src), n, uint64(dst), n)
+	}
+	for n > 0 {
+		spa, sclass, _ := as.translateQuiet(src) // mapped: checked above
+		dpa, dclass, err := as.writable(dst)
+		if err != nil {
+			return err
+		}
+		c := min(n, int(sclass.Size()-uint64(src)%sclass.Size()), int(dclass.Size()-uint64(dst)%dclass.Size()))
+		phys.Copy(as.mem, dpa, as.mem, spa, c)
+		src += VA(c)
+		dst += VA(c)
+		n -= c
+	}
+	return nil
+}
+
+// CheckMapped reports ErrUnmapped, naming the first such address, if any
+// byte of [va, va+n) has no mapping. Unlike Pages and Pin it accepts a
+// range that spans page classes.
+func (as *AddressSpace) CheckMapped(va VA, n int) error {
+	for a, end := uint64(va), uint64(va)+uint64(max(n, 0)); a < end; {
+		i := as.find(VA(a))
+		if i < 0 {
+			return fmt.Errorf("%w: %#x", ErrUnmapped, a)
+		}
+		a = uint64(as.regions[i].start) + as.regions[i].size
 	}
 	return nil
 }

@@ -1,5 +1,5 @@
 // halo.go is the Boyle-et-al-style 2-D halo-exchange + allreduce kernel
-// (ROADMAP item 3c): ranks tile a periodic 2-D domain, every iteration
+// of the modern pack: ranks tile a periodic 2-D domain, every iteration
 // exchanges the four boundary strips with the torus neighbours — rows
 // travel contiguously, columns as per-element pieces whose SGE-or-pack
 // form the policy engine picks — then runs a stencil sweep and a global
@@ -109,8 +109,6 @@ func RunHalo(cfg mpi.Config, p HaloParams) (*HaloResult, error) {
 			tagCol = 2 << 16
 		)
 		rowBytes := stride * cell
-		// The sweep streams the field into buf and reads nothing back.
-		buf := make([]byte, bytes)
 		for it := 0; it < p.Iters; it++ {
 			t0 := r.Now()
 			// Row exchange (contiguous): top boundary north, bottom south.
@@ -146,7 +144,7 @@ func RunHalo(cfg mpi.Config, p HaloParams) (*HaloResult, error) {
 			halo[r.ID()] += r.Now() - t0
 			// Stencil sweep: stream the field, charge the FLOPs.
 			t0 = r.Now()
-			if err := r.ReadBytes(fieldVA, buf); err != nil {
+			if err := r.Touch(fieldVA, int(bytes)); err != nil {
 				return err
 			}
 			r.Compute(simtime.BandwidthTicks(int64(bytes)*int64(p.StencilFactor),

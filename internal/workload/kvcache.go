@@ -1,4 +1,4 @@
-// kvcache.go is the LLM-inference KV-cache workload (ROADMAP item 3b):
+// kvcache.go is the LLM-inference KV-cache workload of the modern pack:
 // per rank, a transformer's per-layer KV arenas live on the tiered
 // memory model (internal/memtier), placed by the HBM/external
 // best-ratio rule of SNIPPETS.md §3 — the fraction of cache kept on the
@@ -144,9 +144,7 @@ func RunKV(cfg mpi.Config, p KVParams) (*KVResult, error) {
 				}
 			}
 		}
-		// Token (l, t)'s KV row is byte(r.ID() + l*31 + t*7 + i). row
-		// only receives the retrieved tokens.
-		row := make([]byte, p.TokenBytes)
+		// Token (l, t)'s KV row is byte(r.ID() + l*31 + t*7 + i).
 		writeTok := func(l, t int) error {
 			return r.WriteRamp(tokVA(l, t), r.ID()+l*31+t*7, p.TokenBytes)
 		}
@@ -162,7 +160,6 @@ func RunKV(cfg mpi.Config, p KVParams) (*KVResult, error) {
 		pre[r.ID()] = r.Now() - t0
 		// Decode.
 		t0 = r.Now()
-		win := make([]byte, p.Window*p.TokenBytes)
 		// coldIdx walks the prefill region round-robin so each
 		// make-room demotion frees a fresh page.
 		coldIdx := 0
@@ -186,7 +183,7 @@ func RunKV(cfg mpi.Config, p KVParams) (*KVResult, error) {
 				if lo < 0 {
 					lo = 0
 				}
-				if err := r.ReadBytes(tokVA(l, lo), win[:(t-lo+1)*p.TokenBytes]); err != nil {
+				if err := r.Touch(tokVA(l, lo), (t-lo+1)*p.TokenBytes); err != nil {
 					return err
 				}
 			}
@@ -238,7 +235,7 @@ func RunKV(cfg mpi.Config, p KVParams) (*KVResult, error) {
 					}
 				}
 				// The retrieved row is read either way.
-				if err := r.ReadBytes(va, row); err != nil {
+				if err := r.Touch(va, p.TokenBytes); err != nil {
 					return err
 				}
 			}

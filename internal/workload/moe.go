@@ -1,5 +1,5 @@
 // moe.go is the DeepEP-style Mixture-of-Experts dispatch/combine
-// workload (ROADMAP item 3a): every rank hosts one expert, every token
+// workload of the modern pack: every rank hosts one expert, every token
 // is routed to TopK experts inside one gating group (group-limited
 // routing, which bounds the fan-out exactly like DeepEP's
 // group-limited gating bounds NVLink/RDMA traffic), and each iteration
@@ -13,7 +13,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"repro/internal/mpi"
 	"repro/internal/simtime"
@@ -129,9 +128,6 @@ func RunMoE(cfg mpi.Config, p MoEParams) (*MoEResult, error) {
 			return err
 		}
 		// Token t's activation row is byte(r.ID()*131 + t*17 + it + i).
-		// buf receives the expert input and the returned rows, whose
-		// contents nothing reads; it grows to the largest chunk.
-		var buf []byte
 		rng := rand.New(rand.NewSource(0)) // re-seeded by every moeRouting
 		for it := 0; it < p.Iters; it++ {
 			// Fresh activations (new layer input each iteration).
@@ -182,8 +178,7 @@ func RunMoE(cfg mpi.Config, p MoEParams) (*MoEResult, error) {
 				// Expert compute streams the received rows.
 				t0 = r.Now()
 				if recvTotal > 0 {
-					buf = slices.Grow(buf[:0], recvTotal)[:recvTotal]
-					if err := r.ReadBytes(expVA, buf); err != nil {
+					if err := r.Touch(expVA, recvTotal); err != nil {
 						return err
 					}
 					r.Compute(simtime.BandwidthTicks(int64(recvTotal*p.ComputeFactor),
@@ -215,8 +210,7 @@ func RunMoE(cfg mpi.Config, p MoEParams) (*MoEResult, error) {
 				// Scatter-add the returned rows into the activations.
 				t0 = r.Now()
 				if retTotal > 0 {
-					buf = slices.Grow(buf[:0], retTotal)[:retTotal]
-					if err := r.ReadBytes(retVA, buf); err != nil {
+					if err := r.Touch(retVA, retTotal); err != nil {
 						return err
 					}
 					r.Compute(simtime.BandwidthTicks(int64(2*retTotal),
