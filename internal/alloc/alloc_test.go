@@ -120,7 +120,7 @@ func TestHugeNoCoalesceOnFree(t *testing.T) {
 	_ = h.Free(c)
 	// Three adjacent frees + the growth remainder must remain separate
 	// nodes (no coalescing on free).
-	if got := h.FreeListLen(); got < 4 {
+	if got := len(h.FreeSpans()); got < 4 {
 		t.Fatalf("freelist length %d: frees were coalesced", got)
 	}
 	if h.Stats().Coalesces != 0 {
@@ -399,7 +399,7 @@ func TestReplayBadSlot(t *testing.T) {
 func TestHugeChunkRounding(t *testing.T) {
 	h := newHugeT(t, newAS(t))
 	va, _ := h.Alloc(33 << 10) // not a chunk multiple
-	if got := h.UsableSize(va); got%h.Config().ChunkSize != 0 {
+	if got := h.UsableSize(va); got%alloc.DefaultHugeConfig().ChunkSize != 0 {
 		t.Fatalf("usable size %d not chunk-granular", got)
 	}
 	_ = h.Free(va)

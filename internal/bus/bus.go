@@ -58,18 +58,3 @@ func (m *Model) DMACost(pageOff uint64, n int) simtime.Ticks {
 	}
 	return cost
 }
-
-// BulkCost is the streaming cost of a large transfer where per-transaction
-// effects are amortised: pure bandwidth plus one transaction setup.
-func (m *Model) BulkCost(n int64) simtime.Ticks {
-	if n <= 0 {
-		return 0
-	}
-	return m.Bus.TxnTicks + simtime.BandwidthTicks(n, m.Bus.BandwidthMBs)
-}
-
-// RoundTrip is the cost of one small read across the bus and back — what
-// an ATT miss pays to fetch an MTT entry from host memory.
-func (m *Model) RoundTrip() simtime.Ticks {
-	return 2*m.Bus.TxnTicks + m.lineCost()
-}

@@ -77,27 +77,6 @@ func TestExtraCacheLineCost(t *testing.T) {
 	}
 }
 
-func TestBulkCostIsBandwidthDominated(t *testing.T) {
-	m := model()
-	c1 := m.BulkCost(1 << 20)
-	c2 := m.BulkCost(2 << 20)
-	ratio := float64(c2) / float64(c1)
-	if ratio < 1.9 || ratio > 2.1 {
-		t.Fatalf("bulk cost not ~linear: 1MiB=%d 2MiB=%d (ratio %.2f)", c1, c2, ratio)
-	}
-	if m.BulkCost(0) != 0 {
-		t.Fatal("zero-byte bulk must be free")
-	}
-}
-
-func TestRoundTripPositive(t *testing.T) {
-	for _, mach := range machine.All() {
-		if New(mach.Bus).RoundTrip() <= 0 {
-			t.Errorf("%s: non-positive bus round trip", mach.Name)
-		}
-	}
-}
-
 func TestZeroAndNegativeSizes(t *testing.T) {
 	m := model()
 	if m.DMACost(0, 0) != 0 || m.DMACost(0, -5) != 0 {

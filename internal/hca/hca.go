@@ -527,11 +527,3 @@ func (h *HCA) WireCost(n int) simtime.Ticks {
 func (h *HCA) Stats() Stats {
 	return h.stats
 }
-
-// ResetATT flushes the translation cache and its counters (benchmarks use
-// this between configurations).
-func (h *HCA) ResetATT() {
-	h.att = newATTCache(h.mach.HCA.ATTEntries, h.mach.HCA.ATTWays)
-	h.stats.ATTHits = 0
-	h.stats.ATTMisses = 0
-}

@@ -309,15 +309,15 @@ func TestATTMissesDropWithHugeEntries(t *testing.T) {
 	}
 	unpatchedMisses := h.Stats().ATTMisses
 
-	h.ResetATT()
-	va2, mr2 := reg(t, as, h, size, true, true) // patched: 4 entries
+	as2, h2 := rig(t, m)                          // a fresh adapter: cold ATT, zeroed counters
+	va2, mr2 := reg(t, as2, h2, size, true, true) // patched: 4 entries
 	sge2 := []hca.SGE{{Addr: va2, Length: size, LKey: mr2.LKey}}
 	for i := 0; i < 3; i++ {
-		if _, _, err := h.Gather(sge2); err != nil {
+		if _, _, err := h2.Gather(sge2); err != nil {
 			t.Fatal(err)
 		}
 	}
-	patchedMisses := h.Stats().ATTMisses
+	patchedMisses := h2.Stats().ATTMisses
 	if patchedMisses*50 > unpatchedMisses {
 		t.Fatalf("huge ATT entries should slash misses: %d vs %d", patchedMisses, unpatchedMisses)
 	}

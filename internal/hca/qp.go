@@ -154,11 +154,6 @@ func Connect(a, b *QP) error {
 	return nil
 }
 
-// State reports the current QP state.
-func (qp *QP) State() QPState {
-	return qp.state
-}
-
 // PostRecv posts a receive WQE. Fails with ErrRQFull beyond the depth.
 func (qp *QP) PostRecv(wrid uint64, sges []SGE) (simtime.Ticks, error) {
 	if qp.state == QPError || qp.state == QPReset {
@@ -169,11 +164,6 @@ func (qp *QP) PostRecv(wrid uint64, sges []SGE) (simtime.Ticks, error) {
 	}
 	qp.rq = append(qp.rq, recvWQE{wrid: wrid, sges: sges})
 	return qp.hca.PostCost(len(sges)), nil
-}
-
-// RQLen reports posted receives.
-func (qp *QP) RQLen() int {
-	return len(qp.rq)
 }
 
 // SendResult carries the timing decomposition of one executed send.

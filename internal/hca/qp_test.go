@@ -150,9 +150,6 @@ func TestRQDepthLimit(t *testing.T) {
 	if _, err := r.recvQP.PostRecv(3, sge); !errors.Is(err, hca.ErrRQFull) {
 		t.Fatalf("got %v, want ErrRQFull", err)
 	}
-	if r.recvQP.RQLen() != 2 {
-		t.Fatal("RQ accounting wrong")
-	}
 }
 
 func TestCQOverflowIsFatal(t *testing.T) {

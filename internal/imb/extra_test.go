@@ -48,32 +48,3 @@ func TestPingPongEagerRendezvousStep(t *testing.T) {
 		t.Errorf("eager->rendezvous step only %.2fx", jump)
 	}
 }
-
-func TestExchangeBandwidth(t *testing.T) {
-	rs, err := Exchange(lazyHugeCfg(machine.Opteron(), 4), []int{256 << 10, 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rs {
-		t.Logf("%8dB: %7.1f MB/s per rank", r.Bytes, r.BandwidthMBs)
-		if r.BandwidthMBs <= 0 {
-			t.Fatal("non-positive bandwidth")
-		}
-	}
-	// Exchange moves 4x the bytes of one transfer per iteration but the
-	// two directions share the NIC: aggregate must exceed the SendRecv
-	// plateau slightly, not quadruple it.
-	if rs[1].BandwidthMBs < 1000 || rs[1].BandwidthMBs > 4000 {
-		t.Errorf("exchange bandwidth %.0f MB/s implausible", rs[1].BandwidthMBs)
-	}
-}
-
-func TestExchangeAllAllocators(t *testing.T) {
-	for _, ak := range []mpi.AllocatorKind{mpi.AllocLibc, mpi.AllocHuge} {
-		cfg := lazyHugeCfg(machine.Opteron(), 4)
-		cfg.Allocator = ak
-		if _, err := Exchange(cfg, []int{64 << 10}); err != nil {
-			t.Fatalf("%s: %v", ak, err)
-		}
-	}
-}

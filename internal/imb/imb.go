@@ -33,15 +33,6 @@ type SendRecvResult struct {
 	ATTMissRate float64
 }
 
-// DefaultSizes is the IMB size ladder used for Figure 5 (4 KiB–16 MiB).
-func DefaultSizes() []int {
-	var s []int
-	for n := 4 << 10; n <= 16<<20; n *= 2 {
-		s = append(s, n)
-	}
-	return s
-}
-
 // iterationsFor scales iteration counts down with size like IMB does.
 func iterationsFor(bytes int) int {
 	switch {

@@ -134,18 +134,6 @@ func TestRegistrationSweep(t *testing.T) {
 	}
 }
 
-func TestDefaultSizesLadder(t *testing.T) {
-	s := DefaultSizes()
-	if s[0] != 4<<10 || s[len(s)-1] != 16<<20 {
-		t.Fatalf("ladder endpoints wrong: %v", s)
-	}
-	for i := 1; i < len(s); i++ {
-		if s[i] != 2*s[i-1] {
-			t.Fatal("ladder must double")
-		}
-	}
-}
-
 func TestStaticPolicyMatchesNoEngineFig5(t *testing.T) {
 	m := machine.Opteron()
 	sizes := []int{4096, 262144, 1 << 20}

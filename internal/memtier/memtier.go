@@ -187,28 +187,12 @@ func New(cfg *Config, cur *trace.Cursor) (*Manager, error) {
 	return m, nil
 }
 
-// Enabled reports whether tiering is active.
-func (m *Manager) Enabled() bool {
-	if m == nil {
-		return false
-	}
-	return true
-}
-
 // TierCount returns the number of tiers (0 when disabled).
 func (m *Manager) TierCount() int {
 	if m == nil {
 		return 0
 	}
 	return len(m.tiers)
-}
-
-// TierName returns tier i's name ("" when disabled or out of range).
-func (m *Manager) TierName(i int) string {
-	if m == nil || i < 0 || i >= len(m.tiers) {
-		return ""
-	}
-	return m.tiers[i].Name
 }
 
 // FreeBytes reports tier i's remaining capacity (MaxInt64 for an
@@ -366,38 +350,6 @@ func (m *Manager) Migrate(refs []PageRef, tier int) (moved int, cost simtime.Tic
 			trace.I64("tier", int64(tier)), trace.I64("pages", int64(moved)), trace.I64("bytes", bytes))
 	}
 	return moved, cost
-}
-
-// Promote moves pages to tier 0.
-func (m *Manager) Promote(refs []PageRef) (int, simtime.Ticks) {
-	if m == nil {
-		return 0, 0
-	}
-	return m.Migrate(refs, 0)
-}
-
-// Demote moves pages to the last (unbounded) tier.
-func (m *Manager) Demote(refs []PageRef) (int, simtime.Ticks) {
-	if m == nil {
-		return 0, 0
-	}
-	return m.Migrate(refs, len(m.tiers)-1)
-}
-
-// Release drops tracking for pages whose backing memory was freed,
-// returning their bytes to the tier budgets.
-func (m *Manager) Release(refs []PageRef) {
-	if m == nil {
-		return
-	}
-	for _, ref := range refs {
-		p, ok := m.resided[ref.Frame]
-		if !ok {
-			continue
-		}
-		m.stats.Tiers[p.tier].UsedBytes -= int64(p.bytes)
-		delete(m.resided, ref.Frame)
-	}
 }
 
 // Stats snapshots the counters (zero value when disabled). The tier

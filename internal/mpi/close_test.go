@@ -33,7 +33,7 @@ func TestCloseReleasesFrameContents(t *testing.T) {
 	}
 	buf := make([]byte, n+8)
 	nonzero := func(i int) bool {
-		if err := w.Node(i).AS.Read(vas[i], buf); err != nil {
+		if err := w.nodes[i].AS.Read(vas[i], buf); err != nil {
 			t.Fatal(err)
 		}
 		return strings.Trim(string(buf), "\x00") != ""
@@ -85,7 +85,7 @@ func TestForkedSendrecvReusesTask(t *testing.T) {
 				return errors.New("Sendrecv allocated a new sendHalf")
 			}
 		}
-		held[r.ID()] = w.Scheduler().Coroutines()
+		held[r.ID()] = w.sched.Coroutines()
 		return nil
 	})
 	if err != nil {

@@ -172,10 +172,6 @@ func (r *Rank) Now() simtime.Ticks { return r.clock.Now() }
 // Node exposes the rank's host.
 func (r *Rank) Node() *node.Node { return r.node }
 
-// NodeStats snapshots the host's telemetry (all layers' counters). Call
-// it from the rank's own task, or after World.Run returned.
-func (r *Rank) NodeStats() node.Stats { return r.node.Stats() }
-
 // AS exposes the rank's address space.
 func (r *Rank) AS() *vm.AddressSpace { return r.as }
 
@@ -184,9 +180,6 @@ func (r *Rank) Verbs() *verbs.Context { return r.ctx }
 
 // Cache exposes the rank's registration cache.
 func (r *Rank) Cache() *regcache.Cache { return r.cache }
-
-// Allocator exposes the rank's allocation library.
-func (r *Rank) Allocator() alloc.Allocator { return r.alloc }
 
 // DTLB exposes the rank's TLB simulator (the memmodel charges through it).
 func (r *Rank) DTLB() *tlb.DTLB { return r.dtlb }
@@ -525,26 +518,4 @@ func (r *Rank) matchRecv(t *sched.Task, src, tag int) *message {
 		}
 		r.pending[src] = append(r.pending[src], m)
 	}
-}
-
-// acquire registers [va,va+n) through the rank's registration cache and
-// charges the time.
-func (r *Rank) acquire(va vm.VA, n uint64) (*verbs.MR, error) {
-	mr, cost, err := r.cache.AcquireT(r.tctx(&r.clock), va, n)
-	if err != nil {
-		return nil, err
-	}
-	r.clock.Advance(cost)
-	return mr, nil
-}
-
-// release returns a registration, charging deregistration time when lazy
-// deregistration is off.
-func (r *Rank) release(mr *verbs.MR) error {
-	cost, err := r.cache.ReleaseT(r.tctx(&r.clock), mr)
-	if err != nil {
-		return err
-	}
-	r.clock.Advance(cost)
-	return nil
 }

@@ -70,7 +70,7 @@ func TestTouchChargesLikeReadBytes(t *testing.T) {
 							}
 						}
 					}
-					out = touchRun{r.Now(), r.ComputeTime(), r.NodeStats(), r.AS().Stats()}
+					out = touchRun{r.Now(), r.ComputeTime(), r.node.Stats(), r.AS().Stats()}
 					return nil
 				})
 				if err != nil {

@@ -206,10 +206,6 @@ func (w *World) recycleEager(m *message) {
 	w.eagerFree = append(w.eagerFree, m)
 }
 
-// Scheduler exposes the job's event scheduler (for dispatch-count
-// telemetry and tests).
-func (w *World) Scheduler() *sched.Scheduler { return w.sched }
-
 // Config returns the job configuration (defaults resolved).
 func (w *World) Config() Config { return w.cfg }
 
@@ -218,9 +214,6 @@ func (w *World) Rank(i int) *Rank { return w.ranks[i] }
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return len(w.ranks) }
-
-// Node returns rank i's host.
-func (w *World) Node(i int) *node.Node { return w.nodes[i] }
 
 // NodeStats snapshots every rank's host telemetry, in rank order. Call
 // it only while no rank body is running (before Run or after it

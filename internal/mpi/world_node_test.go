@@ -27,12 +27,12 @@ func TestRankExposesItsNode(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		r := w.Rank(i)
 		n := r.Node()
-		if n != w.Node(i) {
-			t.Fatalf("rank %d node does not match World.Node", i)
+		if n != w.nodes[i] {
+			t.Fatalf("rank %d node does not match the world's node", i)
 		}
 		// The rank's hot-path aliases must point into its own node.
 		if r.AS() != n.AS || r.Verbs() != n.Verbs || r.Cache() != n.Cache ||
-			r.Allocator() != n.Alloc || r.DTLB() != n.DTLB {
+			r.alloc != n.Alloc || r.DTLB() != n.DTLB {
 			t.Fatalf("rank %d aliases diverge from its node", i)
 		}
 	}

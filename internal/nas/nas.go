@@ -118,13 +118,3 @@ func charge(r *mpi.Rank, p memmodel.Pattern, rg memmodel.Region) memmodel.Result
 func All() []Kernel {
 	return []Kernel{DefaultCG(), DefaultEP(), DefaultIS(), DefaultLU(), DefaultMG()}
 }
-
-// ByName looks a kernel up ("cg", "ep", "is", "lu", "mg").
-func ByName(name string) Kernel {
-	for _, k := range All() {
-		if k.Name() == name {
-			return k
-		}
-	}
-	return nil
-}

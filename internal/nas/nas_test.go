@@ -153,3 +153,13 @@ func TestChargeAllocatesNothing(t *testing.T) {
 		t.Fatalf("charge allocates %.1f objects per call, want 0", allocs)
 	}
 }
+
+// ByName looks a kernel up ("cg", "ep", "is", "lu", "mg").
+func ByName(name string) Kernel {
+	for _, k := range All() {
+		if k.Name() == name {
+			return k
+		}
+	}
+	return nil
+}

@@ -63,20 +63,15 @@ func TestNewAllocatorKinds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		a, err := node.NewAllocator(n.AS, n.Machine(), kind)
+		va, err := n.Alloc.Alloc(100 << 10)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		va, err := a.Alloc(100 << 10)
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if err := a.Free(va); err != nil {
+		if err := n.Alloc.Free(va); err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
 	}
-	n, _ := node.New(node.Config{Machine: machine.Opteron()})
-	if _, err := node.NewAllocator(n.AS, n.Machine(), "tcmalloc"); err == nil {
+	if _, err := node.New(node.Config{Machine: machine.Opteron(), Allocator: "tcmalloc"}); err == nil {
 		t.Fatal("unknown allocator kind accepted")
 	}
 }
@@ -155,8 +150,8 @@ func TestStatsAggregationMatchesLayers(t *testing.T) {
 	if st.TLB.Hits2M+st.TLB.Misses2M == 0 {
 		t.Fatal("page-walk sweep left no TLB telemetry")
 	}
-	if st.TLB.Misses() != n.DTLB.Misses() {
-		t.Fatalf("TLB misses %d, DTLB counts %d", st.TLB.Misses(), n.DTLB.Misses())
+	if dm := n.DTLB.Small.Stats().Misses + n.DTLB.Large.Stats().Misses; st.TLB.Misses() != dm {
+		t.Fatalf("TLB misses %d, DTLB counts %d", st.TLB.Misses(), dm)
 	}
 	hw := n.Verbs.HW.Stats()
 	if st.HCA.ATTHits != hw.ATTHits || st.HCA.ATTMisses != hw.ATTMisses ||

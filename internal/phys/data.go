@@ -168,11 +168,6 @@ func (m *Memory) ReadPhys(pa Addr, p []byte) {
 	}
 }
 
-// CopyPhys copies n bytes from physical address src to physical address
-// dst within this memory, possibly between different alignments. The two
-// ranges must not overlap. It panics on a negative length.
-func (m *Memory) CopyPhys(dst, src Addr, n int) { Copy(m, dst, m, src, n) }
-
 // Copy moves n bytes from srcPA in src to dstPA in dst frame to frame,
 // with no intermediate buffer: the DMA engine's copy between two nodes'
 // memories (src and dst may be the same Memory if the ranges do not

@@ -13,7 +13,8 @@
 //
 // The pool also implements the reservation the paper's library keeps for
 // fork/Copy-on-Write ("it must leave a reserve of hugepages that are needed
-// when forking processes").
+// when forking processes"). Nothing in the model forks: the reserve is
+// pool accounting, the pages AllocHuge may not hand out.
 package phys
 
 import (
@@ -36,9 +37,12 @@ type Addr uint64
 var (
 	ErrOutOfMemory    = errors.New("phys: out of physical memory")
 	ErrOutOfHugepages = errors.New("phys: hugepage pool exhausted")
-	ErrReserveHeld    = errors.New("phys: request would dip into the CoW reserve")
-	ErrDoubleFree     = errors.New("phys: double free")
-	ErrBadReserve     = errors.New("phys: reserve exceeds hugepage pool")
+	// ErrReserveHeld is AllocHuge's refusal to hand out a page of the
+	// fork/CoW reserve, the pages the paper's mapping layer keeps for
+	// copy-on-write breaks after a fork.
+	ErrReserveHeld = errors.New("phys: request would dip into the CoW reserve")
+	ErrDoubleFree  = errors.New("phys: double free")
+	ErrBadReserve  = errors.New("phys: reserve exceeds hugepage pool")
 )
 
 // Memory is the physical memory of one node. It takes no lock: the
@@ -264,19 +268,6 @@ func (m *Memory) FreeHuge(f Frame) error {
 	return nil
 }
 
-// AllocHugeCoW hands out one hugepage for a copy-on-write break. Unlike
-// AllocHuge it may dig into the reserve — satisfying fork/CoW demand is
-// exactly what the reserve is held back for. It is also exempt from
-// injected spurious failures for the same reason (though a fault-shrunk
-// pool can still genuinely run dry underneath it).
-func (m *Memory) AllocHugeCoW() (Frame, error) {
-	if m.hugeFreeCount() == 0 {
-		m.stats.HugeFailures++
-		return 0, ErrOutOfHugepages
-	}
-	return m.popHuge(), nil
-}
-
 // Reserve sets aside n additional hugepages that AllocHuge may not hand
 // out; this is the fork/CoW reserve of the paper's mapping layer.
 // Reservations compose — each caller's hold adds to the total, so
@@ -284,7 +275,8 @@ func (m *Memory) AllocHugeCoW() (Frame, error) {
 // each other (the old semantics: last caller wins). The combined
 // reserve is validated against the boot-time pool size; a request that
 // would push it past the pool fails with ErrBadReserve and leaves the
-// reserve unchanged. Undo a hold with Unreserve.
+// reserve unchanged. Nothing releases a hold: the model does not fork,
+// so the reserve only decides how many hugepages the library can use.
 func (m *Memory) Reserve(n int) error {
 	if n < 0 {
 		return fmt.Errorf("%w: negative reserve %d", ErrBadReserve, n)
@@ -295,23 +287,6 @@ func (m *Memory) Reserve(n int) error {
 	}
 	m.hugeReserved += n
 	return nil
-}
-
-// Unreserve releases n pages of a hold taken with Reserve.
-func (m *Memory) Unreserve(n int) error {
-	if n < 0 {
-		return fmt.Errorf("%w: negative unreserve %d", ErrBadReserve, n)
-	}
-	if n > m.hugeReserved {
-		return fmt.Errorf("%w: releasing %d but only %d held", ErrBadReserve, n, m.hugeReserved)
-	}
-	m.hugeReserved -= n
-	return nil
-}
-
-// Reserved reports the combined fork/CoW hold.
-func (m *Memory) Reserved() int {
-	return m.hugeReserved
 }
 
 // HugeAvailable reports how many hugepages AllocHuge could currently

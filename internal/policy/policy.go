@@ -49,9 +49,6 @@ const (
 	Adaptive  Kind = "adaptive"
 )
 
-// Kinds lists the built-in policies in declaration order.
-func Kinds() []Kind { return []Kind{Static, Threshold, Adaptive} }
-
 // ParseKind validates a policy name.
 func ParseKind(s string) (Kind, error) {
 	switch Kind(s) {
@@ -141,14 +138,6 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("policy: config must wire Machine, AS, DTLB and Mem")
 	}
 	return &Engine{cfg: cfg, stats: Stats{Kind: cfg.Kind}, windowEnd: windowTicks}, nil
-}
-
-// Kind returns the engine's policy kind ("" for a nil engine).
-func (e *Engine) Kind() Kind {
-	if e == nil {
-		return ""
-	}
-	return e.cfg.Kind
 }
 
 // Stats snapshots the decision counters. Nil-safe.

@@ -37,7 +37,7 @@ func newRig(t *testing.T, kind Kind, lazyDefault bool) *rig {
 }
 
 func TestParseKind(t *testing.T) {
-	for _, k := range Kinds() {
+	for _, k := range []Kind{Static, Threshold, Adaptive} {
 		got, err := ParseKind(string(k))
 		if err != nil || got != k {
 			t.Fatalf("ParseKind(%q) = %v, %v", k, got, err)
@@ -61,9 +61,6 @@ func TestNewRejectsMissingWiring(t *testing.T) {
 
 func TestNilEngineIsSafe(t *testing.T) {
 	var e *Engine
-	if e.Kind() != "" {
-		t.Fatal("nil engine kind")
-	}
 	if s := e.Stats(); s != (Stats{}) {
 		t.Fatalf("nil engine stats = %+v", s)
 	}

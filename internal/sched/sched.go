@@ -88,27 +88,18 @@ type Scheduler struct {
 	// joined ones, ready for Spawn to reuse.
 	tasks, idle []*Task
 
-	seq        uint64
-	live       int   // spawned minus finished
-	parked     *Task // head of the intrusive parked list
-	aborted    bool
-	dispatches uint64
+	seq     uint64
+	live    int   // spawned minus finished
+	parked  *Task // head of the intrusive parked list
+	aborted bool
 }
 
 // New returns an empty scheduler.
 func New() *Scheduler { return &Scheduler{} }
 
-// Dispatches reports how many times the scheduler has handed the baton to
-// a task — the event count of the simulation.
-func (s *Scheduler) Dispatches() uint64 { return s.dispatches }
-
 // Coroutines reports how many task coroutines the scheduler holds, live
 // or idle. It is 0 before the first Spawn and after Run returns.
 func (s *Scheduler) Coroutines() int { return len(s.tasks) }
-
-// Aborted reports whether the run has been aborted (a task failed or a
-// deadlock was detected). Blocking primitives consult it to fail fast.
-func (s *Scheduler) Aborted() bool { return s.aborted }
 
 // Spawn creates a task owned by rank, clocked by clk, and queues it at
 // clk's current instant. fn runs when the scheduler first dispatches the
@@ -176,7 +167,6 @@ func (s *Scheduler) Run() error {
 		}
 		t := s.pop()
 		t.state = stateRunning
-		s.dispatches++
 		t.next()
 	}
 	s.release()

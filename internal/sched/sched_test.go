@@ -33,9 +33,6 @@ func TestOrderFollowsVirtualTime(t *testing.T) {
 	if want := "r1@100 r2@200 r0@300"; got != want {
 		t.Fatalf("dispatch order %q, want %q", got, want)
 	}
-	if s.Dispatches() != 3 {
-		t.Fatalf("dispatches = %d, want 3", s.Dispatches())
-	}
 }
 
 // TestTieBreakByRank: equal ready times dispatch in rank order.
@@ -203,7 +200,7 @@ func TestAbortFailsBlockedPops(t *testing.T) {
 	if len(got) != 2 || got[0] != 42 || !popOK[0] || popOK[1] {
 		t.Fatalf("pops = %v ok=%v, want buffered 42 then aborted", got, popOK)
 	}
-	if !s.Aborted() {
+	if !s.aborted {
 		t.Fatal("scheduler not marked aborted")
 	}
 }

@@ -133,14 +133,6 @@ func (f *File) Flush() {
 // Stats returns the counters.
 func (f *File) Stats() FileStats { return f.stats }
 
-// ResetStats clears the counters without touching the entries.
-func (f *File) ResetStats() { f.stats = FileStats{} }
-
-// Reach returns the bytes of address space the file can map.
-func (f *File) Reach(pageSize uint64) uint64 {
-	return uint64(f.geo.Entries) * pageSize
-}
-
 // DTLB is the full data TLB of one core: one file per page size plus the
 // walk penalty charged on each miss.
 type DTLB struct {
@@ -175,9 +167,4 @@ func (d *DTLB) Access(va vm.VA, class vm.PageClass) simtime.Ticks {
 		return 0
 	}
 	return d.walk
-}
-
-// Misses reports total misses across both files.
-func (d *DTLB) Misses() int64 {
-	return d.Small.Stats().Misses + d.Large.Stats().Misses
 }

@@ -39,22 +39,6 @@ func TestMemlockCeilingRejects(t *testing.T) {
 	}
 }
 
-func TestPinnedBytesSurvivesStatsReset(t *testing.T) {
-	c := ctx(t, machine.Opteron())
-	va, _ := c.AS.MapSmall(1 << 20)
-	if _, _, err := c.RegMR(va, 1<<20); err != nil {
-		t.Fatal(err)
-	}
-	c.ResetStats()
-	st := c.Stats()
-	if st.Registrations != 0 {
-		t.Fatal("phase counters should reset")
-	}
-	if st.PinnedBytes != 1<<20 {
-		t.Fatalf("PinnedBytes is a live gauge, must survive reset: %d", st.PinnedBytes)
-	}
-}
-
 func TestNoLimitMeansUnlimited(t *testing.T) {
 	c := ctx(t, machine.Opteron()) // MemlockLimit zero
 	for i := 0; i < 4; i++ {

@@ -249,15 +249,5 @@ func (c *Context) Stats() Stats {
 	return c.stats
 }
 
-// ResetStats zeroes the registration counters (between benchmark
-// phases). PinnedBytes and PagesPinned are live gauges backing the
-// memlock budget, not phase counters — they survive the reset.
-func (c *Context) ResetStats() {
-	c.stats = Stats{
-		PinnedBytes: c.stats.PinnedBytes,
-		PagesPinned: c.stats.PagesPinned,
-	}
-}
-
 // Machine exposes the context's machine description.
 func (c *Context) Machine() *machine.Machine { return c.mach }

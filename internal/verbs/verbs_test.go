@@ -153,15 +153,3 @@ func TestPostAndPollCharge(t *testing.T) {
 		t.Fatal("poll must cost time")
 	}
 }
-
-func TestResetStats(t *testing.T) {
-	c := ctx(t, machine.Opteron())
-	va, _ := c.AS.MapSmall(4096)
-	if _, _, err := c.RegMR(va, 4096); err != nil {
-		t.Fatal(err)
-	}
-	c.ResetStats()
-	if st := c.Stats(); st.Registrations != 0 || st.RegTicks != 0 {
-		t.Fatal("ResetStats failed")
-	}
-}

@@ -78,78 +78,3 @@ func TestPinSurvivesDemoteSplit(t *testing.T) {
 		t.Fatalf("gauges = %+v", st)
 	}
 }
-
-// TestCoWBreaksAfterForkStayPrivate checks that copy-on-write breaks on
-// either side of a fork change only that side's page table, as seen by
-// fresh lookups, and that a page neither side wrote stays shared.
-func TestCoWBreaksAfterForkStayPrivate(t *testing.T) {
-	parent := testAS(t)
-	sva, err := parent.MapSmall(3 * machine.SmallPageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hva, err := parent.MapHuge(2 * machine.HugePageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs := []vm.VA{sva, sva + machine.SmallPageSize, sva + 2*machine.SmallPageSize, hva, hva + machine.HugePageSize}
-	translate := func(as *vm.AddressSpace) []phys.Addr {
-		t.Helper()
-		out := make([]phys.Addr, len(addrs))
-		for i, a := range addrs {
-			pa, _, err := as.Translate(a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[i] = pa
-		}
-		return out
-	}
-	orig := translate(parent)
-	child, err := parent.Fork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The child writes small page 1 and hugepage 0; the parent writes
-	// small page 2; a pin in the child breaks hugepage 1.
-	for _, w := range []struct {
-		as *vm.AddressSpace
-		va vm.VA
-	}{{child, addrs[1]}, {child, addrs[3]}, {parent, addrs[2]}} {
-		if err := w.as.Write(w.va, []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pinned, err := child.Pin(nil, addrs[4], 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, c := translate(parent), translate(child)
-	if pinned[0].PA != c[4] {
-		t.Fatalf("Pin returned %#x, a fresh lookup sees %#x", pinned[0].PA, c[4])
-	}
-	for i, want := range []struct{ parentMoved, childMoved bool }{
-		{false, false}, {false, true}, {true, false}, {false, true}, {false, true},
-	} {
-		if moved := p[i] != orig[i]; moved != want.parentMoved {
-			t.Errorf("page %d: parent moved = %v, want %v", i, moved, want.parentMoved)
-		}
-		if moved := c[i] != orig[i]; moved != want.childMoved {
-			t.Errorf("page %d: child moved = %v, want %v", i, moved, want.childMoved)
-		}
-	}
-	if got := child.Stats().CoWBreaks; got != 3 {
-		t.Fatalf("child CoW breaks = %d, want 3", got)
-	}
-	if got := parent.Stats().CoWBreaks; got != 1 {
-		t.Fatalf("parent CoW breaks = %d, want 1", got)
-	}
-	// Page 0 is still shared: a write on either side now breaks it there
-	// alone.
-	if err := parent.Write(addrs[0], []byte("y")); err != nil {
-		t.Fatal(err)
-	}
-	if pa, _, _ := child.Translate(addrs[0]); pa != orig[0] {
-		t.Fatalf("parent's break of page 0 moved the child's page to %#x", pa)
-	}
-}

@@ -30,23 +30,3 @@ func TestAbinitTraceVariesAcrossSeeds(t *testing.T) {
 		t.Fatal("AbinitTrace ignores its seed: replicate statistics would be degenerate")
 	}
 }
-
-func TestMixedTraceDeterministicPerSeed(t *testing.T) {
-	p := DefaultMixedParams()
-	ops1, slots1 := MixedTrace(p)
-	ops2, slots2 := MixedTrace(p)
-	if slots1 != slots2 || !reflect.DeepEqual(ops1, ops2) {
-		t.Fatal("MixedTrace is not deterministic for a fixed seed")
-	}
-}
-
-func TestMixedTraceVariesAcrossSeeds(t *testing.T) {
-	a := DefaultMixedParams()
-	b := a
-	b.Seed = a.Seed + 1
-	opsA, _ := MixedTrace(a)
-	opsB, _ := MixedTrace(b)
-	if reflect.DeepEqual(opsA, opsB) {
-		t.Fatal("MixedTrace ignores its seed")
-	}
-}

@@ -77,45 +77,3 @@ func AbinitTrace(p AbinitParams) ([]alloc.TraceOp, int) {
 	}
 	return ops, slots
 }
-
-// MixedParams sizes a general-purpose trace with random sizes and random
-// lifetimes — the non-adversarial workload used to check that the
-// library's no-coalescing policy does not fall apart outside its best
-// case.
-type MixedParams struct {
-	Seed    int64
-	Ops     int
-	Slots   int
-	MinSize uint64
-	MaxSize uint64
-}
-
-// DefaultMixedParams returns a modest random workload.
-func DefaultMixedParams() MixedParams {
-	return MixedParams{Seed: 7, Ops: 4000, Slots: 64, MinSize: 256, MaxSize: 512 << 10}
-}
-
-// MixedTrace builds a random alloc/free interleaving.
-func MixedTrace(p MixedParams) ([]alloc.TraceOp, int) {
-	rng := rand.New(rand.NewSource(p.Seed))
-	var ops []alloc.TraceOp
-	live := make([]bool, p.Slots)
-	nlive := 0
-	for len(ops) < p.Ops {
-		slot := rng.Intn(p.Slots)
-		if live[slot] && (rng.Intn(2) == 0 || nlive > p.Slots*3/4) {
-			ops = append(ops, alloc.TraceOp{Alloc: false, Slot: slot})
-			live[slot] = false
-			nlive--
-			continue
-		}
-		sz := p.MinSize + uint64(rng.Int63n(int64(p.MaxSize-p.MinSize)))
-		if live[slot] {
-			nlive-- // implicit free by Replay
-		}
-		ops = append(ops, alloc.TraceOp{Alloc: true, Size: sz, Slot: slot})
-		live[slot] = true
-		nlive++
-	}
-	return ops, p.Slots
-}

@@ -81,37 +81,3 @@ func TestAbinitAllocationSpeedup(t *testing.T) {
 		t.Fatalf("speedup %.2fx implausibly high (paper says up to 10x)", ratio)
 	}
 }
-
-func TestMixedTraceRunsOnAllAllocators(t *testing.T) {
-	ops, slots := MixedTrace(DefaultMixedParams())
-	for _, mk := range []func() alloc.Allocator{
-		func() alloc.Allocator { return alloc.NewLibc(newAS(t), 1300) },
-		func() alloc.Allocator {
-			h, err := alloc.NewHuge(newAS(t), 1300, alloc.DefaultHugeConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return h
-		},
-		func() alloc.Allocator { return alloc.NewMorecore(newAS(t), 1300) },
-	} {
-		a := mk()
-		res, err := alloc.Replay(a, ops, slots)
-		if err != nil {
-			t.Fatalf("%s: %v", a.Name(), err)
-		}
-		if res.Stats.LiveBytes != 0 {
-			t.Fatalf("%s leaked", a.Name())
-		}
-	}
-}
-
-func TestMixedTraceDeterministic(t *testing.T) {
-	a, _ := MixedTrace(DefaultMixedParams())
-	b, _ := MixedTrace(DefaultMixedParams())
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("op %d differs", i)
-		}
-	}
-}

@@ -263,21 +263,3 @@ func OffsetSweep(cfg node.Config, offsets, sizes []int) ([]Result, error) {
 	}
 	return out, nil
 }
-
-// DefaultSGESizes is Figure 3's x axis (1 B to 4 KiB).
-func DefaultSGESizes() []int {
-	var s []int
-	for n := 1; n <= 4096; n *= 2 {
-		s = append(s, n)
-	}
-	return s
-}
-
-// DefaultOffsets is Figure 4's x axis (0 to 256).
-func DefaultOffsets() []int {
-	var o []int
-	for off := 0; off <= 256; off += 8 {
-		o = append(o, off)
-	}
-	return o
-}

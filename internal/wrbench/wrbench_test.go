@@ -19,10 +19,23 @@ func at(rs []Result, sges, size, off int) Result {
 	panic("combination not measured")
 }
 
+// Figure 3's x axis (1 B to 4 KiB, doubling) and Figure 4's (0 to 256 B
+// in steps of 8).
+var (
+	fig3SGESizes = []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
+	fig4Offsets  = func() []int {
+		var o []int
+		for off := 0; off <= 256; off += 8 {
+			o = append(o, off)
+		}
+		return o
+	}()
+)
+
 func TestFig3PostCostBand(t *testing.T) {
 	// Paper: post time "varies between 450-650 TBR ticks" and is
 	// "approximately constant for small and for large messages".
-	rs, err := SGESweep(sysp(), []int{1, 2, 4, 8}, DefaultSGESizes())
+	rs, err := SGESweep(sysp(), []int{1, 2, 4, 8}, fig3SGESizes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +85,7 @@ func TestFig3FourSGEsCheapAggregation(t *testing.T) {
 func TestFig3OneSGEFlatThenLinear(t *testing.T) {
 	// Paper: "The outlay for 1 SGE is relatively constant up to 512 Bytes
 	// and then grows linearly with buffer size."
-	rs, err := SGESweep(sysp(), []int{1}, DefaultSGESizes())
+	rs, err := SGESweep(sysp(), []int{1}, fig3SGESizes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +107,7 @@ func TestFig4OffsetEffect(t *testing.T) {
 	// consumption ... differs up to 8 percent", optimised "e.g. at offset
 	// 64".
 	sizes := []int{8, 16, 32, 64}
-	rs, err := OffsetSweep(sysp(), DefaultOffsets(), sizes)
+	rs, err := OffsetSweep(sysp(), fig4Offsets, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,16 +146,5 @@ func TestParameterValidation(t *testing.T) {
 	}
 	if _, err := rg.measure(64, 4096, 0); err == nil {
 		t.Fatal("oversized parameters accepted")
-	}
-}
-
-func TestDefaultLadders(t *testing.T) {
-	ss := DefaultSGESizes()
-	if ss[0] != 1 || ss[len(ss)-1] != 4096 {
-		t.Fatal("SGE size ladder endpoints wrong")
-	}
-	os := DefaultOffsets()
-	if os[0] != 0 || os[len(os)-1] != 256 {
-		t.Fatal("offset ladder endpoints wrong")
 	}
 }

@@ -13,9 +13,9 @@
 //   - the paper's contribution as one named placement Strategy table
 //     (hugepage library placement, lazy deregistration, hugepage ATT
 //     entries) applied to a ClusterConfig,
-//   - the paper's full evaluation as callable experiments: the Figure 3/4
-//     work-request sweeps, the Figure 5 IMB SendRecv curves, the Figure 6
-//     NAS benchmark improvement split, and the allocator comparisons.
+//   - the paper's experiments as callable functions: the Figure 3/4
+//     work-request sweeps, the Figure 5 IMB SendRecv curves, IMB PingPong,
+//     the registration-cost premise and the allocator comparisons.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-vs-measured record; the examples/ directory has runnable
@@ -26,14 +26,12 @@ import (
 	"fmt"
 
 	"repro/internal/alloc"
-	"repro/internal/faults"
 	"repro/internal/imb"
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/nas"
 	"repro/internal/node"
 	"repro/internal/simtime"
-	"repro/internal/sweep"
 	"repro/internal/vm"
 	"repro/internal/workload"
 	"repro/internal/wrbench"
@@ -65,20 +63,6 @@ type (
 	Node = node.Node
 	// NodeConfig configures a standalone Node.
 	NodeConfig = node.Config
-	// NodeStats is one host's aggregated telemetry snapshot; every Rank
-	// of a Cluster exposes it through Rank.NodeStats().
-	NodeStats = node.Stats
-	// NodeStatsReport is the -stats JSON record cmd/repro emits (a
-	// []NodeStatsReport array).
-	NodeStatsReport = node.Report
-	// FaultSpec is a deterministic fault-injection configuration; plug
-	// it into ClusterConfig.Faults or NodeConfig.Faults. A nil *FaultSpec
-	// disables injection.
-	FaultSpec = faults.Spec
-	// NASResult is the outcome of one NAS kernel run.
-	NASResult = nas.Result
-	// Fig6Row is one benchmark's improvement split.
-	Fig6Row = nas.Fig6Row
 	// SendRecvResult is one IMB bandwidth row.
 	SendRecvResult = imb.SendRecvResult
 	// WRResult is one work-request microbenchmark row.
@@ -92,27 +76,16 @@ var (
 	SystemP = machine.SystemP
 )
 
-// MachineByName resolves "opteron", "xeon" or "systemp".
-func MachineByName(name string) *Machine { return machine.ByName(name) }
-
-// ParseFaultSpec parses the -faults syntax of cmd/repro and sweep grids,
-// e.g. "seed=7,hugecap=8,memlock=16m". Empty input returns (nil, nil):
-// faults disabled.
-func ParseFaultSpec(s string) (*FaultSpec, error) { return faults.ParseSpec(s) }
-
 // Machines returns all three systems in the paper's order.
 func Machines() []*Machine { return machine.All() }
 
-// The named placement strategies: "small", "huge", "small-lazy" and
-// "huge-lazy" are the four Figure 5 curves ("huge-lazy" is the paper's
-// full recipe, "small" the do-nothing baseline), "huge-lazy-noatt" the
-// unpatched-driver ablation, "threshold" and "adaptive" huge-lazy under
-// a live placement-policy engine.
-var (
-	Strategies     = mpi.Strategies
-	StrategyByName = mpi.StrategyByName
-	MustStrategy   = mpi.MustStrategy
-)
+// MustStrategy resolves a named placement strategy and panics on an
+// unknown name: "small", "huge", "small-lazy" and "huge-lazy" are the
+// four Figure 5 curves ("huge-lazy" is the paper's full recipe, "small"
+// the do-nothing baseline), "huge-lazy-noatt" the unpatched-driver
+// ablation, "threshold" and "adaptive" huge-lazy under a live
+// placement-policy engine.
+var MustStrategy = mpi.MustStrategy
 
 // NewCluster starts a simulated MPI job; apply a Strategy to cfg to
 // choose its placement.
@@ -142,16 +115,6 @@ func IMBPingPong(cfg ClusterConfig, sizes []int) ([]imb.PingPongResult, error) {
 	return imb.PingPong(cfg, sizes)
 }
 
-// IMBExchange runs the IMB Exchange neighbour pattern.
-func IMBExchange(cfg ClusterConfig, sizes []int) ([]imb.ExchangeResult, error) {
-	return imb.Exchange(cfg, sizes)
-}
-
-// Fig5 runs all four Figure 5 configurations on a machine.
-func Fig5(m *Machine, sizes []int) (map[string][]SendRecvResult, error) {
-	return imb.RunFig5(ClusterConfig{Machine: m}, sizes)
-}
-
 // RegistrationSweep reproduces the registration-cost premise (E9):
 // RegMR time for 4 KiB vs 2 MiB placement across buffer sizes.
 func RegistrationSweep(m *Machine, sizes []uint64) ([]imb.RegResult, error) {
@@ -160,22 +123,6 @@ func RegistrationSweep(m *Machine, sizes []uint64) ([]imb.RegResult, error) {
 
 // NASKernels returns the five NAS kernels (cg, ep, is, lu, mg).
 func NASKernels() []nas.Kernel { return nas.All() }
-
-// NASKernel resolves a kernel by name.
-func NASKernel(name string) nas.Kernel { return nas.ByName(name) }
-
-// RunNAS runs one kernel on a fresh cluster; every placement knob of
-// cfg (allocator, lazy deregistration, ATT patch, policy engine)
-// reaches the run.
-func RunNAS(cfg ClusterConfig, k nas.Kernel) (NASResult, error) { return nas.RunKernel(cfg, k) }
-
-// Fig6 reproduces the NAS improvement split on a machine.
-func Fig6(m *Machine, ranks int) ([]Fig6Row, error) {
-	return nas.RunFig6(ClusterConfig{Machine: m, Ranks: ranks}, nil)
-}
-
-// FormatFig6 renders Figure 6 rows as text.
-var FormatFig6 = nas.FormatFig6
 
 // AllocReplay is one allocation library's outcome on a replayed trace.
 type AllocReplay = alloc.ReplayResult
@@ -207,43 +154,9 @@ func AbinitComparison(m *Machine) (libc, huge Ticks, err error) {
 	return rl.AllocTime, rh.AllocTime, nil
 }
 
-// SweepGrid is a declarative experiment grid: workloads × machines ×
-// placement strategies × fault specs, replicated over seeds.
-type SweepGrid = sweep.Grid
-
-// Bench is the canonical BENCH document a sweep renders: per-cell runs,
-// statistics and paired strategy comparisons, byte-identical for a given
-// grid whatever the worker count or process.
-type Bench = sweep.Bench
-
-// SweepRegression is one gate finding: a cell whose primary metric got
-// worse than the baseline beyond the tolerance.
-type SweepRegression = sweep.Regression
-
-// LoadGrid resolves a built-in grid name ("smoke", "seed") or an
-// @file.json grid definition.
-var LoadGrid = sweep.LoadGrid
-
-// RunSweep executes a grid on a worker pool (workers <= 0 means
-// GOMAXPROCS) and returns the BENCH document plus per-cell run errors;
-// a failed cell never aborts its siblings.
-func RunSweep(g SweepGrid, workers int) (*Bench, []sweep.RunError, error) {
-	return sweep.Execute(g, workers)
-}
-
-// GateBench compares a BENCH document against a baseline on each
-// workload's primary-metric mean (direction-aware) and returns every
-// cell regressed beyond tolPct percent.
-var GateBench = sweep.Gate
-
 // NewNode builds one standalone simulated host (for experiments outside
-// a Cluster); its NodeStats method is the telemetry snapshot.
+// a Cluster); its Stats method is the telemetry snapshot.
 func NewNode(cfg NodeConfig) (*Node, error) { return node.New(cfg) }
-
-// SumNodeStats totals per-node telemetry snapshots (e.g. from
-// Cluster.NodeStats) into one cluster-wide record; the identity fields
-// are taken from the first snapshot.
-func SumNodeStats(sts []NodeStats) NodeStats { return node.Sum(sts) }
 
 // NewAllocator builds one of the four allocation-library models
 // ("libc", "huge", "morecore", "pagesep") on a fresh simulated node.

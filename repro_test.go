@@ -1,18 +1,20 @@
 package repro
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/mpi"
+)
 
 func TestMachinesRoster(t *testing.T) {
-	if len(Machines()) != 3 {
+	ms := Machines()
+	if len(ms) != 3 {
 		t.Fatal("expected the paper's three test systems")
 	}
-	for _, name := range []string{"opteron", "xeon", "systemp"} {
-		if MachineByName(name) == nil {
-			t.Errorf("MachineByName(%q) = nil", name)
+	for i, m := range []*Machine{Opteron(), Xeon(), SystemP()} {
+		if ms[i].Name != m.Name {
+			t.Errorf("Machines()[%d] = %s, want %s", i, ms[i].Name, m.Name)
 		}
-	}
-	if MachineByName("bluegene") != nil {
-		t.Error("unknown machine resolved")
 	}
 }
 
@@ -20,7 +22,7 @@ func TestNewClusterValidatesStrategy(t *testing.T) {
 	if _, err := NewCluster(ClusterConfig{Ranks: 2}); err == nil {
 		t.Fatal("cluster without a machine accepted")
 	}
-	if _, ok := StrategyByName("bogus"); ok {
+	if _, ok := mpi.StrategyByName("bogus"); ok {
 		t.Fatal("unknown strategy resolved")
 	}
 	c, err := NewCluster(hugeLazy(Opteron(), 2))
@@ -41,7 +43,7 @@ func TestNewClusterValidatesStrategy(t *testing.T) {
 // placement knob the paper names.
 func TestStrategiesBuildOnEveryMachine(t *testing.T) {
 	for _, m := range Machines() {
-		for _, s := range Strategies() {
+		for _, s := range mpi.Strategies() {
 			if _, err := NewCluster(s.Apply(ClusterConfig{Machine: m, Ranks: 1})); err != nil {
 				t.Errorf("%s on %s: %v", s.Name, m.Name, err)
 			}
@@ -107,18 +109,10 @@ func TestNASKernelRoster(t *testing.T) {
 	if len(ks) != 5 {
 		t.Fatalf("got %d kernels, want 5", len(ks))
 	}
-	if NASKernel("cg") == nil || NASKernel("ft") != nil {
-		t.Fatal("kernel lookup broken")
-	}
-}
-
-func TestRunNASThroughPublicAPI(t *testing.T) {
-	res, err := RunNAS(hugeLazy(Opteron(), 4), NASKernel("mg"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Comm <= 0 || res.Compute <= 0 || res.Nodes[0].Alloc.HugeBytes == 0 {
-		t.Fatalf("suspicious result: %+v", res)
+	for i, name := range []string{"cg", "ep", "is", "lu", "mg"} {
+		if ks[i].Name() != name {
+			t.Errorf("kernel %d is %s, want %s", i, ks[i].Name(), name)
+		}
 	}
 }
 
@@ -155,7 +149,7 @@ func TestClusterNodeStatsTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < c.Size(); i++ {
-		st := c.Rank(i).NodeStats()
+		st := c.Rank(i).Node().Stats()
 		if st.Machine != Opteron().Name || st.Allocator != "huge" {
 			t.Fatalf("rank %d identity wrong: %q %q", i, st.Machine, st.Allocator)
 		}
@@ -172,10 +166,6 @@ func TestClusterNodeStatsTelemetry(t *testing.T) {
 	sts := c.NodeStats()
 	if len(sts) != 2 {
 		t.Fatalf("Cluster.NodeStats returned %d snapshots, want 2", len(sts))
-	}
-	total := SumNodeStats(sts)
-	if total.Reg.Registrations != sts[0].Reg.Registrations+sts[1].Reg.Registrations {
-		t.Fatalf("SumNodeStats did not total registrations: %+v", total)
 	}
 }
 
