@@ -51,12 +51,11 @@ type MemtierStats struct {
 	MigrateTicks  simtime.Ticks `json:"migrate_ticks"`
 }
 
-// CollStats counts the scheduler-native all-to-all collectives: how
+// CollStats counts the scheduler-native Alltoallv collectives: how
 // many completed on this rank, the pairwise exchange steps they ran,
 // and the bytes they moved (local self-block copies counted
 // separately from wire traffic).
 type CollStats struct {
-	Alltoalls      int64 `json:"alltoalls"`
 	Alltoallvs     int64 `json:"alltoallvs"`
 	PairwiseSteps  int64 `json:"pairwise_steps"`
 	BytesSent      int64 `json:"bytes_sent"`
@@ -392,7 +391,6 @@ func (s *Stats) Add(other Stats) {
 	s.Memtier.Demotions += other.Memtier.Demotions
 	s.Memtier.MigratedBytes += other.Memtier.MigratedBytes
 	s.Memtier.MigrateTicks += other.Memtier.MigrateTicks
-	s.Coll.Alltoalls += other.Coll.Alltoalls
 	s.Coll.Alltoallvs += other.Coll.Alltoallvs
 	s.Coll.PairwiseSteps += other.Coll.PairwiseSteps
 	s.Coll.BytesSent += other.Coll.BytesSent

@@ -161,9 +161,9 @@ func checkColl(c node.CollStats) error {
 		name string
 		v    int64
 	}{
-		{"alltoalls", c.Alltoalls}, {"alltoallvs", c.Alltoallvs},
-		{"pairwise_steps", c.PairwiseSteps}, {"bytes_sent", c.BytesSent},
-		{"bytes_recv", c.BytesRecv}, {"local_copy_bytes", c.LocalCopyBytes},
+		{"alltoallvs", c.Alltoallvs}, {"pairwise_steps", c.PairwiseSteps},
+		{"bytes_sent", c.BytesSent}, {"bytes_recv", c.BytesRecv},
+		{"local_copy_bytes", c.LocalCopyBytes},
 	}
 	for _, x := range counters {
 		if x.v < 0 {

@@ -152,7 +152,7 @@ func TestCheckAcceptsMemtierAndColl(t *testing.T) {
 				PeakBytes: 6 << 20, Assigns: 10, Spills: 2, TouchTicks: 100},
 			Slow:       node.TierStat{Name: "slow", UsedBytes: 24 << 20, PeakBytes: 28 << 20, Assigns: 40},
 			Promotions: 3, Demotions: 1, MigratedBytes: 4 << 20, MigrateTicks: 5000},
-		Coll: node.CollStats{Alltoalls: 1, Alltoallvs: 2, PairwiseSteps: 6,
+		Coll: node.CollStats{Alltoallvs: 2, PairwiseSteps: 6,
 			BytesSent: 4096, BytesRecv: 4096, LocalCopyBytes: 512}}}
 	doc := render(t, []node.Report{node.NewReport("repro", "w", "opteron", "", ns)})
 	if _, err := check(strings.NewReader(doc)); err != nil {
