@@ -32,8 +32,6 @@ type Allocator interface {
 	// Stats returns cumulative counters including the virtual time the
 	// allocator itself consumed.
 	Stats() Stats
-	// Name identifies the model in benchmark output.
-	Name() string
 }
 
 // Stats counts allocator work.

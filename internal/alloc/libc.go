@@ -17,8 +17,7 @@ import (
 // library is compared against, and also the engine reused by the
 // libhugetlbfs model (see NewMorecore), which only swaps the arena source.
 type Libc struct {
-	name string
-	as   *vm.AddressSpace
+	as *vm.AddressSpace
 
 	// mu is the allocator's own lock, or the lock of the Huge library
 	// delegating to it.
@@ -58,7 +57,6 @@ const (
 // NewLibc builds the baseline allocator on small pages.
 func NewLibc(as *vm.AddressSpace, syscallTicks simtime.Ticks) *Libc {
 	l := &Libc{
-		name:          "libc",
 		as:            as,
 		mu:            new(sync.Mutex), //reprolint:ignore schedonly: the lock of the field above
 		used:          make(map[vm.VA]uint64),
@@ -92,7 +90,6 @@ func NewLibc(as *vm.AddressSpace, syscallTicks simtime.Ticks) *Libc {
 // counted, and account() attributes the bytes to the small side.
 func NewMorecore(as *vm.AddressSpace, syscallTicks simtime.Ticks) *Libc {
 	l := NewLibc(as, syscallTicks)
-	l.name = "libhugetlbfs-morecore"
 	l.grow = func(n uint64) (vm.VA, uint64, error) {
 		sz := alignUp(n, machine.HugePageSize)
 		va, huge, err := as.MapHugeOrSmall(sz)
@@ -111,9 +108,6 @@ func NewMorecore(as *vm.AddressSpace, syscallTicks simtime.Ticks) *Libc {
 	}
 	return l
 }
-
-// Name implements Allocator.
-func (l *Libc) Name() string { return l.name }
 
 // Alloc implements Allocator: mmap path above the threshold, otherwise
 // address-ordered first fit with splitting.

@@ -35,9 +35,6 @@ func NewPageSep(as *vm.AddressSpace, syscallTicks simtime.Ticks) *PageSep {
 	return &PageSep{as: as, syscallTicks: syscallTicks, used: make(map[vm.VA]uint64)}
 }
 
-// Name implements Allocator.
-func (p *PageSep) Name() string { return "libhugepagealloc" }
-
 // ThreadSafe reports the modelled library's concurrency guarantee.
 func (p *PageSep) ThreadSafe() bool { return false }
 

@@ -53,7 +53,6 @@ type Pattern interface {
 	// modelled result. The DTLB's counters advance by the *sampled*
 	// accesses; Result.TLBMisses is the scaled full-stream estimate.
 	Apply(cpu *machine.CPU, d *tlb.DTLB, rg Region) Result
-	Name() string
 }
 
 // sampled returns how many accesses of a total-access stream are driven
@@ -84,9 +83,6 @@ func lineCost(cpu *machine.CPU, lines, hidden, misses int64) simtime.Ticks {
 type SeqScan struct {
 	Passes int
 }
-
-// Name implements Pattern.
-func (SeqScan) Name() string { return "seqscan" }
 
 // Apply implements Pattern.
 func (s SeqScan) Apply(cpu *machine.CPU, d *tlb.DTLB, rg Region) Result {
@@ -130,9 +126,6 @@ type Strided struct {
 	Stride uint64
 	Passes int
 }
-
-// Name implements Pattern.
-func (Strided) Name() string { return "strided" }
 
 // maxPrefetchStride is the largest stride hardware stream detectors track.
 const maxPrefetchStride = 512
@@ -184,9 +177,6 @@ type Random struct {
 	Seed  uint64
 }
 
-// Name implements Pattern.
-func (Random) Name() string { return "random" }
-
 // Apply implements Pattern.
 func (r Random) Apply(cpu *machine.CPU, d *tlb.DTLB, rg Region) Result {
 	if r.Count <= 0 || rg.Bytes == 0 {
@@ -230,9 +220,6 @@ type ScatteredTables struct {
 	// hugepage mapping).
 	SpreadBytes uint64
 }
-
-// Name implements Pattern.
-func (ScatteredTables) Name() string { return "scattered-tables" }
 
 // Apply implements Pattern.
 func (sc ScatteredTables) Apply(cpu *machine.CPU, d *tlb.DTLB, rg Region) Result {

@@ -98,7 +98,7 @@ func TestZeroInputsAreSafe(t *testing.T) {
 	for _, p := range []Pattern{SeqScan{}, Strided{}, Random{}, ScatteredTables{}} {
 		res := p.Apply(cpu, d, region(vm.Small, 1<<20))
 		if res.Accesses != 0 || res.Ticks != 0 {
-			t.Fatalf("%s: zero pattern produced work", p.Name())
+			t.Fatalf("%T: zero pattern produced work", p)
 		}
 	}
 }
@@ -185,7 +185,7 @@ func TestResultsPinned(t *testing.T) {
 			for i, pt := range pats {
 				got := pt.p.Apply(&m.CPU, d, region(class, pt.bytes))
 				if got != want[key][i] {
-					t.Errorf("%s %s: %+v, want %+v", key, pt.p.Name(), got, want[key][i])
+					t.Errorf("%s %T: %+v, want %+v", key, pt.p, got, want[key][i])
 				}
 			}
 		}
