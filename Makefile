@@ -143,11 +143,16 @@ modern:
 # functions and the benchmark/ module. Runs each once from a temporary
 # directory: full repro; repro -stats clean, under -policy adaptive and
 # under CI's fault spec with a trace; tracetool -check on that trace; the
-# smoke, seed, policy, modern and scale grids; the root benchmarks at
-# one iteration; the benchmark binary on its four workloads with
-# -trace 1. Prints the simulation functions no run executed: the 0.0%
-# rows of go tool covdata func, outside internal/analysis and
-# internal/tools. About 60 s on a 2-vCPU host; not a CI gate.
+# smoke, seed, policy, modern and scale grids with the flags CI passes
+# (-table, and -baseline against the committed document with -gate,
+# -require-best adaptive on policy, -stripped on modern and scale); the
+# root benchmarks at one iteration; the benchmark binary on its four
+# workloads with -trace 1. A grid whose gate fails (a coverage build
+# runs slower than the scale gate's wall-clock baseline allows) is
+# reported and does not stop the census. Prints the simulation
+# functions no run executed: the 0.0% rows of go tool covdata func,
+# outside internal/analysis and internal/tools. About 60 s on a 2-vCPU
+# host; not a CI gate.
 census:
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	cov="-cover -coverpkg=repro/..."; mkdir -p "$$d/cov" "$$d/bin"; \
@@ -156,6 +161,7 @@ census:
 	$(GO) test -c $$cov -o "$$d/bin/root.test" .; \
 	(cd benchmark && $(GO) build $$cov -o "$$d/bin/benchmark" .); \
 	spec='seed=7,hugecap=8,hugefail=40,shrink=100:2,memlock=16m,wr=50,attevict=400'; \
+	repo="$(CURDIR)"; \
 	cd "$$d"; export GOCOVERDIR="$$d/cov"; \
 	bin/repro > /dev/null; \
 	bin/repro -stats > /dev/null; \
@@ -163,7 +169,11 @@ census:
 	bin/repro -stats -faults "$$spec" -trace trace.json > /dev/null; \
 	bin/tracetool -check trace.json > /dev/null; \
 	for e in aggregation allocator latency quickstart stencil; do bin/ex_$$e > /dev/null; done; \
-	for g in smoke seed policy modern scale; do bin/sweeprun -grid $$g -o /dev/null; done; \
+	bin/sweeprun -grid smoke -o /dev/null; \
+	gated() { g=$$1; shift; bin/sweeprun -grid $$g -o /dev/null -table -baseline "$$repo/BENCH_$$g.json" -gate "$$@" 2> /dev/null || \
+		echo "census: sweeprun -grid $$g failed its gate" >&2; }; \
+	gated seed; gated policy -require-best adaptive; \
+	gated modern -stripped stripped.json; gated scale -stripped stripped.json -tol 75; \
 	bin/root.test -test.run '^$$' -test.bench . -test.benchtime 1x -test.gocoverdir="$$d/cov" > /dev/null; \
 	for w in paper-nas paper-micro modern-pack scale-1024; do bin/benchmark -workload $$w -seconds 0 -trace 1 > /dev/null; done; \
 	$(GO) tool covdata func -i "$$d/cov" | \

@@ -12,6 +12,7 @@ import (
 
 	"repro"
 	"repro/internal/faults"
+	"repro/internal/hostprof"
 	"repro/internal/imb"
 	"repro/internal/machine"
 	"repro/internal/mpi"
@@ -34,6 +35,8 @@ type options struct {
 	// runs in full mode; under -stats it records the telemetry run.
 	col       *trace.Collector
 	tracePath string
+	// prof holds the -cpuprofile and -memprofile paths.
+	prof *hostprof.Flags
 }
 
 // usageError marks a command-line syntax error, which the flag set has
@@ -53,10 +56,11 @@ func parseFlags(args []string) (options, error) {
 	pol := fs.String("policy", string(policy.Static), "placement policy (static|threshold|adaptive)")
 	spec := fs.String("faults", "", "deterministic fault spec, e.g. seed=7,hugecap=8,memlock=16m (see README)")
 	tracePath := fs.String("trace", "", "write a Perfetto trace of the run to this file ('-' = stdout)")
+	prof := hostprof.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return options{}, usageError{err}
 	}
-	o := options{quick: *quick, stats: *stats, policy: *pol, tracePath: *tracePath}
+	o := options{quick: *quick, stats: *stats, policy: *pol, tracePath: *tracePath, prof: prof}
 	if _, err := policy.ParseKind(o.policy); err != nil {
 		return options{}, err
 	}
@@ -79,11 +83,16 @@ func run(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	if o.stats {
-		return runStats(w, o)
+	stopProf, err := o.prof.Start()
+	if err != nil {
+		return err
 	}
-	_, err = figures(w, o)
-	return err
+	if o.stats {
+		err = runStats(w, o)
+	} else {
+		_, err = figures(w, o)
+	}
+	return errors.Join(err, stopProf())
 }
 
 // runStats runs a small Figure 5 cell under the paper's recommended

@@ -14,6 +14,7 @@
 //	sweeprun -grid seed -baseline BENCH_seed.json -gate -tol 5
 //	sweeprun -grid @mygrid.json -trace slowest.json
 //	sweeprun -grid scale -stripped BENCH_scale.det.json
+//	sweeprun -grid modern -o /dev/null -cpuprofile cpu.out -memprofile mem.out
 package main
 
 import (
@@ -22,6 +23,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/hostprof"
 	"repro/internal/mpi"
 	"repro/internal/node"
 	"repro/internal/sweep"
@@ -48,6 +50,7 @@ func main() {
 	traceFlag := flag.String("trace", "", "re-run the slowest cell with tracing and write the Perfetto trace here")
 	requireBest := flag.String("require-best", "", "fail unless this strategy is best-or-tied on the primary metric in every cell group")
 	list := flag.Bool("list", false, "list built-in grids, workloads and strategies, then exit")
+	prof := hostprof.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *list {
@@ -91,6 +94,10 @@ func main() {
 		return
 	}
 
+	stopProf, err := prof.Start()
+	if err != nil {
+		fail(err)
+	}
 	grid, err := sweep.LoadGrid(*gridArg)
 	if err != nil {
 		fail(err)
@@ -121,6 +128,11 @@ func main() {
 			fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "sweeprun: slowest cell %s traced to %s\n", slowest, *traceFlag)
+	}
+
+	// The profiles cover the grid and the traced re-run, not the checks.
+	if err := stopProf(); err != nil {
+		fail(err)
 	}
 
 	failed := false

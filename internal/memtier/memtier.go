@@ -17,10 +17,14 @@
 // charging the copy at the configured migration bandwidth plus a
 // per-page remap overhead.
 //
+// Residency lives in 128-frame chunks, allocated on a chunk's first
+// placement and found through a map keyed by chunk number, so a node
+// pays one map entry per 128 frames it has placed pages in, not one
+// per page.
+//
 // Determinism: every decision is a pure function of the call sequence —
 // no wall clock, no randomness, no map iteration reaches a result. The
-// per-frame map is consulted point-wise only; snapshots that need
-// ordering sort first (maporder).
+// chunk map is consulted point-wise only (maporder).
 package memtier
 
 import (
@@ -147,18 +151,68 @@ type Stats struct {
 //
 //reprolint:nilsafe
 type Manager struct {
-	tiers   []Tier
-	migMBs  float64
-	resided map[phys.Frame]tierPage
-	stats   Stats
+	tiers  []Tier
+	migMBs float64
+	// chunks holds the residency of the frames [c*chunkFrames,
+	// (c+1)*chunkFrames) at key c, created on the chunk's first
+	// placement; last and lastNo cache the chunk found most recently,
+	// since consecutive pages of a range share one.
+	chunks map[phys.Frame]*residChunk
+	last   *residChunk
+	lastNo phys.Frame
+	stats  Stats
 	// cur, when set, stamps migrations as tier-layer trace events at
 	// the cursor's current position (nil = no tracing).
 	cur *trace.Cursor
 }
 
+// tierPage is one page's residency: the tier it sits in and its size
+// when placed. The zero value is an untracked page.
 type tierPage struct {
-	tier  int
-	bytes uint64
+	bytes    uint64
+	tier     int32
+	resident bool
+}
+
+// chunkFrames is the number of frames one residency chunk covers, as
+// in internal/phys's frame table: 2 KiB of entries.
+const chunkFrames = 128
+
+type residChunk [chunkFrames]tierPage
+
+// page returns the residency entry of frame f, or nil if no page in f's
+// chunk was ever placed.
+func (m *Manager) page(f phys.Frame) *tierPage {
+	no := f / chunkFrames
+	if m.last == nil || m.lastNo != no {
+		c := m.chunks[no]
+		if c == nil {
+			return nil
+		}
+		m.last, m.lastNo = c, no
+	}
+	return &m.last[f%chunkFrames]
+}
+
+// resident returns frame f's entry if it holds a placed page.
+func (m *Manager) resident(f phys.Frame) (*tierPage, bool) {
+	p := m.page(f)
+	return p, p != nil && p.resident
+}
+
+// slot returns frame f's residency entry, creating its chunk on first
+// use.
+func (m *Manager) slot(f phys.Frame) *tierPage {
+	if p := m.page(f); p != nil {
+		return p
+	}
+	if m.chunks == nil {
+		m.chunks = make(map[phys.Frame]*residChunk)
+	}
+	c := new(residChunk)
+	m.chunks[f/chunkFrames] = c
+	m.last, m.lastNo = c, f/chunkFrames
+	return &c[f%chunkFrames]
 }
 
 // New builds a Manager from a validated config; a nil config returns a
@@ -171,10 +225,9 @@ func New(cfg *Config, cur *trace.Cursor) (*Manager, error) {
 		return nil, err
 	}
 	m := &Manager{
-		tiers:   append([]Tier(nil), cfg.Tiers...),
-		migMBs:  cfg.MigrateBandwidthMBs,
-		resided: make(map[phys.Frame]tierPage),
-		cur:     cur,
+		tiers:  append([]Tier(nil), cfg.Tiers...),
+		migMBs: cfg.MigrateBandwidthMBs,
+		cur:    cur,
 	}
 	if m.migMBs <= 0 {
 		m.migMBs = DefaultMigrateBandwidthMBs
@@ -221,7 +274,7 @@ func (m *Manager) place(ref PageRef, want int) int {
 			m.stats.Tiers[ti].UsedBytes+int64(ref.Bytes) > m.tiers[ti].CapacityBytes {
 			continue
 		}
-		m.resided[ref.Frame] = tierPage{tier: ti, bytes: ref.Bytes}
+		*m.slot(ref.Frame) = tierPage{bytes: ref.Bytes, tier: int32(ti), resident: true}
 		ts := &m.stats.Tiers[ti]
 		ts.UsedBytes += int64(ref.Bytes)
 		if ts.UsedBytes > ts.PeakBytes {
@@ -241,8 +294,8 @@ func (m *Manager) TierOf(ref PageRef) int {
 	if m == nil {
 		return -1
 	}
-	if p, ok := m.resided[ref.Frame]; ok {
-		return p.tier
+	if p, ok := m.resident(ref.Frame); ok {
+		return int(p.tier)
 	}
 	return m.place(ref, 0)
 }
@@ -260,7 +313,7 @@ func (m *Manager) Assign(refs []PageRef, tier int) int {
 	}
 	placed := 0
 	for _, ref := range refs {
-		if _, ok := m.resided[ref.Frame]; ok {
+		if _, ok := m.resident(ref.Frame); ok {
 			continue
 		}
 		if m.place(ref, tier) == tier {
@@ -312,7 +365,7 @@ func (m *Manager) Migrate(refs []PageRef, tier int) (moved int, cost simtime.Tic
 	}
 	var bytes int64
 	for _, ref := range refs {
-		p, ok := m.resided[ref.Frame]
+		p, ok := m.resident(ref.Frame)
 		if !ok {
 			// Moving untracked data means placing it: first-touch at
 			// the destination (spilling if full), with no copy cost —
@@ -320,7 +373,8 @@ func (m *Manager) Migrate(refs []PageRef, tier int) (moved int, cost simtime.Tic
 			m.place(ref, tier)
 			continue
 		}
-		if p.tier == tier {
+		from := int(p.tier)
+		if from == tier {
 			continue
 		}
 		dst := &m.stats.Tiers[tier]
@@ -328,17 +382,17 @@ func (m *Manager) Migrate(refs []PageRef, tier int) (moved int, cost simtime.Tic
 			dst.UsedBytes+int64(p.bytes) > m.tiers[tier].CapacityBytes {
 			continue
 		}
-		m.stats.Tiers[p.tier].UsedBytes -= int64(p.bytes)
+		m.stats.Tiers[from].UsedBytes -= int64(p.bytes)
 		dst.UsedBytes += int64(p.bytes)
 		if dst.UsedBytes > dst.PeakBytes {
 			dst.PeakBytes = dst.UsedBytes
 		}
-		if tier < p.tier {
+		if tier < from {
 			m.stats.Promotions++
 		} else {
 			m.stats.Demotions++
 		}
-		m.resided[ref.Frame] = tierPage{tier: tier, bytes: p.bytes}
+		p.tier = int32(tier)
 		moved++
 		bytes += int64(p.bytes)
 	}
@@ -346,8 +400,10 @@ func (m *Manager) Migrate(refs []PageRef, tier int) (moved int, cost simtime.Tic
 		cost = m.MigrateCost(moved, uint64(bytes))
 		m.stats.MigratedBytes += bytes
 		m.stats.MigrateTicks += cost
-		m.cur.Event(trace.LTier, "migrate",
-			trace.I64("tier", int64(tier)), trace.I64("pages", int64(moved)), trace.I64("bytes", bytes))
+		if m.cur.Enabled() { // the event's arguments escape: build them only when traced
+			m.cur.Event(trace.LTier, "migrate",
+				trace.I64("tier", int64(tier)), trace.I64("pages", int64(moved)), trace.I64("bytes", bytes))
+		}
 	}
 	return moved, cost
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/node"
+	"repro/internal/phys"
 	"repro/internal/vm"
 )
 
@@ -14,18 +15,14 @@ const (
 	tagAlltoallv = 5 << 20
 )
 
-// ReduceOp combines two float64 values (Sum, Max, ...).
-type ReduceOp func(a, b float64) float64
+// ReduceOp is an elementwise float64 reduction: Sum or Max (which keeps
+// a > b ? a : b).
+type ReduceOp = phys.ReduceOp
 
 // Sum and Max are the reduce operations the NAS kernels need.
-var (
-	Sum ReduceOp = func(a, b float64) float64 { return a + b }
-	Max ReduceOp = func(a, b float64) float64 {
-		if a > b {
-			return a
-		}
-		return b
-	}
+const (
+	Sum = phys.Sum
+	Max = phys.Max
 )
 
 // scratch returns a persistent internal buffer of at least n bytes,
@@ -69,13 +66,18 @@ func (r *Rank) Barrier() error {
 }
 
 // AllreduceF64 reduces count float64s at va elementwise across all ranks
-// with op, by recursive doubling; every rank ends with the result. The
+// with op, by recursive doubling; every rank ends with the result. Each
+// round adds the received operand into va in place, frame to frame. The
 // rank count must be a power of two, as in every experiment (NAS IS
-// likewise needs a power-of-two MaxKey).
+// likewise needs a power-of-two MaxKey), and va must be 8-byte aligned,
+// as Malloc memory is.
 func (r *Rank) AllreduceF64(va vm.VA, count int, op ReduceOp) error {
 	p := r.Size()
 	if p&(p-1) != 0 {
 		return fmt.Errorf("mpi: allreduce needs a power-of-two rank count, got %d ranks", p)
+	}
+	if va%8 != 0 {
+		return fmt.Errorf("mpi: allreduce needs an 8-byte-aligned buffer, got va %#x", uint64(va))
 	}
 	start := r.clock.Now()
 	outer := r.enterMPI()
@@ -94,35 +96,12 @@ func (r *Rank) AllreduceF64(va vm.VA, count int, op ReduceOp) error {
 			peer, tagAllreduce+round, tmp, bytes); err != nil {
 			return fmt.Errorf("mpi: allreduce round %d: %w", round, err)
 		}
-		if err := r.combineF64(va, tmp, count, op); err != nil {
+		if err := r.as.ReduceF64(va, tmp, bytes, op); err != nil {
 			return err
 		}
+		// Reduction arithmetic streams 3 arrays through the cache.
+		r.clock.Advance(r.memcpyTicks(3 * bytes))
 	}
-	return nil
-}
-
-// combineF64 applies va[i] = op(va[i], tmp[i]) including the CPU cost of
-// streaming both arrays. The operands are decoded into the rank's host
-// scratch, grown to the largest count it has reduced.
-func (r *Rank) combineF64(va, tmp vm.VA, count int, op ReduceOp) error {
-	if cap(r.combineA) < count {
-		r.combineA, r.combineB = make([]float64, count), make([]float64, count)
-	}
-	a, b := r.combineA[:count], r.combineB[:count]
-	if err := r.ReadF64(va, a); err != nil {
-		return err
-	}
-	if err := r.ReadF64(tmp, b); err != nil {
-		return err
-	}
-	for i := range a {
-		a[i] = op(a[i], b[i])
-	}
-	if err := r.WriteF64(va, a); err != nil {
-		return err
-	}
-	// Reduction arithmetic streams 3 arrays through the cache.
-	r.clock.Advance(r.memcpyTicks(3 * 8 * count))
 	return nil
 }
 

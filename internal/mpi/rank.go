@@ -67,10 +67,10 @@ type Rank struct {
 	// allocation library, so it follows the placement policy).
 	scratchVA   vm.VA
 	scratchSize uint64
-	// combineA and combineB hold combineF64's decoded operands on the
-	// host, allocated on the first reduction and grown to the largest
-	// count since.
-	combineA, combineB []float64
+	// pageBuf and refBuf are pageRefs' buffers, grown to the largest
+	// range since and reused by every tier call.
+	pageBuf []vm.Page
+	refBuf  []memtier.PageRef
 
 	// mpiDepth tracks nesting of profiled MPI entry points so that a
 	// collective's internal point-to-point calls are not double-counted
@@ -348,19 +348,22 @@ func (r *Rank) touchPages(va vm.VA, n uint64) {
 	}
 }
 
-// pageRefs enumerates [va, va+n) as memtier page refs (base frames).
+// pageRefs enumerates [va, va+n) as memtier page refs (base frames),
+// in the rank's reused buffers: the refs are valid until the next call.
 func (r *Rank) pageRefs(va vm.VA, n uint64) ([]memtier.PageRef, error) {
-	pages, err := r.as.Pages(va, n)
+	pages, err := r.as.Pages(r.pageBuf[:0], va, n)
 	if err != nil {
 		return nil, err
 	}
-	refs := make([]memtier.PageRef, len(pages))
-	for i, p := range pages {
-		refs[i] = memtier.PageRef{
+	r.pageBuf = pages
+	refs := r.refBuf[:0]
+	for _, p := range pages {
+		refs = append(refs, memtier.PageRef{
 			Frame: phys.Frame(uint64(p.PA) / machine.SmallPageSize),
 			Bytes: p.Class.Size(),
-		}
+		})
 	}
+	r.refBuf = refs
 	return refs, nil
 }
 

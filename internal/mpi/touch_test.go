@@ -119,3 +119,48 @@ func TestTouchUnmappedFails(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTierCallsOnPlacedPagesAllocateNothing: once a buffer's pages are
+// placed and the rank's page buffers have grown to its size, TierAssign
+// and TierMigrate over it allocate no object, on small pages and on
+// hugepages.
+func TestTierCallsOnPlacedPagesAllocateNothing(t *testing.T) {
+	for _, alloc := range []AllocatorKind{AllocLibc, AllocHuge} {
+		cfg := defaultCfg(1)
+		cfg.Allocator = alloc
+		cfg.Tiers = memtier.TwoTier(64<<20, 120, 900)
+		w := mustWorld(t, cfg)
+		var assign, migrate float64
+		err := w.Run(func(r *Rank) error {
+			const n = 4 << 20
+			va, err := r.Malloc(n)
+			if err != nil {
+				return err
+			}
+			if err := r.TierAssign(va, n, 1); err != nil {
+				return err
+			}
+			var rerr error
+			assign = testing.AllocsPerRun(20, func() {
+				if err := r.TierAssign(va, n, 0); err != nil {
+					rerr = err
+				}
+			})
+			tier := 0
+			migrate = testing.AllocsPerRun(20, func() {
+				if _, err := r.TierMigrate(va, n, tier); err != nil {
+					rerr = err
+				}
+				tier = 1 - tier
+			})
+			return rerr
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", alloc, err)
+		}
+		if assign != 0 || migrate != 0 {
+			t.Fatalf("%s: TierAssign allocates %.1f and TierMigrate %.1f objects per call on placed pages, want 0",
+				alloc, assign, migrate)
+		}
+	}
+}

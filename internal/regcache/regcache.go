@@ -383,26 +383,6 @@ func (c *Cache) Invalidate(va vm.VA, length uint64) (simtime.Ticks, error) {
 	return cost, nil
 }
 
-// Flush deregisters everything, including zombies (rank teardown; no
-// transfers may be in flight).
-func (c *Cache) Flush() error {
-	var all []*verbs.MR
-	for mr := range c.byMR {
-		all = append(all, mr)
-	}
-	c.entries = make(map[vm.VA]*entry)
-	c.byMR = make(map[*verbs.MR]*entry)
-	c.lru.Init()
-	c.stats.PinnedBytes = 0
-	sortMRs(all)
-	for _, mr := range all {
-		if _, err := c.ctx.DeregMR(mr); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Stats returns a snapshot.
 func (c *Cache) Stats() Stats {
 	return c.stats

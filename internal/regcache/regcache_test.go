@@ -143,23 +143,6 @@ func TestInvalidateOnFree(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
-	c := ctx(t)
-	rc := regcache.New(c, true)
-	for i := 0; i < 4; i++ {
-		va, _ := c.AS.MapSmall(128 << 10)
-		if _, _, err := rc.Acquire(va, 128<<10); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := rc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if rc.Len() != 0 || rc.Stats().PinnedBytes != 0 {
-		t.Fatal("flush incomplete")
-	}
-}
-
 func TestFirstUsePaysFullRegistrationEvenWhenLazy(t *testing.T) {
 	// Figure 5 discussion: "Even if lazy deregistration is enabled, the
 	// first use of a buffer results in a memory registration with an

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/phys"
 	"repro/internal/vm"
 )
 
@@ -27,7 +29,7 @@ func copySpace(t *testing.T) (as *vm.AddressSpace, small, huge vm.VA) {
 	if small, err = as.MapSmall(span); err != nil {
 		t.Fatal(err)
 	}
-	pages, err := as.Pages(small, span)
+	pages, err := as.Pages(nil, small, span)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,5 +180,38 @@ func TestCopyRefusesUnmappedAndOverlapping(t *testing.T) {
 	}
 	if got := read(t, as, end-page, page); !bytes.Equal(got, make([]byte, page)) {
 		t.Fatal("the destination running past its mapping was written")
+	}
+}
+
+// TestReduceF64RefusesBadRanges: ReduceF64 shares Copy's range checks
+// and also needs 8-byte alignment of both addresses and the length;
+// every refusal comes before any value changes.
+func TestReduceF64RefusesBadRanges(t *testing.T) {
+	as, small, huge := copySpace(t)
+	end := huge + 2*machine.HugePageSize // nothing is mapped past it
+	dst := small + machine.HugePageSize
+	want := read(t, as, dst, 2*page)
+	for _, c := range []struct {
+		name     string
+		dst, src vm.VA
+		n        int
+		err      error
+	}{
+		{"source past the mapping", dst, end - page, 2 * page, vm.ErrUnmapped},
+		{"overlapping", dst, dst + page, 2 * page, vm.ErrOverlap},
+		{"unaligned destination", dst + 4, huge, 2 * page, nil},
+		{"unaligned source", dst, huge + 4, 2 * page, nil},
+		{"unaligned length", dst, huge, 2*page - 4, nil},
+	} {
+		err := as.ReduceF64(c.dst, c.src, c.n, phys.Sum)
+		if c.err != nil && !errors.Is(err, c.err) {
+			t.Errorf("%s: got %v, want %v", c.name, err, c.err)
+		}
+		if c.err == nil && (err == nil || !strings.Contains(err.Error(), "8-byte alignment")) {
+			t.Errorf("%s: got %v, want an alignment error", c.name, err)
+		}
+		if got := read(t, as, dst, 2*page); !bytes.Equal(got, want) {
+			t.Fatalf("%s: values changed before the error", c.name)
+		}
 	}
 }

@@ -523,18 +523,21 @@ func (as *AddressSpace) walk(va VA, length uint64, fn func(a VA, p *pte) error) 
 	return class, nil
 }
 
-// Pages enumerates the pages covering [va, va+len), in address order.
-// All returned pages have the same class; a range straddling the small
-// and huge windows returns ErrMixedClasses (user buffers never do).
-func (as *AddressSpace) Pages(va VA, length uint64) ([]Page, error) {
+// Pages appends the pages covering [va, va+len), in address order, to
+// dst and returns the extended slice, like Pin; a caller that looks up
+// pages often passes the same buffer back each time. All the pages have
+// the same class; a range straddling the small and huge windows returns
+// ErrMixedClasses (user buffers never do). On an error dst comes back
+// as passed.
+func (as *AddressSpace) Pages(dst []Page, va VA, length uint64) ([]Page, error) {
 	if length == 0 {
-		return nil, nil
+		return dst, nil
 	}
 	class, err := as.walk(va, length, nil)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	pages := make([]Page, 0, pageCount(va, length, class))
+	pages := slices.Grow(dst, pageCount(va, length, class))
 	// The range was checked above and fn never fails, so neither can
 	// this walk.
 	_, _ = as.walk(va, length, func(a VA, p *pte) error {
@@ -660,8 +663,34 @@ func (as *AddressSpace) Read(va VA, p []byte) error {
 // never-written one arrives as zeros. Both ranges are checked before any
 // byte moves; they must not overlap.
 func (as *AddressSpace) Copy(dst, src VA, n int) error {
+	return as.walk2(dst, src, n, func(dpa, spa phys.Addr, c int) {
+		phys.Copy(as.mem, dpa, as.mem, spa, c)
+	})
+}
+
+// ReduceF64 combines the n bytes of float64s at src into those at dst in
+// place, dst = dst op src elementwise, frame to frame through both page
+// tables (phys.Memory.ReduceF64): the data movement of a CPU reduction
+// loop, whose price the caller charges. A never-written source frame
+// reads as zeros. Both addresses and n must be multiples of 8, and the
+// ranges are checked as for Copy before any value changes.
+func (as *AddressSpace) ReduceF64(dst, src VA, n int, op phys.ReduceOp) error {
+	if dst%8 != 0 || src%8 != 0 || n%8 != 0 {
+		return fmt.Errorf("vm: float64 reduce of %d bytes at %#x from %#x needs 8-byte alignment", n, uint64(dst), uint64(src))
+	}
+	return as.walk2(dst, src, n, func(dpa, spa phys.Addr, c int) {
+		as.mem.ReduceF64(dpa, spa, c, op)
+	})
+}
+
+// walk2 calls fn, in address order, for each stretch of the ranges
+// [dst, dst+n) and [src, src+n) that lies within one page of each, with
+// the stretch's physical address in both. Both ranges are checked before
+// fn first runs: a negative n, an unmapped byte (ErrUnmapped) or
+// overlapping ranges (ErrOverlap) fail with no call.
+func (as *AddressSpace) walk2(dst, src VA, n int, fn func(dpa, spa phys.Addr, c int)) error {
 	if n < 0 {
-		return fmt.Errorf("vm: negative copy length %d", n)
+		return fmt.Errorf("vm: negative length %d", n)
 	}
 	if err := as.CheckMapped(src, n); err != nil {
 		return err
@@ -673,13 +702,11 @@ func (as *AddressSpace) Copy(dst, src VA, n int) error {
 		return fmt.Errorf("%w: [%#x,+%d) and [%#x,+%d)", ErrOverlap, uint64(src), n, uint64(dst), n)
 	}
 	for n > 0 {
-		spa, sclass, _ := as.translateQuiet(src) // mapped: checked above
-		dpa, dclass, err := as.translateQuiet(dst)
-		if err != nil {
-			return err
-		}
+		// Both ranges are mapped: checked above.
+		spa, sclass, _ := as.translateQuiet(src)
+		dpa, dclass, _ := as.translateQuiet(dst)
 		c := min(n, int(sclass.Size()-uint64(src)%sclass.Size()), int(dclass.Size()-uint64(dst)%dclass.Size()))
-		phys.Copy(as.mem, dpa, as.mem, spa, c)
+		fn(dpa, spa, c)
 		src += VA(c)
 		dst += VA(c)
 		n -= c

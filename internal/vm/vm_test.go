@@ -91,7 +91,7 @@ func TestPagesEnumeration(t *testing.T) {
 	as := testAS(t)
 	va, _ := as.MapSmall(16 * machine.SmallPageSize)
 	// A range starting mid-page and ending mid-page covers both edge pages.
-	pages, err := as.Pages(va+100, 2*machine.SmallPageSize)
+	pages, err := as.Pages(nil, va+100, 2*machine.SmallPageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,12 +105,26 @@ func TestPagesEnumeration(t *testing.T) {
 	}
 	// Hugepage ranges count 2MiB pages.
 	hva, _ := as.MapHuge(3 * machine.HugePageSize)
-	hp, err := as.Pages(hva, 3*machine.HugePageSize)
+	hp, err := as.Pages(nil, hva, 3*machine.HugePageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(hp) != 3 {
 		t.Fatalf("got %d hugepages, want 3", len(hp))
+	}
+	// Pages appends after dst's elements, and a buffer passed back with
+	// room to spare takes no allocation.
+	both, err := as.Pages(pages, hva, 3*machine.HugePageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(both[:3], pages) || !slices.Equal(both[3:], hp) {
+		t.Fatalf("Pages appended %v after %v, want %v", both[3:], both[:3], hp)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		both, err = as.Pages(both[:0], va+100, 2*machine.SmallPageSize)
+	}); allocs != 0 || err != nil {
+		t.Fatalf("a reused buffer: %.1f allocations per call (err %v), want 0", allocs, err)
 	}
 }
 
@@ -141,7 +155,7 @@ func TestPinAppendsToDst(t *testing.T) {
 	as := testAS(t)
 	const n = 4
 	va, _ := as.MapSmall(n * machine.SmallPageSize)
-	want, err := as.Pages(va, n*machine.SmallPageSize)
+	want, err := as.Pages(nil, va, n*machine.SmallPageSize)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,6 +168,7 @@ func RunKV(cfg mpi.Config, p KVParams) (*KVResult, error) {
 			return err
 		}
 		sync := make([]float64, p.SyncF64s)
+		var pageBuf []vm.Page // the promotion unit's lookup buffer
 		for s := 0; s < p.Decode; s++ {
 			t := p.Prefill + s
 			for l := 0; l < p.Layers; l++ {
@@ -198,8 +199,10 @@ func RunKV(cfg mpi.Config, p KVParams) (*KVResult, error) {
 					// whole 2 MiB under hugepages, 4 KiB otherwise — so
 					// price and budget what would actually move.
 					unit := uint64(p.TokenBytes)
-					if pages, err := r.AS().Pages(va, uint64(p.TokenBytes)); err == nil && len(pages) > 0 {
-						unit = pages[0].Class.Size()
+					// Pages leaves the buffer empty on an error.
+					pageBuf, _ = r.AS().Pages(pageBuf[:0], va, uint64(p.TokenBytes))
+					if len(pageBuf) > 0 {
+						unit = pageBuf[0].Class.Size()
 					}
 					migCost := tiers.MigrateCost(1, unit)
 					recCost := simtime.BandwidthTicks(int64(p.TokenBytes*p.RecomputeFactor),

@@ -60,25 +60,44 @@ func TestMoESeedChangesRouting(t *testing.T) {
 	}
 }
 
-// TestMoERoutingReusesSource: routing drawn from one source kept across
-// calls, with stray draws between them, equals routing drawn from a
-// source built fresh for each call with the same seed.
+// TestMoERoutingReusesSource: the routing table drawn from one source,
+// re-seeded per (iter, chunk, src), with each permutation drawn into a
+// reused buffer, equals the routing that a source built fresh for each
+// (iter, chunk, src) with the same seed draws through Intn and
+// rand.Perm. Building it allocates the same number of objects whatever
+// the rank count.
 func TestMoERoutingReusesSource(t *testing.T) {
 	p := DefaultMoEParams()
 	p.Chunks = 3
 	const ranks = 8
-	kept := rand.New(rand.NewSource(12345))
-	for iter := 0; iter < 3; iter++ {
+	rt := moeRouting(p, ranks)
+	groupSize := ranks / p.Groups
+	for iter := 0; iter < p.Iters; iter++ {
 		for chunk := 0; chunk < p.Chunks; chunk++ {
+			lo, hi := chunkRange(p.Tokens, p.Chunks, chunk)
 			for src := 0; src < ranks; src++ {
-				kept.Int63()
-				got := moeRouting(kept, p, ranks, iter, chunk, src)
 				fresh := rand.New(rand.NewSource(int64(p.Seed)<<32 ^ int64(iter*1048576+chunk*65536+src)))
-				if want := moeRouting(fresh, p, ranks, iter, chunk, src); !reflect.DeepEqual(got, want) {
-					t.Fatalf("iter %d chunk %d src %d: kept source routes %v, fresh %v", iter, chunk, src, got, want)
+				for tok := lo; tok < hi; tok++ {
+					g := fresh.Intn(p.Groups)
+					perm := fresh.Perm(groupSize)
+					want := make([]int, min(p.TopK, groupSize))
+					for i := range want {
+						want[i] = g*groupSize + perm[i]
+					}
+					if got := rt.of(iter, src, tok); !reflect.DeepEqual(got, want) {
+						t.Fatalf("iter %d chunk %d src %d token %d: table routes %v, fresh source %v",
+							iter, chunk, src, tok, got, want)
+					}
 				}
 			}
 		}
+	}
+	var allocs []float64
+	for _, n := range []int{4, 16, 64} {
+		allocs = append(allocs, testing.AllocsPerRun(2, func() { moeRouting(p, n) }))
+	}
+	if allocs[1] != allocs[0] || allocs[2] != allocs[0] {
+		t.Fatalf("routing a world allocates %v objects at 4, 16 and 64 ranks, want one constant", allocs)
 	}
 }
 

@@ -56,31 +56,54 @@ type MoEResult struct {
 	RoutedRows    int64 // token·expert assignments dispatched
 }
 
-// moeRouting returns the TopK destination experts of every token rank
-// src emits in (iter, chunk) — a pure function of the parameters, so
-// every rank derives every peer's routing (and hence its own receive
-// counts) without metadata exchange. It re-seeds rng, which the caller
-// keeps from call to call, so the routing is what a fresh source seeded
-// the same way would draw.
-func moeRouting(rng *rand.Rand, p MoEParams, ranks, iter, chunk, src int) [][]int {
-	lo, hi := chunkRange(p.Tokens, p.Chunks, chunk)
-	rng.Seed(int64(p.Seed)<<32 ^ int64(iter*1048576+chunk*65536+src))
+// moeRoutes is one world's routing: the TopK destination experts of
+// every token of every rank in every iteration, in one flat slice.
+type moeRoutes struct {
+	k, tokens, ranks int
+	dsts             []int // [iter][src][token][k]
+}
+
+// of returns the destination experts of token t that rank src emits in
+// iteration iter.
+func (rt *moeRoutes) of(iter, src, t int) []int {
+	i := ((iter*rt.ranks+src)*rt.tokens + t) * rt.k
+	return rt.dsts[i : i+rt.k]
+}
+
+// moeRouting draws a whole world's routing. RunMoE calls it once, before
+// the ranks run, and every rank reads every peer's routing (and hence
+// its own receive counts) from the one table, with no metadata
+// exchange. Each (iter, chunk, src) draws from a source seeded from the
+// parameters alone, and each token's permutation is drawn into one
+// reused buffer in rand.Perm's draw order, so the routing is what a
+// fresh source seeded the same way, calling Intn and Perm, would draw.
+func moeRouting(p MoEParams, ranks int) *moeRoutes {
 	groupSize := ranks / p.Groups
-	out := make([][]int, hi-lo)
-	for t := range out {
-		g := rng.Intn(p.Groups)
-		perm := rng.Perm(groupSize)
-		k := p.TopK
-		if k > groupSize {
-			k = groupSize
+	rt := &moeRoutes{k: min(p.TopK, groupSize), tokens: p.Tokens, ranks: ranks}
+	rt.dsts = make([]int, p.Iters*ranks*p.Tokens*rt.k)
+	rng := rand.New(rand.NewSource(0)) // re-seeded for every (iter, chunk, src)
+	perm := make([]int, groupSize)
+	for iter := 0; iter < p.Iters; iter++ {
+		for chunk := 0; chunk < p.Chunks; chunk++ {
+			lo, hi := chunkRange(p.Tokens, p.Chunks, chunk)
+			for src := 0; src < ranks; src++ {
+				rng.Seed(int64(p.Seed)<<32 ^ int64(iter*1048576+chunk*65536+src))
+				for t := lo; t < hi; t++ {
+					g := rng.Intn(p.Groups)
+					for i := range perm { // rand.Perm(groupSize)
+						j := rng.Intn(i + 1)
+						perm[i] = perm[j]
+						perm[j] = i
+					}
+					dsts := rt.of(iter, src, t)
+					for i := range dsts {
+						dsts[i] = g*groupSize + perm[i]
+					}
+				}
+			}
 		}
-		dsts := make([]int, k)
-		for i := 0; i < k; i++ {
-			dsts[i] = g*groupSize + perm[i]
-		}
-		out[t] = dsts
 	}
-	return out
+	return rt
 }
 
 // chunkRange splits n tokens into even chunks, remainder to the front.
@@ -109,6 +132,7 @@ func RunMoE(cfg mpi.Config, p MoEParams) (*MoEResult, error) {
 	comb := make([]simtime.Ticks, cfg.Ranks)
 	comp := make([]simtime.Ticks, cfg.Ranks)
 	routed := make([]int64, cfg.Ranks)
+	routes := moeRouting(p, cfg.Ranks)
 	err = w.Run(func(r *mpi.Rank) error {
 		ranks := r.Size()
 		// Activation buffer: one row per token, written every iteration.
@@ -127,8 +151,12 @@ func RunMoE(cfg mpi.Config, p MoEParams) (*MoEResult, error) {
 		if err != nil {
 			return err
 		}
+		// Each chunk's exchange layouts, reset for every chunk: the
+		// dispatch pieces and counts, and the combine's.
+		pieces := make([][]mpi.Piece, ranks)
+		rc, rd := make([]int, ranks), make([]int, ranks)
+		rc2, rd2 := make([]int, ranks), make([]int, ranks)
 		// Token t's activation row is byte(r.ID()*131 + t*17 + it + i).
-		rng := rand.New(rand.NewSource(0)) // re-seeded by every moeRouting
 		for it := 0; it < p.Iters; it++ {
 			// Fresh activations (new layer input each iteration).
 			for t := 0; t < p.Tokens; t++ {
@@ -137,23 +165,19 @@ func RunMoE(cfg mpi.Config, p MoEParams) (*MoEResult, error) {
 				}
 			}
 			for c := 0; c < p.Chunks; c++ {
-				// Routing for every rank this chunk: own sends + the
-				// receive counts implied by the peers' routing.
-				pieces := make([][]mpi.Piece, ranks)
-				rc := make([]int, ranks)
-				rd := make([]int, ranks)
-				lo, _ := chunkRange(p.Tokens, p.Chunks, c)
-				var own [][]int
+				// Own sends + the receive counts implied by the peers'
+				// routing this chunk.
+				for d := range pieces {
+					pieces[d] = pieces[d][:0]
+				}
+				clear(rc)
+				lo, hi := chunkRange(p.Tokens, p.Chunks, c)
 				for src := 0; src < ranks; src++ {
-					routing := moeRouting(rng, p, ranks, it, c, src)
-					if src == r.ID() {
-						own = routing
-					}
-					for t, dsts := range routing {
-						for _, d := range dsts {
+					for t := lo; t < hi; t++ {
+						for _, d := range routes.of(it, src, t) {
 							if src == r.ID() {
 								pieces[d] = append(pieces[d], mpi.Piece{
-									VA:  tokVA + vm.VA((lo+t)*p.Hidden),
+									VA:  tokVA + vm.VA(t*p.Hidden),
 									Len: p.Hidden,
 								})
 								routed[r.ID()]++
@@ -190,11 +214,10 @@ func RunMoE(cfg mpi.Config, p MoEParams) (*MoEResult, error) {
 				// the contiguous Alltoallv with transposed counts.
 				sc2 := rc
 				sd2 := rd
-				rc2 := make([]int, ranks)
-				rd2 := make([]int, ranks)
+				clear(rc2)
 				retTotal := 0
-				for _, dsts := range own {
-					for _, d := range dsts {
+				for t := lo; t < hi; t++ {
+					for _, d := range routes.of(it, r.ID(), t) {
 						rc2[d] += p.Hidden
 					}
 				}
