@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"bytes"
 	"errors"
 	"runtime"
 	"strings"
@@ -156,4 +157,56 @@ func goroutines() int {
 		}
 	}
 	return n
+}
+
+// TestCloseCollectsLargeWorlds: Close collects the Go heap exactly when
+// the world drops closeCollectBytes of private frame contents or more.
+// Shared ramp frames do not count, so a world that wrote a large ramp
+// payload skips the collection.
+func TestCloseCollectsLargeWorlds(t *testing.T) {
+	const half = closeCollectBytes / 2 // per rank, on two ranks
+	cases := []struct {
+		name    string
+		private int // bytes of private contents each rank writes
+		ramp    int // bytes of whole-frame ramp payload each rank writes
+		collect bool
+	}{
+		{"small", half - 2*4096, 0, false}, // a frame short even if va is not page-aligned
+		{"ramp", 0, 2 * half, false},
+		{"large", half, 0, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			w := mustWorld(t, defaultCfg(2))
+			err := w.Run(func(r *Rank) error {
+				va, err := r.Malloc(uint64(c.private + c.ramp))
+				if err != nil {
+					return err
+				}
+				if err := r.WriteBytes(va, bytes.Repeat([]byte{7}, c.private)); err != nil {
+					return err
+				}
+				return r.WriteRamp(va+vm.VA(c.private), 0, c.ramp)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := forcedGCs()
+			w.Close()
+			want := uint32(0)
+			if c.collect {
+				want = 1
+			}
+			if got := forcedGCs() - before; got != want {
+				t.Fatalf("Close forced %d collections, want %d", got, want)
+			}
+		})
+	}
+}
+
+// forcedGCs counts the collections runtime.GC has run.
+func forcedGCs() uint32 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.NumForcedGC
 }

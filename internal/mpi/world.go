@@ -18,6 +18,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"runtime"
 
 	"repro/internal/faults"
 	"repro/internal/machine"
@@ -275,17 +276,33 @@ func (w *World) Run(body func(r *Rank) error) error {
 	return fallback
 }
 
+// closeCollectBytes is the frame contents a world must drop on Close
+// for Close to collect the Go heap as well. A world this large leaves
+// its frames and its kernels' host arrays as garbage; left to the
+// collector's pacing, the next world's memory piles onto it, and a run
+// of such worlds peaks anywhere between one and two worlds' footprint,
+// depending on where the collection cycles happened to fall. Smaller
+// worlds skip the collection, which would cost more host time than the
+// world took.
+const closeCollectBytes = 8 << 20
+
 // Close releases what a finished world no longer needs: the contents of
-// every node's physical frames. Call it once the results have been read;
-// clocks, telemetry and the trace stay readable, but memory contents
-// read as zeros and Run fails. A second Close does nothing.
+// every node's physical frames, and, once those reach closeCollectBytes,
+// the garbage the world leaves on the Go heap. Call it once the results
+// have been read; clocks, telemetry and the trace stay readable, but
+// memory contents read as zeros and Run fails. A second Close does
+// nothing.
 func (w *World) Close() {
 	if w.closed {
 		return
 	}
 	w.closed = true
+	dropped := 0
 	for _, n := range w.nodes {
-		n.Mem.Release()
+		dropped += n.Mem.Release()
+	}
+	if dropped >= closeCollectBytes {
+		runtime.GC()
 	}
 }
 

@@ -147,19 +147,25 @@ func TestWriteRampWholeFramesDoNotAllocate(t *testing.T) {
 }
 
 // TestReleaseDropsContents: Release forgets every frame's contents,
-// private and shared alike, leaves the shared ramp frames intact, and
-// the memory stays writable afterwards.
+// private and shared alike, reports the private bytes it dropped, leaves
+// the shared ramp frames intact, and the memory stays writable
+// afterwards.
 func TestReleaseDropsContents(t *testing.T) {
 	m := NewMemory(machine.Opteron())
 	m.WriteRamp(0, 5, 2*page)            // two shared frames
 	m.WritePhys(2*page+3, []byte("own")) // a private one
-	m.Release()
+	m.WriteRamp(3*page+1, 9, 10)         // a partial ramp: private too
+	hugePA := Addr(m.hugeBase) * page
+	m.WritePhys(hugePA, []byte("huge")) // a private one in the hugepage zone
+	if got := m.Release(); got != 3*page {
+		t.Fatalf("Release dropped %d private bytes, want %d", got, 3*page)
+	}
 	got := make([]byte, 3*page)
 	m.ReadPhys(0, got)
 	if !bytes.Equal(got, make([]byte, 3*page)) {
 		t.Fatal("released memory still reads its old contents")
 	}
-	if m.frame(0) != nil || m.frame(2) != nil {
+	if m.frame(0) != nil || m.frame(2) != nil || m.frame(m.hugeBase) != nil {
 		t.Fatal("released memory still holds frames")
 	}
 	checkRampFrames(t)
